@@ -48,11 +48,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_index(bit: int) -> int:
-    """Index of a single-bit mask."""
-    return bit.bit_length() - 1
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

@@ -7,6 +7,9 @@ explicit-index JSON documents:
     {"type": "graph",      "n": int, "edges": [[int, int], ...]}
     {"type": "digraph",    "n": int, "arcs":  [[int, int], ...], "start": int, "end": int?}
 
+A family document, `{"type": "family", "sets": [[int, ...], ...]}`, lists
+element sets of a given board (the reduced-menu input of the solver).
+
 Hyperedges are stored as bit masks (see bitset.py), deduplicated and kept in
 a canonical order.
 """
@@ -318,14 +321,6 @@ def digraph_new(
 # JSON serialization
 
 
-def elementset_to_json(mask: int) -> list[int]:
-    return indices_of(mask)
-
-
-def elementset_from_json(data: Sequence[int], n: int) -> int:
-    return mask_from_indices(data, n)
-
-
 def to_json(obj) -> dict:
     if isinstance(obj, Hypergraph):
         doc = {"type": "hypergraph", "n": obj.n, "edges": obj.edge_indices()}
@@ -363,6 +358,20 @@ def from_json(doc: dict):
     except BoardError as exc:
         raise FormatError(str(exc)) from exc
     raise FormatError(f"unknown document type {kind!r}")
+
+
+def family_from_json(doc, n: int) -> tuple[int, ...]:
+    """Element sets of a `{"type": "family", "sets": [[int, ...], ...]}`
+    document, with every index checked against a board of n elements."""
+    if not isinstance(doc, dict) or doc.get("type") != "family":
+        raise FormatError("expected a family document")
+    sets = doc.get("sets")
+    if not isinstance(sets, list):
+        raise FormatError("family field 'sets' must be a list of index lists")
+    try:
+        return tuple(mask_from_indices(indices, n) for indices in sets)
+    except (BoardError, TypeError) as exc:
+        raise FormatError(f"family: {exc}") from exc
 
 
 def dumps(obj) -> str:

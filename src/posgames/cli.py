@@ -4,8 +4,7 @@ Exit codes: 0 success / claim holds; 1 claim violated (counterexample JSON on
 stdout); 2 usage error; 3 resource-guard abort.  Results are JSON on stdout
 (CSV for tabular output with --format csv).  A run manifest (command line,
 input digests, version, seed, wall time, result) can be written with
---manifest; identical inputs reproduce identical result payloads in the
-default single-actor mode.
+--manifest; identical inputs reproduce identical result payloads.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import time
 from typing import Optional
 
 from . import __version__
-from .boards import from_json, to_json
+from .bitset import indices_of, mask_from_indices
+from .boards import family_from_json, from_json, to_json
 from .constructions import (
     build_complete_uniform,
     build_gadget,
@@ -46,7 +46,7 @@ from .domination import (
     wc_tree_value,
 )
 from .engine import GameKind, GameSpec, Player
-from .errors import FormatError, GuardExceeded, PosgamesError
+from .errors import BoardError, FormatError, GuardExceeded, PosgamesError
 from .graphgen import cycle_graph, path_graph
 from .solver import (
     MoveRestriction,
@@ -83,32 +83,22 @@ class _Run:
         self.argv = argv
         self.inputs: dict[str, str] = {}
         self.seed: Optional[int] = None
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
 
-    def read_board(self, path: str):
+    def read_json(self, path: str):
         with open(path, "rb") as fh:
             raw = fh.read()
         self.inputs[path] = hashlib.sha256(raw).hexdigest()
         try:
-            doc = json.loads(raw)
+            return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-        return from_json(doc)
 
-    def read_family(self, path: str) -> MoveRestriction:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        self.inputs[path] = hashlib.sha256(raw).hexdigest()
-        doc = json.loads(raw)
-        if doc.get("type") != "family":
-            raise FormatError(f"{path}: expected a family document")
-        masks = []
-        for indices in doc["sets"]:
-            m = 0
-            for i in indices:
-                m |= 1 << int(i)
-            masks.append(m)
-        return MoveRestriction(tuple(masks))
+    def read_board(self, path: str):
+        return from_json(self.read_json(path))
+
+    def read_family(self, path: str, n: int) -> MoveRestriction:
+        return MoveRestriction(family_from_json(self.read_json(path), n))
 
     def manifest(self, result) -> dict:
         return {
@@ -117,13 +107,13 @@ class _Run:
             "inputs": self.inputs,
             "version": __version__,
             "seed": self.seed,
-            "wall_time_s": round(time.time() - self.t0, 4),
+            "wall_time_s": round(time.perf_counter() - self.t0, 4),
             "result": result,
         }
 
 
 def _settings(args) -> SolverSettings:
-    return SolverSettings(memo_cap=args.memo_cap, jobs=args.jobs)
+    return SolverSettings(memo_cap=args.memo_cap)
 
 
 def _emit(args, run: _Run, payload, rows=None) -> None:
@@ -160,14 +150,6 @@ def _csv_cell(value):
     return value
 
 
-def _parse_indices(text: str) -> int:
-    mask = 0
-    if text:
-        for part in text.split(","):
-            mask |= 1 << int(part)
-    return mask
-
-
 def _player(name: str) -> Player:
     return Player.MAKER if name == "maker" else Player.BREAKER
 
@@ -191,7 +173,7 @@ def _cmd_gen(args, run: _Run) -> int:
         if args.emit_family:
             doc = {
                 "type": "family",
-                "sets": [[b.bit_length() - 1 for b in _bits(m)] for m in family.sets],
+                "sets": [indices_of(m) for m in family.sets],
             }
             with open(args.emit_family, "w") as fh:
                 json.dump(doc, fh)
@@ -240,13 +222,6 @@ def _cmd_gen(args, run: _Run) -> int:
     return EXIT_OK
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
 # ---------------------------------------------------------------------------
 # solve / frontier
 
@@ -255,7 +230,7 @@ def _cmd_solve(args, run: _Run) -> int:
     settings = _settings(args)
     board = run.read_board(args.board)
     if args.game == "mb":
-        restriction = run.read_family(args.family) if args.family else None
+        restriction = run.read_family(args.family, board.n) if args.family else None
         value = decide_mb(
             board, args.m, args.b, _player(args.first), _objective(args),
             restriction, settings,
@@ -263,7 +238,11 @@ def _cmd_solve(args, run: _Run) -> int:
     elif args.game == "wc":
         value = decide_wc(board, _objective(args), settings)
     else:
-        seeds = _parse_indices(args.seeds)
+        indices = args.seeds.split(",") if args.seeds else []
+        try:
+            seeds = mask_from_indices([int(i) for i in indices], board.nv)
+        except (ValueError, BoardError) as exc:
+            raise FormatError(f"--seeds: {exc}") from exc
         value = solve_aux_game(
             board, args.b, seeds, _objective(args),
             breaker_premove=args.breaker_premove, settings=settings,
@@ -448,7 +427,6 @@ def _run_suite(name: str, args, settings: SolverSettings):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, help="parallel root workers (default 1)")
     p.add_argument("--memo-cap", type=int, default=0,
                    help="memo entry cap (default: POSGAMES_MEMO_CAP or built-in)")
     p.add_argument("--manifest", help="write a run manifest JSON to this path")

@@ -21,10 +21,6 @@ def star_graph(leaves: int) -> SimpleGraph:
     return graph_new(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def complete_graph(n: int) -> SimpleGraph:
-    return graph_new(n, list(combinations(range(n), 2)))
-
-
 def random_tree(n: int, rng: random.Random) -> SimpleGraph:
     """Uniform labelled tree by decoding a random Pruefer sequence."""
     if n <= 0:

@@ -1,23 +1,47 @@
 """Exact game values by memoized AND/OR search.
 
-The three searches (claiming game, offer game, directed-edge game) share the
-same skeleton: recurse over the mover's options, short-circuit, memoize on
-(claimed sets, mover, remaining round budget).  Exactness-preserving
-reductions keep desk-scale instances fast:
+One skeleton, `_Search.run`, serves the three games: the (m:b) claiming
+game, the unbiased offer game and the (1:b) directed-edge game.  A node is
+(Maker's set, Breaker's set, mover, remaining round budget).  In the offer
+game the Waiter plays Maker's part and the Client Breaker's; a round (offer
+plus keep) is one node, so its mover flag is always True.  `run` does four
+things in order:
 
-  * elements outside every live winning set are interchangeable, so padded
-    claims use the lowest such elements and dominated moves are dropped;
-  * a mover never claims fewer useful elements than the bias allows;
-  * positions where the cheapest live winning set cannot be finished within
-    the remaining budget are lost for the claiming player.
+  1. leaf test (per game): scan the winning sets the opponent has not hit.
+     A completed set is a win.  The node is lost when no set is live, when
+     the cheapest live set cannot be finished within the budget, or when
+     nothing is left to claim;
+  2. memo probe on the node;
+  3. expansion (per game): try the mover's options, best first, and stop at
+     the first one that decides the node;
+  4. guarded store: the value enters the memo table, which holds at most
+     the configured number of entries.  Reaching the cap raises
+     `GuardExceeded`; an answer is never truncated.
 
-Each of these is a dominance argument, not a heuristic: claimed values are
-exact.  A memo-free mode exists for cross-checking, and the memo table is
-guarded by a configurable entry cap (exceeding it raises, never truncates).
+Every pruning is a dominance argument, not a heuristic, so values are exact:
 
-Only the single-actor mode runs by default.  With jobs > 1 the root moves
-are evaluated in worker processes, each with a private memo table, so
-concurrent identical inserts are trivially idempotent.
+  * Round bound.  Maker gains at most m elements of a set per round (the
+    Waiter exactly one; in the directed-edge game Maker claims the missing
+    endpoints and then the arc, one element per round), so a live set that
+    needs more rounds than the budget cannot be completed in time.
+  * Finish now.  A Maker who can complete a live set this move wins.
+  * Dead elements.  Elements outside every live winning set can never
+    complete a set, so any two are interchangeable.  A claim therefore
+    takes every useful element when they all fit, padded with the lowest
+    dead ones; otherwise it takes useful elements only, because swapping a
+    dead element for a useful one never hurts the claimer (Maker is helped
+    by owning more, Breaker by denying more).
+  * Offer game.  A lone free element goes to the Client, and a lone useful
+    element is kept by the Client whenever offered, so in both cases the
+    Waiter cannot gain.  Offering two dead elements dominates any offer
+    of one useful and one dead element: there the Client may keep the
+    useful one.
+  * Reduced menu.  With a `MoveRestriction`, Maker claims a whole
+    associated set; `validate_restriction` checks the hypotheses under
+    which this loses nothing.
+
+The memo-free mode (`SolverSettings(use_memo=False)`) exists for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -40,24 +64,26 @@ _MEMO_CAP_ENV = "POSGAMES_MEMO_CAP"
 _W = 1 << 30
 
 
-def _default_memo_cap() -> int:
-    raw = os.environ.get(_MEMO_CAP_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise PosgamesError(f"bad {_MEMO_CAP_ENV} value {raw!r}") from exc
-    return DEFAULT_MEMO_CAP
-
-
 @dataclass(frozen=True)
 class SolverSettings:
     memo_cap: int = 0  # 0 means: environment override or the built-in default
     use_memo: bool = True
-    jobs: int = 1
 
     def effective_cap(self) -> int:
-        return self.memo_cap if self.memo_cap > 0 else _default_memo_cap()
+        """The memo entry cap; a non-positive value is rejected."""
+        cap, source = self.memo_cap, "memo cap"
+        if not cap:
+            raw = os.environ.get(_MEMO_CAP_ENV)
+            if not raw:
+                return DEFAULT_MEMO_CAP
+            try:
+                cap = int(raw)
+            except ValueError as exc:
+                raise PosgamesError(f"bad {_MEMO_CAP_ENV} value {raw!r}") from exc
+            source = _MEMO_CAP_ENV
+        if cap < 1:
+            raise PosgamesError(f"{source} must be positive, got {cap}")
+        return cap
 
 
 @dataclass(frozen=True)
@@ -128,16 +154,39 @@ def validate_restriction(h: Hypergraph, m: int, restriction: MoveRestriction) ->
             )
 
 
-class _MemoMixin:
-    settings: SolverSettings
+class _Search:
+    """The shared skeleton; see the module docstring.
 
-    def _init_memo(self):
+    A subclass supplies `_leaf`, which returns the value of a decided node
+    or the (live sets, free elements, useful elements) that its expansion
+    needs, and `_maker_node`, which expands a node with Maker to move.  The
+    Breaker's node is the same in both claim games and lives here.
+    """
+
+    b: int  # Breaker's bias, set by the claim games
+
+    def __init__(self, n: int, settings: SolverSettings):
+        self.full = (1 << n) - 1
         self.memo: dict = {}
-        self._cap = self.settings.effective_cap()
-        self._use_memo = self.settings.use_memo
+        self._cap = settings.effective_cap()
+        self._use_memo = settings.use_memo
 
-    def _store(self, key, value: bool) -> bool:
-        if self._use_memo:
+    def run(self, maker: int, breaker: int, maker_to_move: bool, budget: int) -> bool:
+        node = self._leaf(maker, breaker, budget)
+        if node is True or node is False:
+            return node
+        use_memo = self._use_memo
+        if use_memo:
+            key = (maker, breaker, maker_to_move, budget)
+            hit = self.memo.get(key)
+            if hit is not None:
+                return hit
+        live, free, useful = node
+        if maker_to_move:
+            value = self._maker_node(maker, breaker, budget, live, free, useful)
+        else:
+            value = self._breaker_node(maker, breaker, budget, live, free, useful)
+        if use_memo:
             if len(self.memo) >= self._cap:
                 raise GuardExceeded(
                     f"memo table exceeded {self._cap} entries; raise the cap to continue"
@@ -145,8 +194,37 @@ class _MemoMixin:
             self.memo[key] = value
         return value
 
+    def _breaker_node(self, maker, breaker, budget, live, free, useful) -> bool:
+        for mv in self._claims(self.b, live, free, useful):
+            if not self.run(maker, breaker | mv, True, budget):
+                return False
+        return True
 
-class _MBSearch(_MemoMixin):
+    def _claims(self, bias, live, free, useful):
+        """The claims of min(bias, free) elements worth trying, best first.
+
+        All useful elements padded with the lowest dead ones when they fit,
+        else every claim of useful elements only, in the search's move order.
+        """
+        size = min(bias, free.bit_count())
+        ucount = useful.bit_count()
+        if ucount <= size:
+            return (useful | low_bits(free & ~useful, size - ucount),)
+        # the bits are distinct, so a combination's sum is its union
+        return map(sum, combinations(self._order(useful, live), size))
+
+    @staticmethod
+    def _order(useful, live) -> list[int]:
+        """Useful elements, those of the smallest live needs first."""
+        scores: dict[int, int] = {}
+        for need in live:
+            w = _W >> (3 * need.bit_count())
+            for bit in iter_bits(need):
+                scores[bit] = scores.get(bit, 0) + w
+        return sorted(iter_bits(useful), key=scores.__getitem__, reverse=True)
+
+
+class _MBSearch(_Search):
     """(m:b) claiming game on a fixed, size-filtered edge family."""
 
     def __init__(
@@ -158,26 +236,25 @@ class _MBSearch(_MemoMixin):
         settings: SolverSettings,
         restriction: Optional[tuple[int, ...]] = None,
     ):
-        self.full = (1 << n) - 1
+        super().__init__(n, settings)
         self.edges = tuple(edges)
         self.m = m
         self.b = b
         self.restriction = restriction
-        self.settings = settings
-        self._init_memo()
 
-    def run(self, maker: int, breaker: int, maker_to_move: bool, budget: int) -> bool:
-        edges = self.edges
+    def _leaf(self, maker, breaker, budget):
         m = self.m
         live = []
+        useful = 0
         lb = None
-        for e in edges:
+        for e in self.edges:
             if e & breaker:
                 continue
             need = e & ~maker
             if not need:
                 return True
             live.append(need)
+            useful |= need
             moves_needed = -(-need.bit_count() // m)
             if lb is None or moves_needed < lb:
                 lb = moves_needed
@@ -186,67 +263,22 @@ class _MBSearch(_MemoMixin):
         free = self.full & ~(maker | breaker)
         if not free:
             return False
+        return live, free, useful
 
-        key = (maker, breaker, maker_to_move, budget)
-        if self._use_memo:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-
-        if maker_to_move:
-            value = self._maker_node(maker, breaker, budget, live, free)
-        else:
-            value = self._breaker_node(maker, breaker, budget, live, free)
-        return self._store(key, value)
-
-    def _maker_node(self, maker, breaker, budget, live, free) -> bool:
+    def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
         m = self.m
         if any(need.bit_count() <= m for need in live):
             return True  # finish a winning set this move
-        fc = free.bit_count()
-        size = min(m, fc)
         if self.restriction is not None:
             occupied = maker | breaker
-            moves = [v for v in self.restriction if not v & occupied]
-            moves.sort(key=lambda v: -self._score(v, live))
-            for mv in moves:
-                if self.run(maker | mv, breaker, False, budget - 1):
-                    return True
-            return False
-        useful = 0
-        for need in live:
-            useful |= need
-        ucount = useful.bit_count()
-        if ucount <= size:
-            mv = useful | low_bits(free & ~useful, size - ucount)
-            return self.run(maker | mv, breaker, False, budget - 1)
-        bits = self._ordered_bits(useful, live)
-        for combo in combinations(bits, size):
-            mv = 0
-            for bit in combo:
-                mv |= bit
+            menu = [v for v in self.restriction if not v & occupied]
+            menu.sort(key=lambda v: -self._score(v, live))
+        else:
+            menu = self._claims(m, live, free, useful)
+        for mv in menu:
             if self.run(maker | mv, breaker, False, budget - 1):
                 return True
         return False
-
-    def _breaker_node(self, maker, breaker, budget, live, free) -> bool:
-        fc = free.bit_count()
-        size = min(self.b, fc)
-        useful = 0
-        for need in live:
-            useful |= need
-        ucount = useful.bit_count()
-        if ucount <= size:
-            mv = useful | low_bits(free & ~useful, size - ucount)
-            return self.run(maker, breaker | mv, True, budget)
-        bits = self._ordered_bits(useful, live)
-        for combo in combinations(bits, size):
-            mv = 0
-            for bit in combo:
-                mv |= bit
-            if not self.run(maker, breaker | mv, True, budget):
-                return False
-        return True
 
     @staticmethod
     def _score(mask, live) -> int:
@@ -256,27 +288,17 @@ class _MBSearch(_MemoMixin):
                 s += _W >> (3 * need.bit_count())
         return s
 
-    @staticmethod
-    def _ordered_bits(useful, live) -> list[int]:
-        scores = {}
-        for need in live:
-            w = _W >> (3 * need.bit_count())
-            for bit in iter_bits(need):
-                scores[bit] = scores.get(bit, 0) + w
-        return sorted(iter_bits(useful), key=lambda bit: -scores.get(bit, 0))
 
-
-class _WCSearch(_MemoMixin):
+class _WCSearch(_Search):
     """Unbiased offer game; a round is offer + keep, folded into one node."""
 
     def __init__(self, n: int, edges: Sequence[int], settings: SolverSettings):
-        self.full = (1 << n) - 1
+        super().__init__(n, settings)
         self.edges = tuple(edges)
-        self.settings = settings
-        self._init_memo()
 
-    def run(self, waiter: int, client: int, budget: int) -> bool:
+    def _leaf(self, waiter, client, budget):
         live = []
+        useful = 0
         lb = None
         for e in self.edges:
             if e & client:
@@ -285,79 +307,63 @@ class _WCSearch(_MemoMixin):
             if not need:
                 return True
             live.append(need)
+            useful |= need
             nc = need.bit_count()
             if lb is None or nc < lb:
                 lb = nc
-        # the waiter gains exactly one element per round
         if lb is None or lb > budget:
             return False
         free = self.full & ~(waiter | client)
-        fc = free.bit_count()
-        if fc <= 1:
-            return False  # a lone element goes to the client
-        useful = 0
-        for need in live:
-            useful |= need
-        if useful.bit_count() == 1:
-            # the client keeps the unique useful element whenever offered
+        if free.bit_count() <= 1 or useful.bit_count() == 1:
             return False
+        return live, free, useful
 
-        key = (waiter, client, budget)
-        if self._use_memo:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-
-        bits = _MBSearch._ordered_bits(useful, live)
-        value = False
+    def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
+        run = self.run
+        bits = self._order(useful, live)
         for x, y in combinations(bits, 2):
-            if self.run(waiter | x, client | y, budget - 1) and self.run(
-                waiter | y, client | x, budget - 1
+            if run(waiter | x, client | y, True, budget - 1) and run(
+                waiter | y, client | x, True, budget - 1
             ):
-                value = True
-                break
-        if not value:
-            useless = free & ~useful
-            uc = useless.bit_count()
-            if uc >= 2:
-                # burning a round on two interchangeable dead elements; any
-                # mixed useful/dead offer is dominated by this
-                u1 = useless & -useless
-                u2 = (useless ^ u1) & -(useless ^ u1)
-                value = self.run(waiter | u1, client | u2, budget - 1)
-            elif uc == 1:
-                for x in bits:
-                    if self.run(waiter | x, client | useless, budget - 1) and self.run(
-                        waiter | useless, client | x, budget - 1
-                    ):
-                        value = True
-                        break
-        return self._store(key, value)
+                return True
+        useless = free & ~useful
+        if useless.bit_count() >= 2:
+            u1 = useless & -useless
+            u2 = (useless ^ u1) & -(useless ^ u1)
+            return run(waiter | u1, client | u2, True, budget - 1)
+        if useless:
+            for x in bits:
+                if run(waiter | x, client | useless, True, budget - 1) and run(
+                    waiter | useless, client | x, True, budget - 1
+                ):
+                    return True
+        return False
 
 
-class _AuxSearch(_MemoMixin):
+class _AuxSearch(_Search):
     """(1:b) vertex-then-arc game on a rooted directed multigraph."""
 
     def __init__(self, board: RootedDigraph, b: int, settings: SolverSettings):
-        self.nv = board.nv
-        self.full = (1 << board.n_elements) - 1
+        super().__init__(board.n_elements, settings)
         self.b = b
-        self.arcs = tuple(
-            (1 << (board.nv + j), 1 << u, 1 << v) for j, (u, v) in enumerate(board.arcs)
-        )
-        self.settings = settings
-        self._init_memo()
+        arcs = []
+        for j, (u, v) in enumerate(board.arcs):
+            arc, tail, head = 1 << (board.nv + j), 1 << u, 1 << v
+            arcs.append((arc, tail, head, arc | tail | head))
+        self.arcs = tuple(arcs)
 
-    def run(self, maker: int, breaker: int, maker_to_move: bool, budget: int) -> bool:
+    def _leaf(self, maker, breaker, budget):
         live = []
+        useful = 0
         lb = None
-        for arc, tail, head in self.arcs:
-            if breaker & (arc | tail | head):
+        for arc, tail, head, arc_set in self.arcs:
+            if breaker & arc_set:
                 continue
             if maker & arc:
                 return True
             missing = (0 if maker & tail else 1) + (0 if maker & head else 1)
             live.append((arc, tail, head, missing))
+            useful |= arc_set & ~maker
             if lb is None or missing + 1 < lb:
                 lb = missing + 1
         if lb is None or lb > budget:
@@ -365,62 +371,39 @@ class _AuxSearch(_MemoMixin):
         free = self.full & ~(maker | breaker)
         if not free:
             return False
+        return live, free, useful
 
-        key = (maker, breaker, maker_to_move, budget)
-        if self._use_memo:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-
-        if maker_to_move:
-            if any(missing == 0 for *_rest, missing in live):
-                return self._store(key, True)  # claim that arc now
-            scores: dict[int, int] = {}
-            for arc, tail, head, missing in live:
-                w = _W >> (3 * missing)
-                for bit in (tail, head):
-                    if bit & free:
-                        scores[bit] = scores.get(bit, 0) + w
-            order = sorted(scores, key=lambda bit: -scores[bit])
-            value = any(
-                self.run(maker | v, breaker, False, budget - 1) for v in order
-            )
-        else:
-            value = self._breaker_node(maker, breaker, budget, live, free)
-        return self._store(key, value)
-
-    def _breaker_node(self, maker, breaker, budget, live, free) -> bool:
+    def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
         scores: dict[int, int] = {}
-        useful = 0
+        for _arc, tail, head, missing in live:
+            if not missing:
+                return True  # claim that arc now
+            w = _W >> (3 * missing)
+            for bit in (tail, head):
+                if bit & free:
+                    scores[bit] = scores.get(bit, 0) + w
+        for v in sorted(scores, key=scores.__getitem__, reverse=True):
+            if self.run(maker | v, breaker, False, budget - 1):
+                return True
+        return False
+
+    @staticmethod
+    def _order(useful, live) -> list[int]:
+        scores: dict[int, int] = {}
         for arc, tail, head, missing in live:
             w = _W >> (3 * missing)
             for bit in (arc, tail, head):
-                if bit & free:
-                    useful |= bit
+                if bit & useful:
                     scores[bit] = scores.get(bit, 0) + w
-        fc = free.bit_count()
-        size = min(self.b, fc)
-        ucount = useful.bit_count()
-        if ucount <= size:
-            mv = useful | low_bits(free & ~useful, size - ucount)
-            return self.run(maker, breaker | mv, True, budget)
-        bits = sorted(iter_bits(useful), key=lambda bit: -scores[bit])
-        for combo in combinations(bits, size):
-            mv = 0
-            for bit in combo:
-                mv |= bit
-            if not self.run(maker, breaker | mv, True, budget):
-                return False
-        return True
+        return sorted(iter_bits(useful), key=scores.__getitem__, reverse=True)
 
     def breaker_single_openings(self, maker: int) -> list[int]:
         """Menu for a one-element opening claim (dominated moves dropped)."""
         free = self.full & ~maker
         useful = 0
-        for arc, tail, head in self.arcs:
-            if maker & arc:
-                continue
-            useful |= (arc | tail | head) & free
+        for arc, _tail, _head, arc_set in self.arcs:
+            if not maker & arc:
+                useful |= arc_set & free
         if useful:
             return list(iter_bits(useful))
         return [free & -free] if free else []
@@ -461,8 +444,6 @@ def decide_mb(
         fam = restriction.family
     edges = _filter_edges(h, objective)
     budget = _mb_budget(h, m, objective)
-    if settings.jobs > 1:
-        return _parallel_mb(h.n, edges, m, b, fam, first, budget, settings)
     search = _MBSearch(h.n, edges, m, b, settings, fam)
     return search.run(0, 0, first is Player.MAKER, budget)
 
@@ -481,7 +462,7 @@ def decide_wc(
         else (h.n + 1) // 2
     )
     search = _WCSearch(h.n, edges, settings)
-    return search.run(0, 0, budget)
+    return search.run(0, 0, True, budget)
 
 
 def solve_aux_game(
@@ -562,73 +543,3 @@ def wc_game_values(h: Hypergraph, settings: Optional[SolverSettings] = None) -> 
         return decide_wc(h, Objective(t, s), settings=settings)
 
     return _values_from_decider(decide, sizes, (h.n + 1) // 2)
-
-
-# ---------------------------------------------------------------------------
-# Root-level parallelism (opt-in; the default path never forks)
-
-
-def _root_moves_mb(search: _MBSearch, maker_to_move: bool) -> Optional[list[int]]:
-    """The root mover's menu, or None when the root is already decided."""
-    live = list(search.edges)
-    if not live:
-        return None
-    free = search.full
-    if maker_to_move:
-        if search.restriction is not None:
-            return list(search.restriction)  # at an empty board every set is free
-        if any(need.bit_count() <= search.m for need in live):
-            return None
-        size = min(search.m, free.bit_count())
-    else:
-        size = min(search.b, free.bit_count())
-    useful = 0
-    for need in live:
-        useful |= need
-    ucount = useful.bit_count()
-    if ucount <= size:
-        return [useful | low_bits(free & ~useful, size - ucount)]
-    bits = _MBSearch._ordered_bits(useful, live)
-    moves = []
-    for combo in combinations(bits, size):
-        mv = 0
-        for bit in combo:
-            mv |= bit
-        moves.append(mv)
-    return moves
-
-
-def _mb_child(args) -> bool:
-    n, edges, m, b, fam, maker, breaker, maker_to_move, budget, cap = args
-    settings = SolverSettings(memo_cap=cap)
-    return _MBSearch(n, edges, m, b, settings, fam).run(maker, breaker, maker_to_move, budget)
-
-
-def _parallel_mb(n, edges, m, b, fam, first, budget, settings: SolverSettings) -> bool:
-    import multiprocessing as mp
-
-    search = _MBSearch(n, tuple(edges), m, b, SolverSettings(), fam)
-    maker_first = first is Player.MAKER
-    if budget <= 0 or not edges:
-        return False
-    moves = _root_moves_mb(search, maker_first)
-    if moves is None:
-        # decided at the root without any search
-        return search.run(0, 0, maker_first, budget)
-    if not moves:
-        return False
-    cap = settings.effective_cap()
-    if maker_first:
-        jobs = [
-            (n, tuple(edges), m, b, fam, mv, 0, False, budget - 1, cap) for mv in moves
-        ]
-        target = True
-    else:
-        jobs = [(n, tuple(edges), m, b, fam, 0, mv, True, budget, cap) for mv in moves]
-        target = False
-    with mp.get_context("fork").Pool(settings.jobs) as pool:
-        for result in pool.imap(_mb_child, jobs):
-            if result is target:
-                pool.terminate()
-                return target
-    return not target

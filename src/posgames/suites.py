@@ -59,7 +59,7 @@ def _report(suite: str, t0: float, checks: list, rows: list, failures: list) -> 
     return SuiteReport(
         suite=suite,
         ok=not failures,
-        seconds=round(time.time() - t0, 3),
+        seconds=round(time.perf_counter() - t0, 3),
         checks=checks,
         rows=rows,
         failures=failures,
@@ -74,7 +74,7 @@ def _check(checks, failures, label: str, ok: bool, detail=None):
 
 def suite_lemma34(settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Branched-digraph game values: win in t, not in t-1, single seeds lose."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for t, b in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
         board, _ = build_gtb_indexed(t, b)
@@ -94,7 +94,7 @@ def suite_lemma34(settings: Optional[SolverSettings] = None) -> SuiteReport:
 
 def suite_lemma36(settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Hub-digraph game: win in t, not t-1, opening pre-claim flips it."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for t, b in [(3, 1), (3, 2), (4, 1)]:
         board, _ = build_htb_indexed(t, b)
@@ -110,7 +110,7 @@ def suite_lemma36(settings: Optional[SolverSettings] = None) -> SuiteReport:
 
 def suite_lemma39(settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Uniform-board values, identical with and without the reduced menu."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for m, b, s, t in [(1, 1, 3, 3), (1, 2, 3, 3)]:
         h, fam = build_hmbst_indexed(m, b, s, t)[:2]
@@ -132,7 +132,7 @@ def suite_lemma39(settings: Optional[SolverSettings] = None) -> SuiteReport:
 
 def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Fair-bias outcome flips exactly on the blocked set."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for blocked in ({1}, {2}, {1, 2}):
         h = build_nonmonotone(blocked)
@@ -150,7 +150,7 @@ def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) ->
 
 def suite_thm18(max_n: int = 9, settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Cycle offer-domination values equal floor(n/2), rounds and size."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for n in range(3, max_n + 1):
         values = dom_wc_values(cycle_graph(n), settings)
@@ -168,7 +168,7 @@ def suite_thm17(
     settings: Optional[SolverSettings] = None,
 ) -> SuiteReport:
     """Tree offer-domination: n/2 with a perfect matching, no win otherwise."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     rng = random.Random(seed)
 
@@ -206,7 +206,7 @@ def suite_residue(
 ) -> SuiteReport:
     """Peeling a (leaf, degree-2 support) pair costs exactly one round and one
     element; the peeled-to-the-end formula agrees with direct solving."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     rng = random.Random(seed)
     done = 0
@@ -270,7 +270,7 @@ def suite_gadget(
     """Gadget structure: edges dominate, the domination number equals the
     smallest edge, core dominating sets contain edges, and the game values
     transfer on the two-element example."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     rng = random.Random(seed)
     for idx in range(count):
@@ -309,7 +309,7 @@ def suite_gadget(
 def suite_thm19c1(settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Mixed board at (3,3): claiming game needs 3 rounds either way, the
     offer game needs 3 rounds, and the pairing script never loses."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     h = build_wc_gap_case1(3, 3)
     for first in (Player.MAKER, Player.BREAKER):
@@ -355,7 +355,7 @@ def _solver_min_rounds(spec: GameSpec, settings) -> Optional[int]:
 def suite_strategies(settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Every catalog script passes its guarantee on its smallest instance and
     never certifies a round count the solver beats."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for name in CATALOG:
         spec, strat, guarantee = smallest_instance(name)
@@ -386,7 +386,7 @@ def suite_properties(
 ) -> SuiteReport:
     """Randomized invariants: bias and objective monotonicity, first-mover
     advantage, minimal-subfamily soundness, memo transparency."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     settings = settings or SolverSettings()
 

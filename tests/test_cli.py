@@ -99,6 +99,50 @@ class TestSolveAndFrontier:
         assert code == 0 and doc["maker_wins"] is True
 
 
+class TestMalformedInput:
+    """Bad input ends in a usage error (exit 2) with a JSON message."""
+
+    @pytest.fixture
+    def hmbst_board(self, capsys, tmp_path):
+        board = tmp_path / "h.json"
+        run_cli(capsys, "gen", "hmbst", "--m", "1", "--b", "1", "--s", "3",
+                "--t", "3", "-o", str(board))
+        return board
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"type": "family", "sets": [[-1]]}', "out of range"),
+        ('{"type": "family", "sets": [[999]]}', "out of range"),
+        ('{"type": "family"}', "'sets'"),
+        ('[[0, 1, 2]]', "expected a family document"),
+        ('{"type": "family", "sets": ', "invalid JSON"),
+    ], ids=["negative-index", "index-past-board", "no-sets", "json-list", "not-json"])
+    def test_bad_family(self, capsys, tmp_path, hmbst_board, text, message):
+        fam = tmp_path / "fam.json"
+        fam.write_text(text)
+        code, doc = run_json(capsys, "solve", "mb", "--board", str(hmbst_board),
+                             "--family", str(fam))
+        assert code == 2 and doc["kind"] == "usage"
+        assert message in doc["message"]
+
+    @pytest.mark.parametrize("seeds", ["-1", "x"])
+    def test_bad_seeds(self, capsys, tmp_path, seeds):
+        board = tmp_path / "d.json"
+        run_cli(capsys, "gen", "gtb", "--t", "2", "--b", "2", "-o", str(board))
+        code, doc = run_json(capsys, "solve", "aux", "--board", str(board),
+                             "--seeds", seeds)
+        assert code == 2 and doc["kind"] == "usage"
+        assert doc["message"].startswith("--seeds")
+
+    def test_negative_memo_cap(self, capsys, hmbst_board):
+        code, doc = run_json(capsys, "solve", "mb", "--board", str(hmbst_board),
+                             "--memo-cap", "-3")
+        assert code == 2 and "must be positive" in doc["message"]
+
+    def test_zero_memo_cap_from_environment(self, capsys, monkeypatch, hmbst_board):
+        monkeypatch.setenv("POSGAMES_MEMO_CAP", "0")
+        code, doc = run_json(capsys, "solve", "mb", "--board", str(hmbst_board))
+        assert code == 2 and "must be positive" in doc["message"]
+
 class TestDom:
     def test_closed_form_cycle(self, capsys):
         code, doc = run_json(capsys, "dom", "closedform", "cycle", "--n", "8")

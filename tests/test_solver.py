@@ -6,7 +6,7 @@ from conftest import naive_decide, random_hypergraph_masks
 from posgames.boards import digraph_new, hypergraph_new, minimalize
 from posgames.constructions import build_gtb, build_hmbst, build_ht_wc
 from posgames.engine import GameKind, GameSpec, Player
-from posgames.errors import GuardExceeded, RestrictionError
+from posgames.errors import GuardExceeded, PosgamesError, RestrictionError
 from posgames.solver import (
     MoveRestriction,
     Objective,
@@ -226,10 +226,50 @@ class TestSolverInvariants:
                 h, 1, 1, first, Objective(max_rounds=t), settings=plain
             )
 
+    def test_memo_transparency_offer_game(self, rng):
+        plain = SolverSettings(use_memo=False)
+        for _ in range(100):
+            n = rng.randint(2, 6)
+            h = random_hypergraph_masks(n, 3, rng)
+            objective = Objective(max_rounds=rng.randint(1, n))
+            assert decide_wc(h, objective) == decide_wc(h, objective, settings=plain)
+
+    def test_memo_transparency_directed_edge_game(self, rng):
+        plain = SolverSettings(use_memo=False)
+        for _ in range(100):
+            nv = rng.randint(2, 4)
+            arcs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(1, 4))]
+            board = digraph_new(nv, [(u, v) for u, v in arcs if u != v] or [(0, 1)], start=0)
+            b = rng.randint(1, 2)
+            seeds = rng.getrandbits(nv)
+            objective = Objective(max_rounds=rng.randint(1, 5))
+            for premove in (False, True):
+                memo = solve_aux_game(board, b, seeds, objective, breaker_premove=premove)
+                bare = solve_aux_game(
+                    board, b, seeds, objective, breaker_premove=premove, settings=plain
+                )
+                assert memo == bare, (arcs, b, seeds, objective, premove)
+
     def test_memo_cap_guard_is_loud(self):
+        tiny = SolverSettings(memo_cap=2)
         h, _fam = build_hmbst(1, 1, 3, 3)
         with pytest.raises(GuardExceeded):
-            decide_mb(h, 1, 1, settings=SolverSettings(memo_cap=2))
+            decide_mb(h, 1, 1, settings=tiny)
+        with pytest.raises(GuardExceeded):
+            decide_wc(build_ht_wc(3), settings=tiny)
+        board = build_gtb(2, 2)
+        with pytest.raises(GuardExceeded):
+            solve_aux_game(board, 2, (1 << board.start) | (1 << board.end), settings=tiny)
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_non_positive_env_cap_is_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("POSGAMES_MEMO_CAP", raw)
+        with pytest.raises(PosgamesError, match="must be positive"):
+            decide_mb(hypergraph_new(2, [[0]]), 1, 1)
+
+    def test_negative_setting_cap_is_rejected(self):
+        with pytest.raises(PosgamesError, match="must be positive"):
+            decide_mb(hypergraph_new(2, [[0]]), 1, 1, settings=SolverSettings(memo_cap=-3))
 
     def test_memo_cap_env_override(self, monkeypatch):
         h, _fam = build_hmbst(1, 1, 3, 3)
@@ -274,11 +314,3 @@ class TestMoveRestriction:
         # element 1 is outside the family and lies in two edges
         with pytest.raises(RestrictionError):
             validate_restriction(h, 1, MoveRestriction((0b1000,)))
-
-    def test_parallel_root_split_matches(self, rng):
-        for _ in range(20):
-            h = random_hypergraph_masks(rng.randint(2, 6), 4, rng)
-            first = rng.choice((Player.MAKER, Player.BREAKER))
-            single = decide_mb(h, 1, 1, first)
-            forked = decide_mb(h, 1, 1, first, settings=SolverSettings(jobs=2))
-            assert single == forked
