@@ -22,6 +22,8 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
     """Build a mask from element indices, validating them against board size n."""
     mask = 0
     for i in indices:
+        if not isinstance(i, int):
+            raise BoardError(f"element index {i!r} is not an integer")
         if not 0 <= i < n:
             raise BoardError(f"element index {i} out of range [0, {n})")
         mask |= 1 << i

@@ -31,6 +31,8 @@ DEFAULT_FAMILY_CAP = 200_000
 
 
 def _check_board_size(n: int) -> None:
+    if not isinstance(n, int):
+        raise BoardError(f"element count must be an integer, got {n!r}")
     if n < 0:
         raise BoardError(f"negative element count {n}")
     if n > CAPACITY:
@@ -265,14 +267,23 @@ def add_all_k_subsets(h: Hypergraph, k: int) -> Hypergraph:
     return Hypergraph(h.n, _canonical_edges(masks), h.labels)
 
 
+def _endpoints(pair: Sequence[int], what: str) -> tuple[int, int]:
+    """The two integer endpoints of an edge or arc; anything else is an error
+    (`int()` would silently truncate 1.5 to 1)."""
+    if len(pair) != 2:
+        raise BoardError(f"{what} must have two endpoints, got {pair!r}")
+    u, v = pair
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise BoardError(f"{what} endpoints must be integers, got {pair!r}")
+    return u, v
+
+
 def graph_new(n: int, edges: Sequence[Sequence[int]]) -> SimpleGraph:
     """Construct a simple graph, rejecting loops and collapsing parallel edges."""
     _check_board_size(n)
     pairs = set()
     for e in edges:
-        if len(e) != 2:
-            raise BoardError(f"graph edge must have two endpoints, got {e!r}")
-        u, v = int(e[0]), int(e[1])
+        u, v = _endpoints(e, "graph edge")
         if u == v:
             raise BoardError(f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -299,21 +310,20 @@ def digraph_new(
     end: Optional[int] = None,
 ) -> RootedDigraph:
     """Construct a rooted directed multigraph (parallel arcs allowed)."""
-    if nv <= 0:
+    _check_board_size(nv)
+    if nv == 0:
         raise BoardError("digraph needs at least one vertex")
     if nv + len(arcs) > CAPACITY:
         raise BoardError(f"digraph element count {nv + len(arcs)} exceeds capacity {CAPACITY}")
     out = []
     for a in arcs:
-        if len(a) != 2:
-            raise BoardError(f"arc must have two endpoints, got {a!r}")
-        u, v = int(a[0]), int(a[1])
+        u, v = _endpoints(a, "arc")
         if not (0 <= u < nv and 0 <= v < nv):
             raise BoardError(f"arc ({u},{v}) out of range [0, {nv})")
         out.append((u, v))
     for name, v in (("start", start), ("end", end)):
-        if v is not None and not 0 <= v < nv:
-            raise BoardError(f"{name} vertex {v} out of range")
+        if v is not None and not (isinstance(v, int) and 0 <= v < nv):
+            raise BoardError(f"{name} vertex {v!r} out of range [0, {nv})")
     return RootedDigraph(nv, tuple(out), start, end)
 
 
@@ -355,8 +365,8 @@ def from_json(doc: dict):
             return digraph_new(doc["n"], doc["arcs"], doc["start"], doc.get("end"))
     except KeyError as exc:
         raise FormatError(f"missing field {exc} in {kind} document") from exc
-    except BoardError as exc:
-        raise FormatError(str(exc)) from exc
+    except (BoardError, TypeError, ValueError) as exc:
+        raise FormatError(f"{kind} document: {exc}") from exc
     raise FormatError(f"unknown document type {kind!r}")
 
 

@@ -94,8 +94,13 @@ class _Run:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
-    def read_board(self, path: str):
-        return from_json(self.read_json(path))
+    def read_board(self, path: str, kind: str):
+        """The board at `path`, which must be a `kind` ("hypergraph", "graph"
+        or "digraph") document."""
+        doc = self.read_json(path)
+        if not isinstance(doc, dict) or doc.get("type") != kind:
+            raise FormatError(f"{path}: expected a {kind} document")
+        return from_json(doc)
 
     def read_family(self, path: str, n: int) -> MoveRestriction:
         return MoveRestriction(family_from_json(self.read_json(path), n))
@@ -180,7 +185,7 @@ def _cmd_gen(args, run: _Run) -> int:
                 fh.write("\n")
         board = h
     elif name == "gadget":
-        inner = run.read_board(args.input)
+        inner = run.read_board(args.input, "hypergraph")
         board = build_gadget(inner, args.a, minimal_covers=args.minimal_covers)
     elif name == "nonmonotone":
         board = build_nonmonotone({int(x) for x in args.blocked.split(",")})
@@ -228,7 +233,7 @@ def _cmd_gen(args, run: _Run) -> int:
 
 def _cmd_solve(args, run: _Run) -> int:
     settings = _settings(args)
-    board = run.read_board(args.board)
+    board = run.read_board(args.board, "digraph" if args.game == "aux" else "hypergraph")
     if args.game == "mb":
         restriction = run.read_family(args.family, board.n) if args.family else None
         value = decide_mb(
@@ -253,7 +258,7 @@ def _cmd_solve(args, run: _Run) -> int:
 
 def _cmd_frontier(args, run: _Run) -> int:
     settings = _settings(args)
-    board = run.read_board(args.board)
+    board = run.read_board(args.board, "hypergraph")
     if args.game == "mb":
         result = game_values(board, args.m, args.b, _player(args.first), settings)
     else:
@@ -270,7 +275,7 @@ def _cmd_frontier(args, run: _Run) -> int:
 def _cmd_dom(args, run: _Run) -> int:
     settings = _settings(args)
     if args.dom_command == "solve":
-        graph = run.read_board(args.graph)
+        graph = run.read_board(args.graph, "graph")
         if args.game == "mb":
             result = dom_game_values(graph, args.m, args.b, _player(args.first), settings)
         else:
@@ -279,11 +284,11 @@ def _cmd_dom(args, run: _Run) -> int:
         _emit(args, run, payload, rows=[{"t": t, "s": s} for t, s in result.frontier])
         return EXIT_OK
     if args.dom_command == "gamma":
-        graph = run.read_board(args.graph)
+        graph = run.read_board(args.graph, "graph")
         _emit(args, run, {"type": "gamma", "gamma": domination_number(graph)})
         return EXIT_OK
     if args.dom_command == "residue":
-        graph = run.read_board(args.graph)
+        graph = run.read_board(args.graph, "graph")
         rep = residue(graph)
         payload = {
             "type": "residue_report",
@@ -295,10 +300,13 @@ def _cmd_dom(args, run: _Run) -> int:
         return EXIT_OK
     # closedform
     if args.shape == "cycle":
+        if args.n is None:
+            raise PosgamesError("dom closedform cycle needs --n")
         value = wc_cycle_value(args.n)
     else:
-        graph = run.read_board(args.graph)
-        value = wc_tree_value(graph)
+        if args.graph is None:
+            raise PosgamesError("dom closedform tree needs --graph")
+        value = wc_tree_value(run.read_board(args.graph, "graph"))
     _emit(args, run, {"type": "closed_form", "value": value})
     return EXIT_OK
 
@@ -384,7 +392,7 @@ def _cmd_verify(args, run: _Run) -> int:
     try:
         spec, strat, guarantee = _strategy_instance(args)
     except _DeferredGraph:
-        tree = run.read_board(args.graph)
+        tree = run.read_board(args.graph, "graph")
         h = minimal_dominating_sets(tree)
         spec = GameSpec(GameKind.WAITER_CLIENT, h)
         strat = make_waiter_tree(tree)

@@ -57,7 +57,10 @@ from .boards import Hypergraph, RootedDigraph
 from .engine import Player
 from .errors import GuardExceeded, PosgamesError, RestrictionError
 
-DEFAULT_MEMO_CAP = 1 << 27
+# Memo entries cost about 136-155 B each (tracemalloc: 136 B on H(1,1,3,4),
+# about 155 B on larger boards), so 2^24 entries is about 2.3-2.6 GB: the guard
+# trips before a desk machine runs out of memory.
+DEFAULT_MEMO_CAP = 1 << 24
 _MEMO_CAP_ENV = "POSGAMES_MEMO_CAP"
 
 # Move-ordering weight: elements of nearly-complete winning sets first.

@@ -12,7 +12,7 @@ import time
 from itertools import combinations
 from typing import Optional
 
-from .boards import Hypergraph, SimpleGraph, minimalize
+from .boards import Hypergraph, SimpleGraph, induced_subgraph, minimalize
 from .constructions import (
     build_gadget,
     build_gtb_indexed,
@@ -23,6 +23,7 @@ from .constructions import (
     build_wc_gap_case1,
 )
 from .domination import (
+    dom_game_values,
     dom_wc_values,
     is_dominating,
     residue,
@@ -136,6 +137,8 @@ def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) ->
     checks, rows, failures = [], [], []
     for blocked in ({1}, {2}, {1, 2}):
         h = build_nonmonotone(blocked)
+        _check(checks, failures, f"blocked={sorted(blocked)} board has at most 12 elements",
+               h.n <= 12, {"n": h.n})
         for bias in range(1, max_bias + 1):
             won = decide_mb(h, bias, bias, Player.MAKER, settings=settings)
             expected = bias not in blocked
@@ -155,7 +158,7 @@ def suite_thm18(max_n: int = 9, settings: Optional[SolverSettings] = None) -> Su
     for n in range(3, max_n + 1):
         values = dom_wc_values(cycle_graph(n), settings)
         closed = wc_cycle_value(n)
-        ok = values.min_rounds == values.min_size == closed
+        ok = values.min_rounds == values.min_size == closed == n // 2
         rows.append({"n": n, "rounds": values.min_rounds, "size": values.min_size, "closed": closed})
         _check(checks, failures, f"C_{n} offer values = {closed}", ok, rows[-1])
     return _report("thm1.8", t0, checks, rows, failures)
@@ -178,7 +181,7 @@ def suite_thm17(
         if closed is None:
             ok = not values.maker_wins
         else:
-            ok = values.min_rounds == values.min_size == closed
+            ok = values.min_rounds == values.min_size == closed == tree.n // 2
         rows.append(
             {"tree": label, "n": tree.n, "closed": closed,
              "rounds": values.min_rounds, "size": values.min_size}
@@ -221,8 +224,6 @@ def suite_residue(
         done += 1
         v, w = rep.removed_pairs[0]
         rest = [u for u in range(tree.n) if u not in (v, w)]
-        from .boards import induced_subgraph
-
         smaller = induced_subgraph(tree, rest)
         whole = dom_wc_values(tree, settings)
         part = dom_wc_values(smaller, settings)
@@ -296,8 +297,6 @@ def suite_gadget(
 
     h2 = Hypergraph(2, (1,))  # two elements, single winning set {0}
     g2 = build_gadget(h2, 1)
-    from .domination import dom_game_values
-
     values = dom_game_values(g2, 1, 1, Player.MAKER, settings)
     direct = decide_mb(h2, 1, 1, Player.MAKER, Objective(1, 1), settings=settings)
     ok = values.min_rounds == 1 and values.min_size == 1 and direct
@@ -312,6 +311,7 @@ def suite_thm19c1(settings: Optional[SolverSettings] = None) -> SuiteReport:
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     h = build_wc_gap_case1(3, 3)
+    _check(checks, failures, "mixed board has 14 elements", h.n == 14, {"n": h.n})
     for first in (Player.MAKER, Player.BREAKER):
         r2 = decide_mb(h, 1, 1, first, Objective(max_rounds=2), settings=settings)
         r3 = decide_mb(h, 1, 1, first, Objective(max_rounds=3), settings=settings)

@@ -1,221 +1,44 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria: every claim suite of `posgames.suites`, run once with
+pinned arguments and a time budget.
 
-Every check is exact (boolean or integer equality); each test prints a
-one-line PASS summary with its wall time and asserts the stated time budget.
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
+The claim checks themselves live in the suites, which `posgames verify` runs
+as well; this file only pins their arguments.  Each case prints a one-line
+PASS summary with its wall time.  Run with `pytest tests/test_acceptance.py
+-v -s` to see the lines live.
 """
 
-import random
 import time
 
-from posgames.boards import hypergraph_new, induced_subgraph
-from posgames.constructions import (
-    build_gadget,
-    build_gtb_indexed,
-    build_hmbst_indexed,
-    build_htb_indexed,
-    build_ht_wc_indexed,
-    build_nonmonotone,
-    build_wc_gap_case1,
-)
-from posgames.domination import (
-    dom_game_values,
-    dom_wc_values,
-    is_dominating,
-    residue,
-    wc_cycle_value,
-    wc_tree_value,
-)
-from posgames.engine import GameKind, GameSpec, Player
-from posgames.graphgen import all_trees, cycle_graph, random_tree
-from posgames.solver import (
-    MoveRestriction,
-    Objective,
-    decide_mb,
-    decide_wc,
-    solve_aux_game,
-)
-from posgames.strategies import (
-    CATALOG,
-    GuaranteeKind,
-    make_breaker_pairing,
-    never_loses,
-    smallest_instance,
-    verify_strategy,
-)
-from posgames.suites import _gamma_via_core, _solver_min_rounds
+import pytest
+
+from posgames.suites import SUITES
+
+# (suite name, pinned keyword arguments, time budget in seconds)
+CASES = [
+    ("lemma3.4", {}, 60),
+    ("lemma3.6", {}, 300),
+    ("lemma3.9", {}, 600),
+    ("thm1.1", {"max_bias": 4}, 600),
+    ("thm1.8", {"max_n": 9}, 600),
+    ("thm1.7", {"seed": 2024}, 1800),
+    ("residue", {"count": 50, "seed": 7}, 1800),
+    ("gadget", {"count": 20, "seed": 8}, 300),
+    ("thm1.9c1", {}, 900),
+    ("strategies", {}, 900),
+    ("properties", {"count": 200, "seed": 11, "max_n": 8}, 1800),
+]
 
 
-class _Clock:
-    def __init__(self, label, budget_s):
-        self.label = label
-        self.budget = budget_s
-
-    def __enter__(self):
-        self.t0 = time.time()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.time() - self.t0
-        if exc_type is None:
-            print(f"ACCEPT {self.label}: PASS ({elapsed:.2f}s, budget {self.budget}s)")
-            assert elapsed < self.budget, f"{self.label} exceeded {self.budget}s"
-        else:
-            print(f"ACCEPT {self.label}: FAIL ({elapsed:.2f}s)")
-        return False
+def test_every_suite_is_pinned():
+    assert sorted(name for name, _, _ in CASES) == sorted(SUITES)
 
 
-def test_01_branched_digraph_table():
-    with _Clock("1 branched-digraph game table", 60):
-        for t, b in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
-            board, _ = build_gtb_indexed(t, b)
-            seeds = (1 << board.start) | (1 << board.end)
-            assert solve_aux_game(board, b, seeds, Objective(max_rounds=t))
-            assert not solve_aux_game(board, b, seeds, Objective(max_rounds=t - 1))
-            for v in range(board.nv):
-                assert not solve_aux_game(board, b, 1 << v)
-
-
-def test_02_hub_digraph_table():
-    with _Clock("2 hub-digraph game table", 300):
-        for t, b in [(3, 1), (3, 2), (4, 1)]:
-            board, _ = build_htb_indexed(t, b)
-            assert solve_aux_game(board, b, 0, Objective(max_rounds=t))
-            assert not solve_aux_game(board, b, 0, Objective(max_rounds=t - 1))
-            assert not solve_aux_game(board, b, 0, breaker_premove=True)
-
-
-def test_03_uniform_board_values_with_and_without_menu_reduction():
-    with _Clock("3 uniform-board values", 600):
-        for m, b, s, t in [(1, 1, 3, 3), (1, 2, 3, 3)]:
-            h, fam, _ = build_hmbst_indexed(m, b, s, t)
-            for restriction in (None, MoveRestriction(fam.sets)):
-                assert decide_mb(h, m, b, Player.MAKER, Objective(t, s), restriction)
-                assert not decide_mb(h, m, b, Player.MAKER, Objective(t - 1, s), restriction)
-                assert not decide_mb(h, m, b, Player.BREAKER, Objective(), restriction)
-
-
-def test_04_fair_bias_flip_set():
-    with _Clock("4 fair-bias outcome flips", 600):
-        for blocked in ({1}, {2}, {1, 2}):
-            h = build_nonmonotone(blocked)
-            assert h.n <= 12
-            for bias in range(1, 5):
-                won = decide_mb(h, bias, bias, Player.MAKER)
-                assert won == (bias not in blocked), (blocked, bias)
-
-
-def test_05_cycle_offer_domination_values():
-    with _Clock("5 cycle offer-domination", 600):
-        for n in range(3, 10):
-            values = dom_wc_values(cycle_graph(n))
-            assert values.min_rounds == values.min_size == n // 2 == wc_cycle_value(n)
-
-
-def test_06_tree_offer_domination_values():
-    with _Clock("6 tree offer-domination", 1800):
-        rng = random.Random(2024)
-
-        def check(tree):
-            closed = wc_tree_value(tree)
-            values = dom_wc_values(tree)
-            if closed is None:
-                assert not values.maker_wins
-            else:
-                assert values.min_rounds == values.min_size == tree.n // 2 == closed
-
-        for n in range(1, 9):
-            for tree in all_trees(n):
-                check(tree)
-        for n in (9, 10):
-            for _ in range(100):
-                check(random_tree(n, rng))
-
-
-def test_07_residue_pair_removal():
-    with _Clock("7 residue pair removal", 1800):
-        rng = random.Random(7)
-        done = 0
-        while done < 50:
-            tree = random_tree(rng.randint(4, 10), rng)
-            rep = residue(tree)
-            if not rep.removed_pairs:
-                continue
-            done += 1
-            v, w = rep.removed_pairs[0]
-            smaller = induced_subgraph(tree, [u for u in range(tree.n) if u not in (v, w)])
-            whole = dom_wc_values(tree)
-            part = dom_wc_values(smaller)
-            if part.min_rounds is None:
-                assert whole.min_rounds is None and whole.min_size is None
-            else:
-                assert whole.min_rounds == 1 + part.min_rounds
-                assert whole.min_size == 1 + part.min_size
-            resid = dom_wc_values(rep.residue)
-            k = (tree.n - rep.residue.n) // 2
-            if resid.min_rounds is None:
-                assert whole.min_rounds is None
-            else:
-                assert whole.min_rounds == k + resid.min_rounds
-                assert whole.min_size == k + resid.min_size
-
-
-def test_08_transference_gadget_structure():
-    with _Clock("8 transference gadget", 300):
-        rng = random.Random(8)
-        for _ in range(20):
-            n = rng.randint(2, 5)
-            edges = [
-                rng.sample(range(n), rng.randint(1, n))
-                for _ in range(rng.randint(1, 4))
-            ]
-            h = hypergraph_new(n, edges)
-            g = build_gadget(h, 1)
-            for e in h.edges:
-                assert is_dominating(g, e)
-            assert _gamma_via_core(g, h.n) == min(e.bit_count() for e in h.edges)
-            for mask in range(1, 1 << h.n):
-                if is_dominating(g, mask):
-                    assert any(e & ~mask == 0 for e in h.edges)
-        pinned = hypergraph_new(2, [[0]])
-        g = build_gadget(pinned, 1)
-        values = dom_game_values(g, 1, 1, Player.MAKER)
-        assert (values.min_rounds, values.min_size) == (1, 1)
-        assert decide_mb(pinned, 1, 1, Player.MAKER, Objective(1, 1))
-
-
-def test_09_mixed_board_round_gap():
-    with _Clock("9 mixed-board round gap", 900):
-        h = build_wc_gap_case1(3, 3)
-        assert h.n == 14
-        for first in (Player.MAKER, Player.BREAKER):
-            assert decide_mb(h, 1, 1, first, Objective(max_rounds=3))
-            assert not decide_mb(h, 1, 1, first, Objective(max_rounds=2))
-        assert decide_wc(h, Objective(max_rounds=3))
-        assert not decide_wc(h, Objective(max_rounds=2))
-        ht, pairs = build_ht_wc_indexed(3)
-        spec = GameSpec(GameKind.MAKER_BREAKER, ht)
-        assert verify_strategy(spec, make_breaker_pairing(pairs), never_loses()).ok
-
-
-def test_10_strategy_catalog_cross_validation():
-    with _Clock("10 strategy catalog", 900):
-        for name in CATALOG:
-            spec, strat, guarantee = smallest_instance(name)
-            result = verify_strategy(spec, strat, guarantee, max_nodes=5_000_000)
-            assert result.ok, (name, result.counterexample)
-            optimum = _solver_min_rounds(spec, None)
-            if guarantee.kind is GuaranteeKind.WIN_WITHIN:
-                assert optimum is not None and optimum <= guarantee.rounds, name
-            elif guarantee.kind is GuaranteeKind.NEVER_LOSES:
-                assert optimum is None, name
-            else:
-                assert optimum is None or optimum > guarantee.rounds, name
-
-
-def test_11_randomized_property_suites():
-    with _Clock("11 randomized properties", 1800):
-        from posgames.suites import suite_properties
-
-        report = suite_properties(count=200, seed=11, max_n=8)
-        assert report["ok"], report["failures"]
+@pytest.mark.parametrize("name, kwargs, budget", CASES, ids=[c[0] for c in CASES])
+def test_claim_suite(name, kwargs, budget):
+    t0 = time.perf_counter()
+    report = SUITES[name](**kwargs)
+    elapsed = time.perf_counter() - t0
+    assert report["ok"], report["failures"]
+    assert elapsed < budget, f"{name} took {elapsed:.2f}s, budget {budget}s"
+    print(f"ACCEPT {name}: PASS ({len(report['checks'])} checks, "
+          f"{elapsed:.2f}s, budget {budget}s)")

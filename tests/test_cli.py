@@ -3,6 +3,7 @@ import json
 import pytest
 
 from posgames.cli import main
+from posgames.suites import SUITES, SuiteReport
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,57 @@ class TestMalformedInput:
         code, doc = run_json(capsys, "solve", "mb", "--board", str(hmbst_board))
         assert code == 2 and "must be positive" in doc["message"]
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("solve mb --board", {"type": "hypergraph", "n": 3, "edges": [["a"]]}, "not an integer"),
+        ("solve mb --board", {"type": "hypergraph", "n": 3, "edges": [[1.5]]}, "not an integer"),
+        ("solve mb --board", {"type": "hypergraph", "n": "3", "edges": [[0]]}, "integer"),
+        ("solve mb --board", {"type": "hypergraph", "n": 3, "edges": 5}, "hypergraph document"),
+        ("solve aux --board", {"type": "digraph", "n": 2, "arcs": [[0, "x"]], "start": 0},
+         "integers"),
+        ("solve aux --board", {"type": "digraph", "n": 2, "arcs": [[0, 1.5]], "start": 0},
+         "integers"),
+        ("solve aux --board", {"type": "digraph", "n": 2, "arcs": [], "start": 0.5},
+         "start vertex"),
+        ("dom gamma --graph", {"type": "graph", "n": 3, "edges": [[0, 1.5]]}, "integers"),
+        ("dom gamma --graph", {"type": "graph", "n": "3", "edges": []}, "integer"),
+    ], ids=["edge-index-str", "edge-index-float", "n-str", "edges-int", "arc-str",
+            "arc-float", "start-float", "graph-edge-float", "graph-n-str"])
+    def test_bad_board(self, capsys, tmp_path, command, doc, message):
+        board = tmp_path / "board.json"
+        board.write_text(json.dumps(doc))
+        code, out = run_json(capsys, *command.split(), str(board))
+        assert code == 2 and out["kind"] == "usage"
+        assert message in out["message"]
+
+    @pytest.mark.parametrize("command, kind", [
+        ("solve aux --board {hypergraph}", "digraph"),
+        ("solve mb --board {graph}", "hypergraph"),
+        ("frontier wc --board {graph}", "hypergraph"),
+        ("dom solve wc --graph {hypergraph}", "graph"),
+        ("dom gamma --graph {hypergraph}", "graph"),
+        ("dom residue --graph {hypergraph}", "graph"),
+        ("dom closedform tree --graph {hypergraph}", "graph"),
+        ("gen gadget --a 1 -i {graph}", "hypergraph"),
+        ("verify waiter-tree --graph {hypergraph}", "graph"),
+    ], ids=["solve-aux", "solve-mb", "frontier-wc", "dom-solve", "dom-gamma",
+            "dom-residue", "dom-closedform", "gen-gadget", "verify-waiter-tree"])
+    def test_wrong_board_kind(self, capsys, tmp_path, command, kind):
+        paths = {"hypergraph": tmp_path / "h.json", "graph": tmp_path / "g.json"}
+        paths["hypergraph"].write_text('{"type": "hypergraph", "n": 2, "edges": [[0, 1]]}')
+        paths["graph"].write_text('{"type": "graph", "n": 2, "edges": [[0, 1]]}')
+        argv = command.format(**{k: str(p) for k, p in paths.items()}).split()
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["kind"] == "usage"
+        assert f"expected a {kind} document" in doc["message"]
+
+    @pytest.mark.parametrize("shape, flag", [("tree", "--graph"), ("cycle", "--n")],
+                             ids=["tree", "cycle"])
+    def test_closed_form_without_its_input(self, capsys, shape, flag):
+        code, doc = run_json(capsys, "dom", "closedform", shape)
+        assert code == 2 and doc["kind"] == "usage"
+        assert flag in doc["message"]
+
+
 class TestDom:
     def test_closed_form_cycle(self, capsys):
         code, doc = run_json(capsys, "dom", "closedform", "cycle", "--n", "8")
@@ -181,12 +233,24 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", "maker-gtb", "--t", "2", "--b", "2")
         assert code == 0 and doc["ok"] is True
 
-    def test_violated_claim_exits_one(self, capsys):
-        # claiming a 1-round win for a 2-round board must fail with a trace
+    def test_cycle_scripts_on_four_cycle(self, capsys):
         code, doc = run_json(capsys, "verify", "waiter-cycle", "--n", "4")
         assert code == 0
         code, doc = run_json(capsys, "verify", "client-cycle", "--n", "4")
         assert code == 2  # the script refuses tiny cycles: usage error
+
+    def test_violated_claim_exits_one(self, capsys, monkeypatch):
+        failure = {"check": "C_3 offer values = 1", "detail": {"rounds": 2}}
+
+        def failing_suite(**kwargs):
+            return SuiteReport(suite="thm1.8", ok=False, seconds=0.0,
+                               checks=[{"check": failure["check"], "ok": False}],
+                               rows=[], failures=[failure])
+
+        monkeypatch.setitem(SUITES, "thm1.8", failing_suite)
+        code, doc = run_json(capsys, "verify", "thm1.8")
+        assert code == 1
+        assert doc["ok"] is False and doc["failures"] == [failure]
 
     def test_suites_are_reproducible(self, capsys, tmp_path):
         m1, m2 = tmp_path / "a.json", tmp_path / "b.json"

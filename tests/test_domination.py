@@ -3,11 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from posgames.boards import graph_new, induced_subgraph
-from posgames.constructions import build_gadget
+from posgames.boards import graph_new
 from posgames.domination import (
     dom_game_values,
-    dom_wc_values,
     domination_number,
     has_perfect_matching,
     is_dominating,
@@ -19,7 +17,6 @@ from posgames.domination import (
 from posgames.engine import Player
 from posgames.errors import BoardError, GuardExceeded
 from posgames.graphgen import (
-    all_trees,
     cycle_graph,
     path_graph,
     random_graph,
@@ -181,48 +178,3 @@ class TestClosedForms:
                 del adj[leaf]
                 del adj[mate]
             assert has_perfect_matching(tree) == ok
-
-    def test_closed_form_matches_solver_on_small_trees(self):
-        for n in range(1, 8):
-            for tree in all_trees(n):
-                closed = wc_tree_value(tree)
-                values = dom_wc_values(tree)
-                if closed is None:
-                    assert not values.maker_wins
-                else:
-                    assert values.min_rounds == values.min_size == closed
-
-    def test_cycle_closed_form_matches_solver(self):
-        for n in range(3, 10):
-            values = dom_wc_values(cycle_graph(n))
-            assert values.min_rounds == values.min_size == wc_cycle_value(n)
-
-
-class TestResidueLemma:
-    def test_one_step_on_random_trees(self, rng):
-        checked = 0
-        while checked < 25:
-            tree = random_tree(rng.randint(4, 10), rng)
-            rep = residue(tree)
-            if not rep.removed_pairs:
-                continue
-            checked += 1
-            v, w = rep.removed_pairs[0]
-            rest = [u for u in range(tree.n) if u not in (v, w)]
-            smaller = induced_subgraph(tree, rest)
-            whole = dom_wc_values(tree)
-            part = dom_wc_values(smaller)
-            if part.min_rounds is None:
-                assert whole.min_rounds is None
-            else:
-                assert whole.min_rounds == part.min_rounds + 1
-                assert whole.min_size == part.min_size + 1
-
-
-class TestGadgetTransfer:
-    def test_gadget_domination_game(self):
-        from posgames.boards import hypergraph_new
-
-        g = build_gadget(hypergraph_new(2, [[0]]), 1)
-        values = dom_game_values(g, 1, 1, Player.MAKER)
-        assert (values.min_rounds, values.min_size) == (1, 1)

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from conftest import naive_decide, random_hypergraph_masks
-from posgames.boards import digraph_new, hypergraph_new, minimalize
+from posgames.boards import digraph_new, hypergraph_new
 from posgames.constructions import build_gtb, build_hmbst, build_ht_wc
 from posgames.engine import GameKind, GameSpec, Player
 from posgames.errors import GuardExceeded, PosgamesError, RestrictionError
@@ -184,48 +184,6 @@ class TestAgainstNaiveSolver:
 
 
 class TestSolverInvariants:
-    def test_bias_monotonicity(self, rng):
-        for _ in range(120):
-            h = random_hypergraph_masks(rng.randint(2, 8), 4, rng)
-            m, b = rng.randint(1, 2), rng.randint(1, 2)
-            first = rng.choice((Player.MAKER, Player.BREAKER))
-            if decide_mb(h, m, b, first):
-                assert decide_mb(h, m + 1, b, first)
-            else:
-                assert not decide_mb(h, m, b + 1, first)
-
-    def test_objective_monotonicity(self, rng):
-        for _ in range(120):
-            n = rng.randint(2, 8)
-            h = random_hypergraph_masks(n, 4, rng)
-            t, s = rng.randint(1, n), rng.randint(1, n)
-            first = rng.choice((Player.MAKER, Player.BREAKER))
-            if decide_mb(h, 1, 1, first, Objective(t, s)):
-                assert decide_mb(h, 1, 1, first, Objective(t + 1, s))
-                assert decide_mb(h, 1, 1, first, Objective(t, s + 1))
-
-    def test_first_mover_advantage(self, rng):
-        for _ in range(120):
-            h = random_hypergraph_masks(rng.randint(2, 8), 4, rng)
-            if decide_mb(h, 1, 1, Player.BREAKER):
-                assert decide_mb(h, 1, 1, Player.MAKER)
-
-    def test_minimalization_soundness(self, rng):
-        for _ in range(100):
-            h = random_hypergraph_masks(rng.randint(2, 8), 5, rng)
-            assert game_values(h, 1, 1) == game_values(minimalize(h), 1, 1)
-
-    def test_memo_transparency(self, rng):
-        plain = SolverSettings(use_memo=False)
-        for _ in range(100):
-            n = rng.randint(2, 6)
-            h = random_hypergraph_masks(n, 3, rng)
-            t = rng.randint(1, n)
-            first = rng.choice((Player.MAKER, Player.BREAKER))
-            assert decide_mb(h, 1, 1, first, Objective(max_rounds=t)) == decide_mb(
-                h, 1, 1, first, Objective(max_rounds=t), settings=plain
-            )
-
     def test_memo_transparency_offer_game(self, rng):
         plain = SolverSettings(use_memo=False)
         for _ in range(100):

@@ -37,12 +37,6 @@ def aux_spec(board, b, pre=0, premove=False):
 
 
 class TestCatalogBasics:
-    def test_every_entry_has_a_passing_smallest_instance(self):
-        for name in CATALOG:
-            spec, strat, guarantee = smallest_instance(name)
-            result = verify_strategy(spec, strat, guarantee)
-            assert result.ok, (name, result.counterexample)
-
     def test_unknown_name_rejected(self):
         with pytest.raises(PosgamesError):
             get_strategy("no-such-script")
