@@ -88,6 +88,6 @@ from .strategies import (  # noqa: E402
     Guarantee,
     Strategy,
     VerifyResult,
-    get_strategy,
+    instance,
     verify_strategy,
 )

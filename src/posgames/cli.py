@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
+import random
 import sys
 import time
 from typing import Optional
@@ -28,7 +30,6 @@ from .constructions import (
     build_hmbst,
     build_htb,
     build_ht_wc,
-    build_ht_wc_indexed,
     build_nonmonotone,
     build_thm12,
     build_thm14,
@@ -40,14 +41,13 @@ from .domination import (
     dom_game_values,
     dom_wc_values,
     domination_number,
-    minimal_dominating_sets,
     residue,
     wc_cycle_value,
     wc_tree_value,
 )
-from .engine import GameKind, GameSpec, Player
+from .engine import Player
 from .errors import BoardError, FormatError, GuardExceeded, PosgamesError
-from .graphgen import cycle_graph, path_graph
+from .graphgen import cycle_graph, path_graph, random_graph, random_tree
 from .solver import (
     MoveRestriction,
     Objective,
@@ -58,16 +58,7 @@ from .solver import (
     solve_aux_game,
     wc_game_values,
 )
-from .strategies import (
-    get_strategy,
-    make_breaker_pairing,
-    make_waiter_tree,
-    never_loses,
-    opponent_not_within,
-    smallest_instance,
-    verify_strategy,
-    win_within,
-)
+from .strategies import CATALOG, instance, verify_strategy
 from . import suites as suites_mod
 
 EXIT_OK = 0
@@ -186,9 +177,13 @@ def _cmd_gen(args, run: _Run) -> int:
         board = h
     elif name == "gadget":
         inner = run.read_board(args.input, "hypergraph")
-        board = build_gadget(inner, args.a, minimal_covers=args.minimal_covers)
+        board = build_gadget(inner, args.a)
     elif name == "nonmonotone":
-        board = build_nonmonotone({int(x) for x in args.blocked.split(",")})
+        try:
+            blocked = {int(x) for x in args.blocked.split(",")}
+        except ValueError as exc:
+            raise FormatError(f"--blocked: {exc}") from exc
+        board = build_nonmonotone(blocked)
     elif name == "thm12":
         board = build_thm12(args.m, args.b, args.s, args.s2, args.t, args.t2)
     elif name == "thm14":
@@ -208,19 +203,11 @@ def _cmd_gen(args, run: _Run) -> int:
     elif name == "path":
         board = path_graph(args.n)
     elif name == "random-graph":
-        import random as _random
-
-        from .graphgen import random_graph
-
         run.seed = args.seed
-        board = random_graph(args.n, args.p, _random.Random(args.seed))
+        board = random_graph(args.n, args.p, random.Random(args.seed))
     elif name == "random-tree":
-        import random as _random
-
-        from .graphgen import random_tree
-
         run.seed = args.seed
-        board = random_tree(args.n, _random.Random(args.seed))
+        board = random_tree(args.n, random.Random(args.seed))
     else:  # pragma: no cover - argparse restricts choices
         raise PosgamesError(f"unknown generator {name}")
     _emit(args, run, to_json(board))
@@ -315,58 +302,10 @@ def _cmd_dom(args, run: _Run) -> int:
 # verify
 
 
-def _strategy_instance(args):
-    """(spec, strategy, guarantee) for a named catalog entry, from CLI params
-    or the registered smallest instance."""
-    from .constructions import build_gtb_indexed, build_htb_indexed
-
-    name = args.target
-
-    def aux_spec(board, b, pre, premove=False):
-        return GameSpec(
-            GameKind.AUX_EDGE, board, maker_bias=1, breaker_bias=b,
-            preclaimed_maker=pre, breaker_premove=premove,
-        )
-
-    if name in ("maker-gtb", "breaker-gtb-slow") and args.t:
-        board, _ = build_gtb_indexed(args.t, args.b)
-        pre = (1 << board.start) | (1 << board.end)
-        strat = get_strategy(name, t=args.t, b=args.b)
-        guarantee = win_within(args.t) if name == "maker-gtb" else opponent_not_within(args.t - 1)
-        return aux_spec(board, args.b, pre), strat, guarantee
-    if name == "breaker-gtb-block" and args.t:
-        board, _ = build_gtb_indexed(args.t, args.b)
-        seed = 1 << (args.seed_vertex if args.seed_vertex is not None else board.start)
-        return aux_spec(board, args.b, seed), get_strategy(name, b=args.b), never_loses()
-    if name in ("maker-htb", "breaker-htb-premove", "breaker-htb-slow") and args.t:
-        board, _ = build_htb_indexed(args.t, args.b)
-        strat = get_strategy(name, t=args.t, b=args.b)
-        if name == "maker-htb":
-            return aux_spec(board, args.b, 0), strat, win_within(args.t)
-        if name == "breaker-htb-premove":
-            return aux_spec(board, args.b, 0, premove=True), strat, never_loses()
-        return aux_spec(board, args.b, 0), strat, opponent_not_within(args.t - 1)
-    if name in ("waiter-cycle", "client-cycle") and args.n:
-        h = minimal_dominating_sets(cycle_graph(args.n))
-        spec = GameSpec(GameKind.WAITER_CLIENT, h)
-        if name == "waiter-cycle":
-            return spec, get_strategy(name, n=args.n), win_within(args.n // 2)
-        return spec, get_strategy(name, n=args.n), opponent_not_within(args.n // 2 - 1)
-    if name == "waiter-tree" and args.graph:
-        raise _DeferredGraph()
-    if name == "maker-hmbst" and args.t:
-        h, _fam = build_hmbst(args.m, args.b, args.s, args.t)
-        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=args.m, breaker_bias=args.b)
-        return spec, get_strategy(name, m=args.m, b=args.b, s=args.s, t=args.t), win_within(args.t)
-    if name == "breaker-pairing" and args.t:
-        h, pairs = build_ht_wc_indexed(args.t)
-        spec = GameSpec(GameKind.MAKER_BREAKER, h)
-        return spec, make_breaker_pairing(pairs), never_loses()
-    return smallest_instance(name)
-
-
-class _DeferredGraph(Exception):
-    pass
+def _given(args, params) -> dict:
+    """The flag values named in `params`; a flag left unset is omitted, so
+    the callee's own default applies."""
+    return {k: v for k, v in vars(args).items() if k in params and v is not None}
 
 
 def _cmd_verify(args, run: _Run) -> int:
@@ -375,7 +314,7 @@ def _cmd_verify(args, run: _Run) -> int:
     if target == "all":
         reports = []
         ok = True
-        for name, fn in suites_mod.SUITES.items():
+        for name in suites_mod.SUITES:
             rep = _run_suite(name, args, settings)
             reports.append(rep)
             ok = ok and rep["ok"]
@@ -388,15 +327,11 @@ def _cmd_verify(args, run: _Run) -> int:
         rows = rep.get("rows")
         _emit(args, run, dict(rep), rows=rows)
         return EXIT_OK if rep["ok"] else EXIT_VIOLATED
-    # catalog strategy
-    try:
-        spec, strat, guarantee = _strategy_instance(args)
-    except _DeferredGraph:
-        tree = run.read_board(args.graph, "graph")
-        h = minimal_dominating_sets(tree)
-        spec = GameSpec(GameKind.WAITER_CLIENT, h)
-        strat = make_waiter_tree(tree)
-        guarantee = win_within(tree.n // 2)
+    # catalog strategy: flags not given take the smallest-instance values
+    given = _given(args, CATALOG[target].smallest if target in CATALOG else ())
+    if "tree" in given:
+        given["tree"] = run.read_board(given["tree"], "graph")
+    spec, strat, guarantee = instance(target, **given)
     result = verify_strategy(spec, strat, guarantee, max_nodes=args.max_nodes)
     payload = {
         "type": "strategy_verification",
@@ -414,20 +349,7 @@ def _cmd_verify(args, run: _Run) -> int:
 
 def _run_suite(name: str, args, settings: SolverSettings):
     fn = suites_mod.SUITES[name]
-    kwargs = {"settings": settings}
-    if name == "thm1.1":
-        kwargs["max_bias"] = args.max_bias
-    elif name == "thm1.8":
-        kwargs["max_n"] = args.max_n if args.max_n else 9
-    elif name == "thm1.7":
-        kwargs.update(
-            max_exhaustive=args.max_exhaustive, random_per_n=args.count_random,
-            seed=args.seed,
-        )
-    elif name in ("residue", "gadget", "properties"):
-        default = {"residue": 50, "gadget": 20, "properties": 200}[name]
-        kwargs.update(count=args.count if args.count else default, seed=args.seed)
-    return fn(**kwargs)
+    return fn(settings=settings, **_given(args, inspect.signature(fn).parameters))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("gadget")
     p.add_argument("-i", "--input", required=True, help="hypergraph JSON file")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--minimal-covers", action="store_true",
-                   help="pendant classes only for minimal covers (NOT faithful)")
     _add_common(p)
     p = gsub.add_parser("nonmonotone")
     p.add_argument("--blocked", required=True, help="comma-separated blocked biases")
@@ -559,20 +479,20 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a claim suite or verify a catalog strategy")
     verify.add_argument("target", help="suite name, strategy name, or 'all'")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--count", type=int, default=None)
-    verify.add_argument("--count-random", type=int, default=100,
+    verify.add_argument("--count", type=int)
+    verify.add_argument("--count-random", type=int, dest="random_per_n",
                         help="random trees per size for thm1.7")
-    verify.add_argument("--max-exhaustive", type=int, default=8)
-    verify.add_argument("--max-n", type=int, default=None)
-    verify.add_argument("--max-bias", type=int, default=4)
+    verify.add_argument("--max-exhaustive", type=int)
+    verify.add_argument("--max-n", type=int)
+    verify.add_argument("--max-bias", type=int)
     verify.add_argument("--max-nodes", type=int, default=2_000_000)
     verify.add_argument("--t", type=int)
-    verify.add_argument("--b", type=int, default=1)
+    verify.add_argument("--b", type=int)
     verify.add_argument("--n", type=int)
-    verify.add_argument("--m", type=int, default=1)
-    verify.add_argument("--s", type=int, default=3)
-    verify.add_argument("--seed-vertex", type=int, default=None)
-    verify.add_argument("--graph", help="tree JSON for waiter-tree")
+    verify.add_argument("--m", type=int)
+    verify.add_argument("--s", type=int)
+    verify.add_argument("--seed-vertex", type=int)
+    verify.add_argument("--graph", dest="tree", help="tree JSON for waiter-tree")
     _add_common(verify)
     return top
 

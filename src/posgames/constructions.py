@@ -23,7 +23,6 @@ from .boards import (
     disjoint_union,
     hypergraph_from_masks,
     hypergraph_new,
-    inclusion_minimal,
 )
 from .errors import BoardError, GuardExceeded
 
@@ -246,39 +245,28 @@ def build_hmbst(m: int, b: int, s: int, t: int) -> tuple[Hypergraph, AssociatedF
 # Domination transference gadget
 
 
-def vertex_covers(h: Hypergraph, minimal_only: bool = False) -> list[int]:
+def vertex_covers(h: Hypergraph) -> list[int]:
     """All subsets of the board meeting every edge, ascending as masks."""
     if h.n > GADGET_BOARD_LIMIT:
         raise GuardExceeded(
             f"cover enumeration limited to {GADGET_BOARD_LIMIT} elements, got {h.n}"
         )
-    covers = [a for a in range(1 << h.n) if all(a & e for e in h.edges)]
-    if minimal_only:
-        covers = sorted(inclusion_minimal(covers))
-    return covers
+    return [a for a in range(1 << h.n) if all(a & e for e in h.edges)]
 
 
-def build_gadget(
-    h: Hypergraph,
-    a: int,
-    minimal_covers: bool = False,
-    max_vertices: int = GADGET_VERTEX_CAP,
-) -> SimpleGraph:
+def build_gadget(h: Hypergraph, a: int) -> SimpleGraph:
     """Graph whose domination game mirrors the claiming game on h.
 
     The board becomes a clique; each vertex cover A gets a fresh pendant
-    class of 4a(n + #covers) vertices joined completely to A.  With
-    `minimal_covers` only inclusion-minimal covers get classes; that variant
-    is NOT faithful to the mirroring argument and exists as an escape hatch
-    for size.
+    class of 4a(n + #covers) vertices joined completely to A.
     """
     if a < 1:
         raise BoardError("gadget bias must be at least 1")
-    covers = vertex_covers(h, minimal_only=minimal_covers)
+    covers = vertex_covers(h)
     class_size = 4 * a * (h.n + len(covers))
     total = h.n + len(covers) * class_size
-    if total > max_vertices:
-        raise GuardExceeded(f"gadget would have {total} vertices, cap {max_vertices}")
+    if total > GADGET_VERTEX_CAP:
+        raise GuardExceeded(f"gadget would have {total} vertices, cap {GADGET_VERTEX_CAP}")
     edges = [(u, v) for u in range(h.n) for v in range(u + 1, h.n)]
     base = h.n
     for cover in covers:

@@ -51,14 +51,15 @@ def domination_number(g: SimpleGraph) -> int:
     raise AssertionError("the full vertex set always dominates")
 
 
-def minimal_dominating_sets(g: SimpleGraph, family_cap: int = 200_000) -> Hypergraph:
+def minimal_dominating_sets(g: SimpleGraph) -> Hypergraph:
     """Hypergraph of the inclusion-minimal dominating sets.
 
     Computed as minimal transversals of the closed neighbourhoods, so large
-    boards work as long as the family itself stays small.
+    boards work as long as the family itself stays within
+    `boards.DEFAULT_FAMILY_CAP` sets.
     """
     hoods = [g.closed_neighborhood(v) for v in range(g.n)]
-    masks = minimal_transversals(g.n, hoods, family_cap)
+    masks = minimal_transversals(g.n, hoods)
     return hypergraph_from_masks(g.n, masks)
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 from typing import Iterator
 
 from .boards import Hypergraph, SimpleGraph, graph_new, hypergraph_new
+from .errors import BoardError
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -14,6 +16,8 @@ def path_graph(n: int) -> SimpleGraph:
 
 
 def cycle_graph(n: int) -> SimpleGraph:
+    if n < 3:
+        raise BoardError("cycles need at least 3 vertices")
     return graph_new(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -24,7 +28,7 @@ def star_graph(leaves: int) -> SimpleGraph:
 def random_tree(n: int, rng: random.Random) -> SimpleGraph:
     """Uniform labelled tree by decoding a random Pruefer sequence."""
     if n <= 0:
-        raise ValueError("need at least one vertex")
+        raise BoardError("a tree needs at least one vertex")
     if n == 1:
         return graph_new(1, [])
     if n == 2:
@@ -34,8 +38,6 @@ def random_tree(n: int, rng: random.Random) -> SimpleGraph:
     for v in seq:
         degree[v] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in seq:

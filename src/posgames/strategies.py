@@ -5,6 +5,10 @@ memory') function with a declared guarantee.  Memory objects are immutable;
 the verifier fans out over every opponent reply while keeping the strategy
 fixed, so a shared memory value is safe across branches.
 
+`CATALOG` maps each script name to the one function that builds the game it
+is verified on, the script and the guarantee; `instance` fills the parameters
+not given from the entry's smallest instance.
+
 Where a script says "claim arbitrary elements" the lowest-index free element
 is taken, and every claim is padded to the exact bias so the move is always
 engine-legal.
@@ -18,7 +22,7 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from .bitset import iter_bits, low_bits
-from .boards import Hypergraph, RootedDigraph
+from .boards import Hypergraph, RootedDigraph, SimpleGraph
 from .constructions import (
     GtbNode,
     HtbInfo,
@@ -208,6 +212,12 @@ def _maker_vertices(board: RootedDigraph, maker: int) -> list[int]:
     return [v for v in range(board.nv) if maker & (1 << v)]
 
 
+def _new_vertex(nv: int, new: int) -> Optional[int]:
+    """The highest vertex among the newly claimed elements `new`, if any."""
+    new &= (1 << nv) - 1
+    return new.bit_length() - 1 if new else None
+
+
 # ---------------------------------------------------------------------------
 # Branched-digraph maker: claim the junction, descend into an untouched copy
 
@@ -274,12 +284,7 @@ def make_breaker_gtb_block(b: int) -> Strategy:
         board: RootedDigraph = spec.board  # type: ignore[assignment]
         reach, out_arcs, _ = _digraph_tables(board)
         free = free_mask(spec, state)
-        new = state.maker & ~mem.prev_maker
-        new_v = None
-        for bit in iter_bits(new):
-            idx = bit.bit_length() - 1
-            if idx < board.nv:
-                new_v = idx
+        new_v = _new_vertex(board.nv, state.maker & ~mem.prev_maker)
         owned = _maker_vertices(board, state.maker)
         target = _block_target(reach, out_arcs, free, owned, new_v)
         want = _free_out(out_arcs, free, target) if target is not None else 0
@@ -321,12 +326,7 @@ def make_breaker_gtb_slow(t: int, b: int) -> Strategy:
         board: RootedDigraph = spec.board  # type: ignore[assignment]
         reach, out_arcs, dist = _digraph_tables(board)
         free = free_mask(spec, state)
-        new = state.maker & ~mem.prev_maker
-        new_v = None
-        for bit in iter_bits(new):
-            idx = bit.bit_length() - 1
-            if idx < board.nv:
-                new_v = idx
+        new_v = _new_vertex(board.nv, state.maker & ~mem.prev_maker)
         owned = _maker_vertices(board, state.maker)
         target = _slow_target(reach, dist, out_arcs, free, owned, new_v, t, mem.move_no)
         want = _free_out(out_arcs, free, target) if target is not None else 0
@@ -352,34 +352,39 @@ class _HtbMakerMem:
     node: Optional[GtbNode]
 
 
+def _hub_step(
+    info: HtbInfo, nv: int, maker: int, breaker: int, mem: _HtbMakerMem
+) -> Optional[tuple[int, _HtbMakerMem]]:
+    """The hub script's next element of the hub digraph and its memory, or
+    None when it has no move: hub 0 first, then the hub of an untouched group,
+    then the branched descent inside the group's first untouched copy."""
+    if not maker & 1:
+        return 1, mem
+    if mem.group is None:
+        for i in range(1, len(info.hubs)):
+            if _group_untouched(info, nv, i, maker, breaker):
+                return 1 << info.hubs[i], _HtbMakerMem(i, None)
+        return None
+    node = mem.node
+    if node is None:
+        node = next(
+            (c for c in info.groups[mem.group - 1] if not c.element_mask(nv) & breaker), None
+        )
+        if node is None:
+            return None
+    bit, node = _gtb_step(nv, node, maker, breaker)
+    return bit, _HtbMakerMem(mem.group, node)
+
+
 def make_maker_htb(t: int, b: int) -> Strategy:
     digraph, info = build_htb_indexed(t, b)
     nv = digraph.nv
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbMakerMem):
-        free = free_mask(spec, state)
-        if not state.maker & 1:  # hub 0 first
-            if free & 1:
-                return Move(MoveKind.CLAIM, 1), mem
+        step = _hub_step(info, nv, state.maker, state.breaker, mem)
+        if step is None or not step[0] & free_mask(spec, state):
             return _fallback(spec, state), mem
-        if mem.group is None:
-            for i in range(1, b + 2):
-                if _group_untouched(info, nv, i, state.maker, state.breaker):
-                    return Move(MoveKind.CLAIM, 1 << info.hubs[i]), _HtbMakerMem(i, None)
-            return _fallback(spec, state), mem
-        if mem.node is None:
-            copies = [
-                c
-                for c in info.groups[mem.group - 1]
-                if not c.element_mask(nv) & state.breaker
-            ]
-            if not copies:
-                return _fallback(spec, state), mem
-            mem = _HtbMakerMem(mem.group, copies[0])
-        bit, node = _gtb_step(nv, mem.node, state.maker, state.breaker)
-        if not bit & free:
-            return _fallback(spec, state), mem
-        return Move(MoveKind.CLAIM, bit), _HtbMakerMem(mem.group, node)
+        return Move(MoveKind.CLAIM, step[0]), step[1]
 
     return Strategy("maker-htb", Player.MAKER, next_move, _HtbMakerMem(None, None))
 
@@ -420,12 +425,7 @@ def make_breaker_htb_premove(t: int, b: int) -> Strategy:
         if state.breaker == 0:
             want = 1 if free & 1 else 0  # hub 0 as the single opening element
             return _claim_exact(spec, state, want), _PrevMem(state.maker)
-        new = state.maker & ~mem.prev_maker
-        new_v = None
-        for bit in iter_bits(new):
-            idx = bit.bit_length() - 1
-            if idx < board.nv:
-                new_v = idx
+        new_v = _new_vertex(board.nv, state.maker & ~mem.prev_maker)
         want = 0
         if new_v is not None and new_v in vmap:
             cid = vmap[new_v]
@@ -496,12 +496,7 @@ def make_breaker_htb_slow(t: int, b: int) -> Strategy:
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbSlowMem):
         free = free_mask(spec, state)
-        new = state.maker & ~mem.prev_maker
-        new_v = None
-        for bit in iter_bits(new):
-            idx = bit.bit_length() - 1
-            if idx < nv:
-                new_v = idx
+        new_v = _new_vertex(nv, state.maker & ~mem.prev_maker)
         want = 0
         mode = mem.mode
         if mode == "start":
@@ -550,7 +545,7 @@ def make_breaker_htb_slow(t: int, b: int) -> Strategy:
 # Fair-bias block strategies
 
 
-def make_maker_nonmonotone(blocked: frozenset[int] | set[int], bias: int) -> Strategy:
+def make_maker_nonmonotone(blocked: frozenset[int] | set[int]) -> Strategy:
     _, blocks = nonmonotone_blocks(blocked)
 
     def next_move(spec: GameSpec, state: GameState, mem):
@@ -584,7 +579,7 @@ def make_maker_nonmonotone(blocked: frozenset[int] | set[int], bias: int) -> Str
     return Strategy("maker-nonmonotone", Player.MAKER, next_move)
 
 
-def make_breaker_nonmonotone(blocked: frozenset[int] | set[int], bias: int) -> Strategy:
+def make_breaker_nonmonotone(blocked: frozenset[int] | set[int]) -> Strategy:
     _, blocks = nonmonotone_blocks(blocked)
 
     def next_move(spec: GameSpec, state: GameState, mem):
@@ -761,32 +756,15 @@ def _hmbst_move(info: MbstInfo, maker: int, breaker: int, mem: _HmbstMem):
             extras = em & ~(info.vertex_sets[u] | info.vertex_sets[v])
             if extras & breaker:
                 aux_breaker |= 1 << (nv + j)
-        hmem: _HtbMakerMem = mem.inner or _HtbMakerMem(None, None)
-        hinfo = info.htb
-        if not aux_maker & 1:
-            return info.vertex_sets[0], _HmbstMem(None, hmem)
-        if hmem.group is None:
-            for i in range(1, info.b + 2):
-                if _group_untouched(hinfo, nv, i, aux_maker, aux_breaker):
-                    hub = hinfo.hubs[i]
-                    return info.vertex_sets[hub], _HmbstMem(None, _HtbMakerMem(i, None))
+        step = _hub_step(
+            info.htb, nv, aux_maker, aux_breaker, mem.inner or _HtbMakerMem(None, None)
+        )
+        if step is None:
             return 0, mem
-        if hmem.node is None:
-            copies = [
-                c
-                for c in hinfo.groups[hmem.group - 1]
-                if not c.element_mask(nv) & aux_breaker
-            ]
-            if not copies:
-                return 0, mem
-            hmem = _HtbMakerMem(hmem.group, copies[0])
-        bit, node = _gtb_step(nv, hmem.node, aux_maker, aux_breaker)
-        idx = bit.bit_length() - 1
-        hmem = _HtbMakerMem(hmem.group, node)
+        idx = step[0].bit_length() - 1
         if idx < nv:
-            return info.vertex_sets[idx], _HmbstMem(None, hmem)
-        edge = info.arc_edges[idx - nv]
-        return edge & ~maker, _HmbstMem(None, hmem)
+            return info.vertex_sets[idx], _HmbstMem(None, step[1])
+        return info.arc_edges[idx - nv] & ~maker, _HmbstMem(None, step[1])
 
     # nested form
     if info.shared & ~maker:
@@ -862,13 +840,6 @@ def make_dominator_lift(inner: Strategy, inner_spec: GameSpec) -> Strategy:
 # Catalog
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    factory: Callable[..., Strategy]
-    params: tuple[str, ...]
-    smallest: Callable[[], tuple[GameSpec, Strategy, Guarantee]]
-
-
 def _aux_spec(board: RootedDigraph, b: int, preclaimed: int, premove: bool = False) -> GameSpec:
     return GameSpec(
         GameKind.AUX_EDGE,
@@ -880,157 +851,139 @@ def _aux_spec(board: RootedDigraph, b: int, preclaimed: int, premove: bool = Fal
     )
 
 
-def _smallest_maker_gtb():
-    t, b = 2, 1
+def _gtb_ends_spec(t: int, b: int) -> GameSpec:
+    """gtb(t,b) with both ends pre-owned."""
     board = build_gtb_indexed(t, b)[0]
-    spec = _aux_spec(board, b, (1 << board.start) | (1 << board.end))
-    return spec, make_maker_gtb(t, b), win_within(t)
+    return _aux_spec(board, b, (1 << board.start) | (1 << board.end))
 
 
-def _smallest_breaker_gtb_block():
-    t, b = 2, 1
+def _fair_spec(board: Hypergraph, bias: int) -> GameSpec:
+    return GameSpec(GameKind.MAKER_BREAKER, board, maker_bias=bias, breaker_bias=bias)
+
+
+def _offer_spec(graph: SimpleGraph) -> GameSpec:
+    """The offer game on the minimal dominating sets of `graph`."""
+    return GameSpec(GameKind.WAITER_CLIENT, minimal_dominating_sets(graph))
+
+
+def _maker_gtb(t, b):
+    return _gtb_ends_spec(t, b), make_maker_gtb(t, b), win_within(t)
+
+
+def _breaker_gtb_block(t, b, seed_vertex):
+    """A single pre-owned vertex, the start unless `seed_vertex` is given."""
     board = build_gtb_indexed(t, b)[0]
-    spec = _aux_spec(board, b, 1 << board.start)
-    return spec, make_breaker_gtb_block(b), never_loses()
+    seed = board.start if seed_vertex is None else seed_vertex
+    return _aux_spec(board, b, 1 << seed), make_breaker_gtb_block(b), never_loses()
 
 
-def _smallest_breaker_gtb_slow():
-    t, b = 2, 1
-    board = build_gtb_indexed(t, b)[0]
-    spec = _aux_spec(board, b, (1 << board.start) | (1 << board.end))
-    return spec, make_breaker_gtb_slow(t, b), opponent_not_within(t - 1)
+def _breaker_gtb_slow(t, b):
+    return _gtb_ends_spec(t, b), make_breaker_gtb_slow(t, b), opponent_not_within(t - 1)
 
 
-def _smallest_maker_htb():
-    t, b = 3, 1
+def _maker_htb(t, b):
     board = build_htb_indexed(t, b)[0]
     return _aux_spec(board, b, 0), make_maker_htb(t, b), win_within(t)
 
 
-def _smallest_breaker_htb_premove():
-    t, b = 3, 1
+def _breaker_htb_premove(t, b):
     board = build_htb_indexed(t, b)[0]
-    spec = _aux_spec(board, b, 0, premove=True)
-    return spec, make_breaker_htb_premove(t, b), never_loses()
+    return _aux_spec(board, b, 0, premove=True), make_breaker_htb_premove(t, b), never_loses()
 
 
-def _smallest_breaker_htb_slow():
-    t, b = 3, 1
+def _breaker_htb_slow(t, b):
     board = build_htb_indexed(t, b)[0]
     return _aux_spec(board, b, 0), make_breaker_htb_slow(t, b), opponent_not_within(t - 1)
 
 
-def _smallest_maker_nonmonotone():
-    blocked, bias = frozenset({1}), 2
-    h = nonmonotone_blocks(blocked)[0]
-    spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=bias, breaker_bias=bias)
-    return spec, make_maker_nonmonotone(blocked, bias), win_within(1)
+def _maker_nonmonotone(blocked, bias):
+    spec = _fair_spec(nonmonotone_blocks(blocked)[0], bias)
+    return spec, make_maker_nonmonotone(blocked), win_within(1)
 
 
-def _smallest_breaker_nonmonotone():
-    blocked, bias = frozenset({1}), 1
-    h = nonmonotone_blocks(blocked)[0]
-    spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=bias, breaker_bias=bias)
-    return spec, make_breaker_nonmonotone(blocked, bias), never_loses()
+def _breaker_nonmonotone(blocked, bias):
+    spec = _fair_spec(nonmonotone_blocks(blocked)[0], bias)
+    return spec, make_breaker_nonmonotone(blocked), never_loses()
 
 
-def _smallest_breaker_pairing():
-    h, pairs = build_ht_wc_indexed(3)
-    spec = GameSpec(GameKind.MAKER_BREAKER, h)
-    return spec, make_breaker_pairing(pairs), never_loses()
+def _breaker_pairing(t):
+    h, pairs = build_ht_wc_indexed(t)
+    return GameSpec(GameKind.MAKER_BREAKER, h), make_breaker_pairing(pairs), never_loses()
 
 
-def _smallest_waiter_cycle():
-    n = 3
-    h = minimal_dominating_sets(cycle_graph(n))
-    spec = GameSpec(GameKind.WAITER_CLIENT, h)
-    return spec, make_waiter_cycle(n), win_within(n // 2)
+def _waiter_cycle(n):
+    return _offer_spec(cycle_graph(n)), make_waiter_cycle(n), win_within(n // 2)
 
 
-def _smallest_client_cycle():
-    n = 6
-    h = minimal_dominating_sets(cycle_graph(n))
-    spec = GameSpec(GameKind.WAITER_CLIENT, h)
-    return spec, make_client_cycle(n), opponent_not_within(n // 2 - 1)
+def _client_cycle(n):
+    return _offer_spec(cycle_graph(n)), make_client_cycle(n), opponent_not_within(n // 2 - 1)
 
 
-def _smallest_waiter_tree():
-    tree = path_graph(2)
-    h = minimal_dominating_sets(tree)
-    spec = GameSpec(GameKind.WAITER_CLIENT, h)
-    return spec, make_waiter_tree(tree), win_within(1)
+def _waiter_tree(tree):
+    return _offer_spec(tree), make_waiter_tree(tree), win_within(tree.n // 2)
 
 
-def _smallest_maker_hmbst():
-    m, b, s, t = 1, 1, 3, 3
-    h, _fam, _info = build_hmbst_indexed(m, b, s, t)
+def _maker_hmbst(m, b, s, t):
+    h = build_hmbst_indexed(m, b, s, t)[0]
     spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b)
     return spec, make_maker_hmbst(m, b, s, t), win_within(t)
 
 
-def _smallest_dominator_lift():
-    blocked, bias = frozenset({1}), 2
-    core = nonmonotone_blocks(blocked)[0]
-    inner_spec = GameSpec(GameKind.MAKER_BREAKER, core, maker_bias=bias, breaker_bias=bias)
-    inner = make_maker_nonmonotone(blocked, bias)
-    gadget = build_gadget(core, bias)
-    h = minimal_dominating_sets(gadget)
-    spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=bias, breaker_bias=bias)
+def _dominator_lift(blocked, bias):
+    """The fair-bias maker script played inside the gadget of its board."""
+    inner_spec, inner, _ = _maker_nonmonotone(blocked, bias)
+    gadget = build_gadget(inner_spec.board, bias)
+    spec = _fair_spec(minimal_dominating_sets(gadget), bias)
     return spec, make_dominator_lift(inner, inner_spec), win_within(1)
 
 
+@dataclass(frozen=True)
+class CatalogEntry:
+    """`build(**params)` gives the (game, script, guarantee) to verify;
+    `smallest` names every parameter with its smallest-instance value."""
+
+    build: Callable[..., tuple[GameSpec, Strategy, Guarantee]]
+    smallest: dict[str, Any]
+
+
 CATALOG: dict[str, CatalogEntry] = {
-    "maker-gtb": CatalogEntry(make_maker_gtb, ("t", "b"), _smallest_maker_gtb),
+    "maker-gtb": CatalogEntry(_maker_gtb, {"t": 2, "b": 1}),
     "breaker-gtb-block": CatalogEntry(
-        make_breaker_gtb_block, ("b",), _smallest_breaker_gtb_block
+        _breaker_gtb_block, {"t": 2, "b": 1, "seed_vertex": None}
     ),
-    "breaker-gtb-slow": CatalogEntry(
-        make_breaker_gtb_slow, ("t", "b"), _smallest_breaker_gtb_slow
-    ),
-    "maker-htb": CatalogEntry(make_maker_htb, ("t", "b"), _smallest_maker_htb),
-    "breaker-htb-premove": CatalogEntry(
-        make_breaker_htb_premove, ("t", "b"), _smallest_breaker_htb_premove
-    ),
-    "breaker-htb-slow": CatalogEntry(
-        make_breaker_htb_slow, ("t", "b"), _smallest_breaker_htb_slow
-    ),
+    "breaker-gtb-slow": CatalogEntry(_breaker_gtb_slow, {"t": 2, "b": 1}),
+    "maker-htb": CatalogEntry(_maker_htb, {"t": 3, "b": 1}),
+    "breaker-htb-premove": CatalogEntry(_breaker_htb_premove, {"t": 3, "b": 1}),
+    "breaker-htb-slow": CatalogEntry(_breaker_htb_slow, {"t": 3, "b": 1}),
     "maker-nonmonotone": CatalogEntry(
-        make_maker_nonmonotone, ("blocked", "bias"), _smallest_maker_nonmonotone
+        _maker_nonmonotone, {"blocked": frozenset({1}), "bias": 2}
     ),
     "breaker-nonmonotone": CatalogEntry(
-        make_breaker_nonmonotone, ("blocked", "bias"), _smallest_breaker_nonmonotone
+        _breaker_nonmonotone, {"blocked": frozenset({1}), "bias": 1}
     ),
-    "breaker-pairing": CatalogEntry(
-        make_breaker_pairing, ("pairs",), _smallest_breaker_pairing
-    ),
-    "waiter-cycle": CatalogEntry(make_waiter_cycle, ("n",), _smallest_waiter_cycle),
-    "client-cycle": CatalogEntry(make_client_cycle, ("n",), _smallest_client_cycle),
-    "waiter-tree": CatalogEntry(make_waiter_tree, ("tree",), _smallest_waiter_tree),
-    "maker-hmbst": CatalogEntry(
-        make_maker_hmbst, ("m", "b", "s", "t"), _smallest_maker_hmbst
-    ),
-    "dominator-lift": CatalogEntry(
-        make_dominator_lift, ("inner", "inner_spec"), _smallest_dominator_lift
-    ),
+    "breaker-pairing": CatalogEntry(_breaker_pairing, {"t": 3}),
+    "waiter-cycle": CatalogEntry(_waiter_cycle, {"n": 3}),
+    "client-cycle": CatalogEntry(_client_cycle, {"n": 6}),
+    "waiter-tree": CatalogEntry(_waiter_tree, {"tree": path_graph(2)}),
+    "maker-hmbst": CatalogEntry(_maker_hmbst, {"m": 1, "b": 1, "s": 3, "t": 3}),
+    "dominator-lift": CatalogEntry(_dominator_lift, {"blocked": frozenset({1}), "bias": 2}),
 }
 
 
-def get_strategy(name: str, **params) -> Strategy:
+def instance(name: str, **params) -> tuple[GameSpec, Strategy, Guarantee]:
+    """The (game, script, guarantee) of catalog entry `name`; parameters not
+    given take their smallest-instance values."""
     entry = CATALOG.get(name)
     if entry is None:
         raise PosgamesError(f"unknown strategy {name!r}")
-    missing = [p for p in entry.params if p not in params]
-    extra = [p for p in params if p not in entry.params]
-    if missing or extra:
+    extra = sorted(set(params) - set(entry.smallest))
+    if extra:
         raise PosgamesError(
-            f"strategy {name!r} takes parameters {entry.params}, "
-            f"missing {missing}, unexpected {extra}"
+            f"strategy {name!r} takes parameters {tuple(entry.smallest)}, unexpected {extra}"
         )
-    return entry.factory(**params)
+    return entry.build(**{**entry.smallest, **params})
 
 
 def smallest_instance(name: str) -> tuple[GameSpec, Strategy, Guarantee]:
-    entry = CATALOG.get(name)
-    if entry is None:
-        raise PosgamesError(f"unknown strategy {name!r}")
-    return entry.smallest()
+    """The entry's smallest instance: `instance` with no parameters."""
+    return instance(name)

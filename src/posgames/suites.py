@@ -18,7 +18,6 @@ from .constructions import (
     build_gtb_indexed,
     build_hmbst_indexed,
     build_htb_indexed,
-    build_ht_wc_indexed,
     build_nonmonotone,
     build_wc_gap_case1,
 )
@@ -31,6 +30,7 @@ from .domination import (
     wc_tree_value,
 )
 from .engine import GameKind, GameSpec, Player
+from .errors import PosgamesError
 from .graphgen import all_trees, cycle_graph, random_hypergraph, random_tree
 from .solver import (
     MoveRestriction,
@@ -42,14 +42,7 @@ from .solver import (
     solve_aux_game,
     wc_game_values,
 )
-from .strategies import (
-    CATALOG,
-    GuaranteeKind,
-    make_breaker_pairing,
-    never_loses,
-    smallest_instance,
-    verify_strategy,
-)
+from .strategies import CATALOG, GuaranteeKind, instance, verify_strategy
 
 
 class SuiteReport(dict):
@@ -57,6 +50,10 @@ class SuiteReport(dict):
 
 
 def _report(suite: str, t0: float, checks: list, rows: list, failures: list) -> SuiteReport:
+    """The suite's report; a suite that made no check has shown nothing, so
+    that is an error, not a pass."""
+    if not checks:
+        raise PosgamesError(f"suite {suite} made no check with these arguments")
     return SuiteReport(
         suite=suite,
         ok=not failures,
@@ -209,6 +206,8 @@ def suite_residue(
 ) -> SuiteReport:
     """Peeling a (leaf, degree-2 support) pair costs exactly one round and one
     element; the peeled-to-the-end formula agrees with direct solving."""
+    if max_n < 4:
+        raise PosgamesError(f"residue needs max_n >= 4 to draw peelable trees, got {max_n}")
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     rng = random.Random(seed)
@@ -322,9 +321,7 @@ def suite_thm19c1(settings: Optional[SolverSettings] = None) -> SuiteReport:
     w3 = decide_wc(h, Objective(max_rounds=3), settings)
     rows.append({"side": "offer", "win2": w2, "win3": w3})
     _check(checks, failures, "offer rounds = 3", w3 and not w2, rows[-1])
-    ht, pairs = build_ht_wc_indexed(3)
-    spec = GameSpec(GameKind.MAKER_BREAKER, ht)
-    res = verify_strategy(spec, make_breaker_pairing(pairs), never_loses())
+    res = verify_strategy(*instance("breaker-pairing", t=3))
     rows.append({"side": "pairing", "ok": res.ok, "nodes": res.nodes})
     _check(checks, failures, "pairing script never loses on the paired part", res.ok,
            {"counterexample": res.counterexample})
@@ -358,7 +355,7 @@ def suite_strategies(settings: Optional[SolverSettings] = None) -> SuiteReport:
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for name in CATALOG:
-        spec, strat, guarantee = smallest_instance(name)
+        spec, strat, guarantee = instance(name)
         res = verify_strategy(spec, strat, guarantee, max_nodes=5_000_000)
         row = {"strategy": name, "guarantee": guarantee.describe(), "ok": res.ok,
                "nodes": res.nodes}
@@ -386,6 +383,8 @@ def suite_properties(
 ) -> SuiteReport:
     """Randomized invariants: bias and objective monotonicity, first-mover
     advantage, minimal-subfamily soundness, memo transparency."""
+    if max_n < 2:
+        raise PosgamesError(f"properties needs max_n >= 2, got {max_n}")
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     settings = settings or SolverSettings()

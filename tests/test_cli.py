@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
-from posgames.cli import main
+from posgames.cli import build_parser, main
+from posgames.strategies import CATALOG
 from posgames.suites import SUITES, SuiteReport
 
 
@@ -187,6 +189,26 @@ class TestMalformedInput:
         assert code == 2 and doc["kind"] == "usage"
         assert f"expected a {kind} document" in doc["message"]
 
+    @pytest.mark.parametrize("command, message", [
+        ("gen nonmonotone --blocked x", "--blocked"),
+        ("gen random-tree --n 0", "at least one vertex"),
+        ("gen cycle --n 2", "at least 3 vertices"),
+    ], ids=["blocked-not-int", "empty-tree", "two-cycle"])
+    def test_bad_generator_params(self, capsys, command, message):
+        code, doc = run_json(capsys, *command.split())
+        assert code == 2 and doc["kind"] == "usage"
+        assert message in doc["message"]
+
+    @pytest.mark.parametrize("command, message", [
+        ("verify thm1.8 --max-n 2", "made no check"),
+        ("verify residue --max-n 3", "max_n >= 4"),
+        ("verify properties --max-n 1", "max_n >= 2"),
+    ], ids=["thm1.8-no-cycle", "residue-no-peelable-tree", "properties-one-element"])
+    def test_suite_without_checks(self, capsys, command, message):
+        code, doc = run_json(capsys, *command.split())
+        assert code == 2 and doc["kind"] == "usage"
+        assert message in doc["message"]
+
     @pytest.mark.parametrize("shape, flag", [("tree", "--graph"), ("cycle", "--n")],
                              ids=["tree", "cycle"])
     def test_closed_form_without_its_input(self, capsys, shape, flag):
@@ -232,6 +254,24 @@ class TestVerify:
     def test_strategy_by_name(self, capsys):
         code, doc = run_json(capsys, "verify", "maker-gtb", "--t", "2", "--b", "2")
         assert code == 0 and doc["ok"] is True
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_every_script_without_flags(self, capsys, name):
+        code, doc = run_json(capsys, "verify", name)
+        assert code == 0 and doc["ok"] is True and doc["strategy"] == name
+
+    def test_unset_flags_take_catalog_values(self, capsys):
+        # t takes its smallest value 2 while the given b=2 is kept
+        code, doc = run_json(capsys, "verify", "maker-gtb", "--b", "2")
+        assert code == 0
+        assert doc["guarantee"] == "wins within 2 round(s)" and doc["nodes"] == 8
+
+    def test_every_suite_parameter_has_a_flag(self):
+        args = vars(build_parser().parse_args(["verify", "all"]))
+        for name, fn in SUITES.items():
+            for param in inspect.signature(fn).parameters:
+                if param != "settings":
+                    assert param in args, (name, param)
 
     def test_cycle_scripts_on_four_cycle(self, capsys):
         code, doc = run_json(capsys, "verify", "waiter-cycle", "--n", "4")

@@ -143,10 +143,6 @@ class TestGadget:
         covers = vertex_covers(hypergraph_new(2, [[0]]))
         assert covers == [0b01, 0b11]
 
-    def test_minimal_covers_escape_hatch(self):
-        covers = vertex_covers(hypergraph_new(2, [[0]]), minimal_only=True)
-        assert covers == [0b01]
-
     def test_edges_dominate(self):
         h = hypergraph_new(3, [[0, 1], [2]])
         g = build_gadget(h, 1)

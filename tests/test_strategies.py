@@ -3,10 +3,11 @@ import pytest
 from posgames.bitset import iter_bits
 from posgames.boards import hypergraph_new
 from posgames.constructions import build_gtb_indexed, build_ht_wc_indexed
-from posgames.domination import minimal_dominating_sets
 from posgames.engine import (
     GameKind,
     GameSpec,
+    Move,
+    MoveKind,
     Outcome,
     Player,
     apply_move,
@@ -15,51 +16,39 @@ from posgames.engine import (
     status,
 )
 from posgames.errors import PosgamesError
-from posgames.graphgen import cycle_graph, path_graph
+from posgames.graphgen import path_graph
 from posgames.solver import Objective, solve_aux_game
 from posgames.strategies import (
     CATALOG,
-    get_strategy,
+    instance,
     make_breaker_pairing,
     never_loses,
     opponent_not_within,
-    smallest_instance,
     verify_strategy,
     win_within,
 )
 
 
-def aux_spec(board, b, pre=0, premove=False):
-    return GameSpec(
-        GameKind.AUX_EDGE, board, maker_bias=1, breaker_bias=b,
-        preclaimed_maker=pre, breaker_premove=premove,
-    )
-
-
 class TestCatalogBasics:
     def test_unknown_name_rejected(self):
         with pytest.raises(PosgamesError):
-            get_strategy("no-such-script")
+            instance("no-such-script")
 
     def test_wrong_params_rejected(self):
-        with pytest.raises(PosgamesError):
-            get_strategy("maker-gtb", t=2)
+        with pytest.raises(PosgamesError, match="unexpected"):
+            instance("maker-gtb", n=2)
 
 
 class TestFirstMoves:
     def test_branched_maker_claims_the_junction(self):
-        board, root = build_gtb_indexed(2, 2)
-        spec = aux_spec(board, 2, (1 << board.start) | (1 << board.end))
-        strat = get_strategy("maker-gtb", t=2, b=2)
+        _board, root = build_gtb_indexed(2, 2)
+        spec, strat, _ = instance("maker-gtb", t=2, b=2)
         move, _mem = strat.next_move(spec, initial_state(spec), strat.initial_memory)
         assert move.elements == 1 << root.mid
 
     def test_pairing_answers_the_partner(self):
-        from posgames.engine import Move, MoveKind
-
-        h, pairs = build_ht_wc_indexed(3)
-        spec = GameSpec(GameKind.MAKER_BREAKER, h)
-        strat = make_breaker_pairing(pairs)
+        _h, pairs = build_ht_wc_indexed(3)
+        spec, strat, _ = instance("breaker-pairing", t=3)
         state = initial_state(spec)
         a1 = pairs[0] & -pairs[0]
         state = apply_move(spec, state, Move(MoveKind.CLAIM, a1))
@@ -68,56 +57,49 @@ class TestFirstMoves:
 
     def test_cycle_waiter_opens_next_to_the_seam(self):
         n = 5
-        h = minimal_dominating_sets(cycle_graph(n))
-        spec = GameSpec(GameKind.WAITER_CLIENT, h)
-        strat = get_strategy("waiter-cycle", n=n)
+        spec, strat, _ = instance("waiter-cycle", n=n)
         move, _ = strat.next_move(spec, initial_state(spec), strat.initial_memory)
         assert move.elements == (1 << (n - 2)) | (1 << (n - 1))
 
 
 class TestVerifierExamples:
     def test_branched_maker_wins_in_two(self):
-        board, _ = build_gtb_indexed(2, 2)
-        spec = aux_spec(board, 2, (1 << board.start) | (1 << board.end))
-        assert verify_strategy(spec, get_strategy("maker-gtb", t=2, b=2), win_within(2)).ok
+        assert verify_strategy(*instance("maker-gtb", t=2, b=2)).ok
 
     def test_blocker_holds_single_seed(self):
         board, _ = build_gtb_indexed(2, 2)
         for v in range(board.nv):
-            spec = aux_spec(board, 2, 1 << v)
-            res = verify_strategy(spec, get_strategy("breaker-gtb-block", b=2), never_loses())
+            res = verify_strategy(*instance("breaker-gtb-block", t=2, b=2, seed_vertex=v))
             assert res.ok, (v, res.counterexample)
 
     def test_cycle_waiter_meets_the_bound(self):
         for n in range(3, 9):
-            h = minimal_dominating_sets(cycle_graph(n))
-            spec = GameSpec(GameKind.WAITER_CLIENT, h)
-            res = verify_strategy(spec, get_strategy("waiter-cycle", n=n), win_within(n // 2))
+            spec, strat, guarantee = instance("waiter-cycle", n=n)
+            assert guarantee == win_within(n // 2)
+            res = verify_strategy(spec, strat, guarantee)
             assert res.ok, (n, res.counterexample)
 
     def test_cycle_client_delays(self):
         for n in range(6, 9):
-            h = minimal_dominating_sets(cycle_graph(n))
-            spec = GameSpec(GameKind.WAITER_CLIENT, h)
-            res = verify_strategy(
-                spec, get_strategy("client-cycle", n=n), opponent_not_within(n // 2 - 1)
-            )
+            spec, strat, guarantee = instance("client-cycle", n=n)
+            assert guarantee == opponent_not_within(n // 2 - 1)
+            res = verify_strategy(spec, strat, guarantee)
             assert res.ok, (n, res.counterexample)
 
     def test_counterexample_surfaces_for_false_guarantees(self):
-        board, _ = build_gtb_indexed(2, 1)
-        spec = aux_spec(board, 1, (1 << board.start) | (1 << board.end))
-        res = verify_strategy(spec, get_strategy("maker-gtb", t=2, b=1), win_within(1))
+        spec, strat, _ = instance("maker-gtb", t=2, b=1)
+        res = verify_strategy(spec, strat, win_within(1))
         assert not res.ok
         assert res.counterexample is not None
 
     def test_certified_bounds_never_beat_the_solver(self):
-        board, _ = build_gtb_indexed(3, 2)
-        seeds = (1 << board.start) | (1 << board.end)
-        spec = aux_spec(board, 2, seeds)
-        assert verify_strategy(spec, get_strategy("maker-gtb", t=3, b=2), win_within(3)).ok
+        spec, strat, guarantee = instance("maker-gtb", t=3, b=2)
+        assert guarantee == win_within(3)
+        assert verify_strategy(spec, strat, guarantee).ok
         # the solver needs 3 rounds as well: certifying 3 is optimal
-        assert not solve_aux_game(board, 2, seeds, Objective(max_rounds=2))
+        assert not solve_aux_game(
+            spec.board, 2, spec.preclaimed_maker, Objective(max_rounds=2)
+        )
 
 
 class TestSlowBlockerInvariants:
@@ -126,9 +108,8 @@ class TestSlowBlockerInvariants:
 
     @pytest.mark.parametrize("t,b", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
     def test_properties_hold_along_random_plays(self, t, b, rng):
-        board, _root = build_gtb_indexed(t, b)
-        spec = aux_spec(board, b, (1 << board.start) | (1 << board.end))
-        strat = get_strategy("breaker-gtb-slow", t=t, b=b)
+        spec, strat, _ = instance("breaker-gtb-slow", t=t, b=b)
+        board = spec.board
         reach = board.reachability()
         dist = board.shortest_path_lengths()
         out_arcs = [0] * board.nv
@@ -169,11 +150,8 @@ class TestSlowBlockerInvariants:
 
     def test_slow_blockers_defeat_the_clock(self):
         for t, b in [(2, 1), (3, 1), (3, 2)]:
-            board, _ = build_gtb_indexed(t, b)
-            spec = aux_spec(board, b, (1 << board.start) | (1 << board.end))
             res = verify_strategy(
-                spec, get_strategy("breaker-gtb-slow", t=t, b=b),
-                opponent_not_within(t - 1), max_nodes=5_000_000,
+                *instance("breaker-gtb-slow", t=t, b=b), max_nodes=5_000_000
             )
             assert res.ok, (t, b, res.counterexample)
 
@@ -211,7 +189,7 @@ class TestLegalityFuzz:
     def test_scripts_always_move_legally(self, rng):
         """Play each strategy against random opposition from its own start."""
         for name in CATALOG:
-            spec, strat, _guarantee = smallest_instance(name)
+            spec, strat, _guarantee = instance(name)
             for _ in range(25):
                 state = initial_state(spec)
                 mem = strat.initial_memory
@@ -231,14 +209,11 @@ class TestLegalityFuzz:
 class TestTreeOfferScript:
     def test_requires_a_perfect_matching(self):
         with pytest.raises(PosgamesError):
-            get_strategy("waiter-tree", tree=path_graph(3))
+            instance("waiter-tree", tree=path_graph(3))
 
     def test_longer_paths(self):
         for n in (4, 6, 8):
-            tree = path_graph(n)
-            h = minimal_dominating_sets(tree)
-            spec = GameSpec(GameKind.WAITER_CLIENT, h)
-            res = verify_strategy(
-                spec, get_strategy("waiter-tree", tree=tree), win_within(n // 2)
-            )
+            spec, strat, guarantee = instance("waiter-tree", tree=path_graph(n))
+            assert guarantee == win_within(n // 2)
+            res = verify_strategy(spec, strat, guarantee)
             assert res.ok, (n, res.counterexample)
