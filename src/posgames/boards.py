@@ -216,25 +216,96 @@ def disjoint_union(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
 def minimal_transversals(
     n: int, edge_masks: Sequence[int], family_cap: int = DEFAULT_FAMILY_CAP
 ) -> list[int]:
-    """All inclusion-minimal sets meeting every edge (sequential construction).
+    """All inclusion-minimal sets meeting every edge, each listed once.
 
-    Edges are folded in one at a time, smallest first; the running family is
-    re-minimalized after each step.  `family_cap` bounds the intermediate
-    family size.
+    Depth-first search with critical edges (the MMCS method of Murakami and
+    Uno, "Efficient algorithms for dualizing large-scale hypergraphs",
+    Discrete Applied Mathematics 170, 2014).  A node holds a chosen set S,
+    the candidate elements that may still join it, and for each chosen
+    element its critical edges: the edges that it alone in S hits.  The node
+    picks an uncovered edge F with the fewest candidates and branches on each
+    candidate v of F in index order, adding v to S.  Adding v takes the edges
+    through v out of every other chosen element's critical edges, and a
+    branch is cut as soon as some chosen element has none left.  Elements of
+    F after v are not candidates inside v's branch; v itself is a candidate
+    again in the branches that follow it.  The critical edges are kept as
+    one mask of the edges that S hits exactly once, together with the
+    element that hits each of them, so adding v re-checks only the elements
+    that lose an edge to v.
+
+    Exactness:
+    - Every output hits every edge: a set is output only when no edge is
+      left uncovered.
+    - Every output is minimal: a set that hits every edge is minimal exactly
+      when each of its elements hits some edge that no other element hits,
+      and the search keeps a critical edge for every chosen element.
+    - Every minimal transversal T is output, exactly once.  No subset S of
+      T is cut: an edge that an element alone hits in T it also alone hits
+      in S.  The root has S empty and every element a candidate.  At a node
+      with S a subset of T and T - S among the candidates, T meets F only in
+      candidates, because S misses F.  Let v be the last element of T that
+      lies in F, in branch order.  The branch on v keeps T - S - {v} among its
+      candidates, because the only candidates it drops are the elements of F
+      after v, which T misses.  Every other branch at the node adds an
+      element outside T or drops v from its candidates, so exactly one path
+      leads from the root to T.
+
+    `family_cap` bounds the output: `GuardExceeded` is raised as soon as the
+    family would exceed it, so an answer is never truncated.  No edges gives
+    `[0]` (the empty set is the only minimal transversal); an empty edge
+    gives `[]`.
     """
-    trs: list[int] = [0]
-    for e in sorted(set(edge_masks), key=lambda m: (m.bit_count(), m)):
-        hit = []
-        miss = []
-        for t in trs:
-            (hit if t & e else miss).append(t)
-        extended = hit + [t | bit for t in miss for bit in iter_bits(e)]
-        trs = inclusion_minimal(extended)
-        if len(trs) > family_cap:
-            raise GuardExceeded(
-                f"transversal family exceeded cap {family_cap} while processing edges"
-            )
-    return [t for t in trs if t] if edge_masks else trs
+    edges = _canonical_edges(edge_masks)
+    if 0 in edges:
+        return []
+    hits = [0] * n  # per element: bit i set when the element lies in edges[i]
+    for i, e in enumerate(edges):
+        for bit in iter_bits(e):
+            hits[bit.bit_length() - 1] |= 1 << i
+    # owner[i]: the element that covered edge i.  It is read only while edge i
+    # lies in `once`, and then it was last set on the path to the current node.
+    owner = [0] * len(edges)
+    found: list[int] = []
+
+    def search(chosen: int, cand: int, uncovered: int, once: int) -> None:
+        # once: the edges that `chosen` hits exactly once, so the critical
+        # edges of a chosen element u are once & hits[u]
+        if not uncovered:
+            if len(found) >= family_cap:
+                raise GuardExceeded(f"transversal family exceeded cap {family_cap}")
+            found.append(chosen)
+            return
+        branch, fewest = 0, n + 1
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            here = edges[low.bit_length() - 1] & cand
+            count = here.bit_count()
+            if count < fewest:
+                branch, fewest = here, count
+                if count <= 1:
+                    break
+        cand &= ~branch
+        for bit in iter_bits(branch):
+            v = bit.bit_length() - 1
+            through = hits[v]
+            new = uncovered & through
+            after = (once & ~through) | new
+            lost = once & through  # critical edges that v takes away
+            while lost:
+                u = owner[(lost & -lost).bit_length() - 1]
+                if not after & hits[u]:
+                    break
+                lost &= ~hits[u]
+            else:
+                for low in iter_bits(new):
+                    owner[low.bit_length() - 1] = v
+                search(chosen | bit, cand, uncovered & ~through, after)
+            cand |= bit
+
+    search(0, (1 << n) - 1, (1 << len(edges)) - 1, 0)
+    return found
 
 
 def transversal_hypergraph(h: Hypergraph, family_cap: int = DEFAULT_FAMILY_CAP) -> Hypergraph:

@@ -54,9 +54,10 @@ def domination_number(g: SimpleGraph) -> int:
 def minimal_dominating_sets(g: SimpleGraph) -> Hypergraph:
     """Hypergraph of the inclusion-minimal dominating sets.
 
-    Computed as minimal transversals of the closed neighbourhoods, so large
-    boards work as long as the family itself stays within
-    `boards.DEFAULT_FAMILY_CAP` sets.
+    Computed as the minimal transversals of the closed neighbourhoods.  The
+    enumeration keeps no intermediate family, so large boards work as long as
+    the output family stays within `boards.DEFAULT_FAMILY_CAP` sets;
+    `GuardExceeded` is raised when it would not.
     """
     hoods = [g.closed_neighborhood(v) for v in range(g.n)]
     masks = minimal_transversals(g.n, hoods)

@@ -130,6 +130,8 @@ def suite_lemma39(settings: Optional[SolverSettings] = None) -> SuiteReport:
 
 def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Fair-bias outcome flips exactly on the blocked set."""
+    if max_bias < 1:
+        raise PosgamesError(f"thm1.1 needs max_bias >= 1 to check an outcome, got {max_bias}")
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for blocked in ({1}, {2}, {1, 2}):
@@ -270,6 +272,8 @@ def suite_gadget(
     """Gadget structure: edges dominate, the domination number equals the
     smallest edge, core dominating sets contain edges, and the game values
     transfer on the two-element example."""
+    if count < 1:
+        raise PosgamesError(f"gadget needs count >= 1 random hypergraphs, got {count}")
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     rng = random.Random(seed)
@@ -385,6 +389,8 @@ def suite_properties(
     advantage, minimal-subfamily soundness, memo transparency."""
     if max_n < 2:
         raise PosgamesError(f"properties needs max_n >= 2, got {max_n}")
+    if count < 1:
+        raise PosgamesError(f"properties needs count >= 1 instances per property, got {count}")
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     settings = settings or SolverSettings()

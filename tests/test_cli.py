@@ -203,7 +203,11 @@ class TestMalformedInput:
         ("verify thm1.8 --max-n 2", "made no check"),
         ("verify residue --max-n 3", "max_n >= 4"),
         ("verify properties --max-n 1", "max_n >= 2"),
-    ], ids=["thm1.8-no-cycle", "residue-no-peelable-tree", "properties-one-element"])
+        ("verify properties --count 0", "count >= 1"),
+        ("verify gadget --count 0", "count >= 1"),
+        ("verify thm1.1 --max-bias 0", "max_bias >= 1"),
+    ], ids=["thm1.8-no-cycle", "residue-no-peelable-tree", "properties-one-element",
+            "properties-no-instance", "gadget-no-instance", "thm1.1-no-bias"])
     def test_suite_without_checks(self, capsys, command, message):
         code, doc = run_json(capsys, *command.split())
         assert code == 2 and doc["kind"] == "usage"

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posgames.bitset import indices_of, mask_from_indices
 from posgames.boards import (
@@ -116,6 +118,26 @@ def brute_force_transversals(n, edges):
     return set(minimal)
 
 
+@st.composite
+def edge_families(draw):
+    """Board size n <= 10 and a non-empty edge list that mixes random edges
+    with singletons, duplicates and supersets of earlier edges."""
+    n = draw(st.integers(1, 10))
+    full = (1 << n) - 1
+    edges = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("random", "singleton", "duplicate", "superset")))
+        if kind == "singleton":
+            edges.append(1 << draw(st.integers(0, n - 1)))
+        elif kind == "random" or not edges:
+            edges.append(draw(st.integers(1, full)))
+        else:
+            earlier = draw(st.sampled_from(edges))
+            extra = draw(st.integers(0, full)) if kind == "superset" else 0
+            edges.append(earlier | extra)
+    return n, edges
+
+
 class TestTransversals:
     def test_two_singletons(self):
         t = transversal_hypergraph(hypergraph_new(2, [[0], [1]]))
@@ -153,6 +175,25 @@ class TestTransversals:
                 for bit in [1 << i for i in indices_of(tr)]:
                     smaller = tr & ~bit
                     assert not all(smaller & e for e in h.edges)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edge_families())
+    def test_enumerator_against_brute_force(self, family):
+        n, edges = family
+        got = minimal_transversals(n, edges)
+        assert len(got) == len(set(got))
+        assert set(got) == brute_force_transversals(n, edges)
+
+    def test_edge_cases(self):
+        assert minimal_transversals(3, []) == [0]
+        assert minimal_transversals(3, [0b011, 0, 0b100]) == []
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_family_cap_bounds_the_output(self, k):
+        pairs = [0b11 << (2 * i) for i in range(k)]
+        assert len(minimal_transversals(2 * k, pairs, family_cap=2**k)) == 2**k
+        with pytest.raises(GuardExceeded):
+            minimal_transversals(2 * k, pairs, family_cap=2**k - 1)
 
 
 class TestAddAllKSubsets:

@@ -88,6 +88,23 @@ class TestMinimalDominatingSets:
                     if mask & bit:
                         assert not is_dominating(g, mask & ~bit)
 
+    def test_against_subset_scan(self, rng):
+        for _ in range(60):
+            g = random_graph(rng.randint(1, 10), rng.choice((0.2, 0.4, 0.6)), rng)
+            dominating = sorted(
+                (mask for mask in range(1 << g.n) if is_dominating(g, mask)),
+                key=int.bit_count,
+            )
+            want = []
+            for mask in dominating:
+                if not any(d & ~mask == 0 for d in want):
+                    want.append(mask)
+            assert set(minimal_dominating_sets(g).edges) == set(want)
+
+    @pytest.mark.parametrize("n, count", [(20, 851), (22, 1674), (24, 3281)])
+    def test_cycle_family_sizes(self, n, count):
+        assert len(minimal_dominating_sets(cycle_graph(n)).edges) == count
+
 
 class TestGameValues:
     def test_star_first_round_win(self):
