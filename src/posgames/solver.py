@@ -1,17 +1,21 @@
 """Exact game values by memoized AND/OR search.
 
 One skeleton, `_Search.run`, serves the three games: the (m:b) claiming
-game, the unbiased offer game and the (1:b) directed-edge game.  A node is
-(Maker's set, Breaker's set, mover, remaining round budget).  In the offer
-game the Waiter plays Maker's part and the Client Breaker's; a round (offer
-plus keep) is one node, so its mover flag is always True.  `run` does four
-things in order:
+game, the unbiased offer game and the (1:b) directed-edge game.  A position
+is (Maker's set, Breaker's set, mover, remaining round budget), the budget
+counting the Maker's moves still to come.  In the offer game the Waiter
+plays Maker's part and the Client Breaker's; a round (offer plus keep) is
+one node, so its mover flag is always True.  The directed-edge game is the
+claiming game at m = 1 on the arc sets {tail, head, arc} with the Maker's
+menu cut to vertices: she may claim an arc only once she owns both
+endpoints, and that claim finishes a set.  `run` does four things in order:
 
-  1. leaf test (per game): scan the winning sets the opponent has not hit.
-     A completed set is a win.  The node is lost when no set is live, when
-     the cheapest live set cannot be finished within the budget, or when
-     nothing is left to claim;
-  2. memo probe on the node;
+  1. leaf test: scan the winning sets the opponent has not hit.  A
+     completed set is a win.  The others that can still be finished within
+     the budget are the live sets, their missing elements the live needs,
+     and the union of the needs the useful elements.  The node is lost
+     when no set is live;
+  2. memo probe on the node's residual key;
   3. expansion (per game): try the mover's options, best first, and stop at
      the first one that decides the node;
   4. guarded store: the value enters the memo table, which holds at most
@@ -20,10 +24,14 @@ things in order:
 
 Every pruning is a dominance argument, not a heuristic, so values are exact:
 
-  * Round bound.  Maker gains at most m elements of a set per round (the
+  * Budget filter.  Maker gains at most m elements of a set per round (the
     Waiter exactly one; in the directed-edge game Maker claims the missing
-    endpoints and then the arc, one element per round), so a live set that
-    needs more rounds than the budget cannot be completed in time.
+    endpoints and then the arc, one element per round), so a set whose
+    need exceeds budget * m cannot be completed in time.  The budget only
+    falls and a need shrinks by at most m per round, so such a set stays
+    hopeless for the rest of play.  Dropping it from the live sets and
+    its elements from the useful ones is therefore exact: from then on
+    its elements are dead (below) as far as the remaining play goes.
   * Finish now.  A Maker who can complete a live set this move wins.
   * Dead elements.  Elements outside every live winning set can never
     complete a set, so any two are interchangeable.  A claim therefore
@@ -31,14 +39,29 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     dead ones; otherwise it takes useful elements only, because swapping a
     dead element for a useful one never hurts the claimer (Maker is helped
     by owning more, Breaker by denying more).
-  * Offer game.  A lone free element goes to the Client, and a lone useful
-    element is kept by the Client whenever offered, so in both cases the
-    Waiter cannot gain.  Offering two dead elements dominates any offer
-    of one useful and one dead element: there the Client may keep the
-    useful one.
+  * Offer game.  A lone useful element is kept by the Client whenever
+    offered (and a lone free element goes to the Client), so the Waiter
+    cannot gain.  Offering two dead elements dominates any offer of one
+    useful and one dead element: there the Client may keep the useful one.
   * Reduced menu.  With a `MoveRestriction`, Maker claims a whole
     associated set; `validate_restriction` checks the hypotheses under
     which this loses nothing.
+  * Residual key.  Once the filter has run, the rest of play is decided by
+    the live needs, the free dead elements, the mover and the budget:
+    nothing else of the two players' sets can matter.  In the claiming and
+    directed-edge games the number of free dead elements does not matter
+    either.  A claim takes dead elements only as padding when every useful
+    element fits, and such a claim completes every live set (Maker) or
+    kills every one (Breaker), however many dead elements there are.
+    Otherwise it takes useful elements only, since owning more never hurts
+    the claimer.  So the key is the set of live needs (as a sorted tuple
+    of distinct masks, which holds it in about a quarter of a frozenset's
+    memory), the mover and the budget.  In the offer game the Waiter's
+    pass (two dead elements) and the mixed offer depend on how many dead
+    elements are free, so the key also holds their exact count.  With a
+    `MoveRestriction` the Maker's menu is the associated sets still free,
+    which the live needs do not determine, so the restricted search keys
+    on (Maker's set, Breaker's set, mover, budget).
 
 The memo-free mode (`SolverSettings(use_memo=False)`) exists for
 cross-checking.
@@ -57,10 +80,12 @@ from .boards import Hypergraph, RootedDigraph
 from .engine import Player
 from .errors import GuardExceeded, PosgamesError, RestrictionError
 
-# Memo entries cost about 136-155 B each (tracemalloc: 136 B on H(1,1,3,4),
-# about 155 B on larger boards), so 2^24 entries is about 2.3-2.6 GB: the guard
-# trips before a desk machine runs out of memory.
-DEFAULT_MEMO_CAP = 1 << 24
+# A memo entry holds the live needs of its node, so its size grows with the
+# number of live sets.  tracemalloc measured 347 B per entry on H(1,1,3,5) at
+# (5,3), 414 B on the thm16(1,1,3,4,4,5) board and 559 B on H(1,2,3,4) at t=4,
+# so 2^22 entries take about 1.5-2.3 GB: the guard trips before an 8 GB
+# machine runs out of memory, with room for boards of twice as many live sets.
+DEFAULT_MEMO_CAP = 1 << 22
 _MEMO_CAP_ENV = "POSGAMES_MEMO_CAP"
 
 # Move-ordering weight: elements of nearly-complete winning sets first.
@@ -160,31 +185,44 @@ def validate_restriction(h: Hypergraph, m: int, restriction: MoveRestriction) ->
 class _Search:
     """The shared skeleton; see the module docstring.
 
-    A subclass supplies `_leaf`, which returns the value of a decided node
-    or the (live sets, free elements, useful elements) that its expansion
-    needs, and `_maker_node`, which expands a node with Maker to move.  The
-    Breaker's node is the same in both claim games and lives here.
+    A subclass supplies `_key`, the memo key of a node that passed the leaf
+    test, and `_maker_node`, which expands a node with Maker to move.  The
+    leaf test and the Breaker's node are shared and live here.
     """
 
     b: int  # Breaker's bias, set by the claim games
 
-    def __init__(self, n: int, settings: SolverSettings):
+    def __init__(self, n: int, edges: Sequence[int], m: int, settings: SolverSettings):
         self.full = (1 << n) - 1
+        self.edges = tuple(edges)
+        self.m = m
         self.memo: dict = {}
         self._cap = settings.effective_cap()
         self._use_memo = settings.use_memo
 
     def run(self, maker: int, breaker: int, maker_to_move: bool, budget: int) -> bool:
-        node = self._leaf(maker, breaker, budget)
-        if node is True or node is False:
-            return node
+        reach = budget * self.m
+        live = []
+        useful = 0
+        for e in self.edges:
+            if e & breaker:
+                continue
+            # an untouched set is its own need: memo keys share the edge's int
+            need = e & ~maker if e & maker else e
+            if not need:
+                return True
+            if need.bit_count() <= reach:  # the budget filter
+                live.append(need)
+                useful |= need
+        if not live:
+            return False
+        free = self.full & ~(maker | breaker)
         use_memo = self._use_memo
         if use_memo:
-            key = (maker, breaker, maker_to_move, budget)
+            key = self._key(maker, breaker, maker_to_move, budget, live, free, useful)
             hit = self.memo.get(key)
             if hit is not None:
                 return hit
-        live, free, useful = node
         if maker_to_move:
             value = self._maker_node(maker, breaker, budget, live, free, useful)
         else:
@@ -239,49 +277,30 @@ class _MBSearch(_Search):
         settings: SolverSettings,
         restriction: Optional[tuple[int, ...]] = None,
     ):
-        super().__init__(n, settings)
-        self.edges = tuple(edges)
-        self.m = m
+        super().__init__(n, edges, m, settings)
         self.b = b
         self.restriction = restriction
 
-    def _leaf(self, maker, breaker, budget):
-        m = self.m
-        live = []
-        useful = 0
-        lb = None
-        for e in self.edges:
-            if e & breaker:
-                continue
-            need = e & ~maker
-            if not need:
-                return True
-            live.append(need)
-            useful |= need
-            moves_needed = -(-need.bit_count() // m)
-            if lb is None or moves_needed < lb:
-                lb = moves_needed
-        if lb is None or lb > budget:
-            return False
-        free = self.full & ~(maker | breaker)
-        if not free:
-            return False
-        return live, free, useful
+    def _key(self, maker, breaker, maker_to_move, budget, live, free, useful):
+        if self.restriction is not None:
+            return maker, breaker, maker_to_move, budget
+        return tuple(sorted(set(live))), maker_to_move, budget
 
     def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
-        m = self.m
-        if any(need.bit_count() <= m for need in live):
+        if any(need.bit_count() <= self.m for need in live):
             return True  # finish a winning set this move
-        if self.restriction is not None:
-            occupied = maker | breaker
-            menu = [v for v in self.restriction if not v & occupied]
-            menu.sort(key=lambda v: -self._score(v, live))
-        else:
-            menu = self._claims(m, live, free, useful)
-        for mv in menu:
+        for mv in self._menu(maker, breaker, live, free, useful):
             if self.run(maker | mv, breaker, False, budget - 1):
                 return True
         return False
+
+    def _menu(self, maker, breaker, live, free, useful):
+        if self.restriction is None:
+            return self._claims(self.m, live, free, useful)
+        occupied = maker | breaker
+        menu = [v for v in self.restriction if not v & occupied]
+        menu.sort(key=lambda v: -self._score(v, live))
+        return menu
 
     @staticmethod
     def _score(mask, live) -> int:
@@ -296,32 +315,14 @@ class _WCSearch(_Search):
     """Unbiased offer game; a round is offer + keep, folded into one node."""
 
     def __init__(self, n: int, edges: Sequence[int], settings: SolverSettings):
-        super().__init__(n, settings)
-        self.edges = tuple(edges)
+        super().__init__(n, edges, 1, settings)
 
-    def _leaf(self, waiter, client, budget):
-        live = []
-        useful = 0
-        lb = None
-        for e in self.edges:
-            if e & client:
-                continue
-            need = e & ~waiter
-            if not need:
-                return True
-            live.append(need)
-            useful |= need
-            nc = need.bit_count()
-            if lb is None or nc < lb:
-                lb = nc
-        if lb is None or lb > budget:
-            return False
-        free = self.full & ~(waiter | client)
-        if free.bit_count() <= 1 or useful.bit_count() == 1:
-            return False
-        return live, free, useful
+    def _key(self, waiter, client, maker_to_move, budget, live, free, useful):
+        return tuple(sorted(set(live))), budget, (free & ~useful).bit_count()
 
     def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
+        if not useful & (useful - 1):
+            return False  # a lone useful element: the Client keeps it
         run = self.run
         bits = self._order(useful, live)
         for x, y in combinations(bits, 2):
@@ -343,73 +344,30 @@ class _WCSearch(_Search):
         return False
 
 
-class _AuxSearch(_Search):
-    """(1:b) vertex-then-arc game on a rooted directed multigraph."""
+class _AuxSearch(_MBSearch):
+    """(1:b) vertex-then-arc game: the claiming game at m = 1 on the arc sets
+    {tail, head, arc}, with the Maker's menu cut to vertices."""
 
     def __init__(self, board: RootedDigraph, b: int, settings: SolverSettings):
-        super().__init__(board.n_elements, settings)
-        self.b = b
-        arcs = []
-        for j, (u, v) in enumerate(board.arcs):
-            arc, tail, head = 1 << (board.nv + j), 1 << u, 1 << v
-            arcs.append((arc, tail, head, arc | tail | head))
-        self.arcs = tuple(arcs)
+        arc_sets = [
+            (1 << (board.nv + j)) | (1 << u) | (1 << v)
+            for j, (u, v) in enumerate(board.arcs)
+        ]
+        super().__init__(board.n_elements, arc_sets, 1, b, settings)
+        self.vertices = (1 << board.nv) - 1
 
-    def _leaf(self, maker, breaker, budget):
-        live = []
-        useful = 0
-        lb = None
-        for arc, tail, head, arc_set in self.arcs:
-            if breaker & arc_set:
-                continue
-            if maker & arc:
-                return True
-            missing = (0 if maker & tail else 1) + (0 if maker & head else 1)
-            live.append((arc, tail, head, missing))
-            useful |= arc_set & ~maker
-            if lb is None or missing + 1 < lb:
-                lb = missing + 1
-        if lb is None or lb > budget:
-            return False
-        free = self.full & ~(maker | breaker)
-        if not free:
-            return False
-        return live, free, useful
-
-    def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
-        scores: dict[int, int] = {}
-        for _arc, tail, head, missing in live:
-            if not missing:
-                return True  # claim that arc now
-            w = _W >> (3 * missing)
-            for bit in (tail, head):
-                if bit & free:
-                    scores[bit] = scores.get(bit, 0) + w
-        for v in sorted(scores, key=scores.__getitem__, reverse=True):
-            if self.run(maker | v, breaker, False, budget - 1):
-                return True
-        return False
-
-    @staticmethod
-    def _order(useful, live) -> list[int]:
-        scores: dict[int, int] = {}
-        for arc, tail, head, missing in live:
-            w = _W >> (3 * missing)
-            for bit in (arc, tail, head):
-                if bit & useful:
-                    scores[bit] = scores.get(bit, 0) + w
-        return sorted(iter_bits(useful), key=scores.__getitem__, reverse=True)
+    def _menu(self, maker, breaker, live, free, useful):
+        # an arc is claimable only once both endpoints are owned, and then
+        # its need is the arc alone, which finishes it this move
+        return self._order(useful & self.vertices, live)
 
     def breaker_single_openings(self, maker: int) -> list[int]:
-        """Menu for a one-element opening claim (dominated moves dropped)."""
-        free = self.full & ~maker
+        """Menu for a one-element opening claim: the free elements of the
+        arc sets (any other element is dead).  Empty on an arc-less board."""
         useful = 0
-        for arc, _tail, _head, arc_set in self.arcs:
-            if not maker & arc:
-                useful |= arc_set & free
-        if useful:
-            return list(iter_bits(useful))
-        return [free & -free] if free else []
+        for arc_set in self.edges:
+            useful |= arc_set
+        return list(iter_bits(useful & ~maker))
 
 
 def _mb_budget(h: Hypergraph, m: int, objective: Objective) -> int:
@@ -495,11 +453,10 @@ def solve_aux_game(
         else board.n_elements
     )
     search = _AuxSearch(board, b, settings)
-    if breaker_premove:
-        return all(
-            search.run(preclaimed, opening, True, budget)
-            for opening in search.breaker_single_openings(preclaimed)
-        )
+    # with no element to take, play starts without the pre-move
+    openings = search.breaker_single_openings(preclaimed) if breaker_premove else ()
+    if openings:
+        return all(search.run(preclaimed, opening, True, budget) for opening in openings)
     return search.run(preclaimed, 0, True, budget)
 
 

@@ -69,6 +69,13 @@ class TestSolveAndFrontier:
                              "-b", "2", "--seeds", "0,1", "--max-rounds", "2")
         assert code == 0 and doc["maker_wins"] is True
 
+    def test_solve_aux_premove_without_an_opening(self, capsys, tmp_path):
+        board = tmp_path / "d.json"
+        board.write_text(json.dumps({"type": "digraph", "n": 2, "arcs": [], "start": 0}))
+        code, doc = run_json(capsys, "solve", "aux", "--board", str(board),
+                             "-b", "1", "--seeds", "0,1", "--breaker-premove")
+        assert code == 0 and doc["maker_wins"] is False
+
     def test_frontier_json_schema(self, capsys, tmp_path):
         board = tmp_path / "h.json"
         run_cli(capsys, "gen", "complete-uniform", "--n", "6", "--k", "3",

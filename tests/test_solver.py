@@ -1,9 +1,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_decide, random_hypergraph_masks
-from posgames.boards import digraph_new, hypergraph_new
+from posgames.boards import digraph_new, hypergraph_from_masks, hypergraph_new
 from posgames.constructions import build_gtb, build_hmbst, build_ht_wc
 from posgames.engine import GameKind, GameSpec, Player
 from posgames.errors import GuardExceeded, PosgamesError, RestrictionError
@@ -69,6 +71,16 @@ class TestAuxGame:
         board = build_gtb(2, 2)
         for v in range(board.nv):
             assert not solve_aux_game(board, 2, 1 << v)
+
+    def test_premove_without_an_opening(self):
+        # every vertex is the Maker's and there is no arc: the Breaker has
+        # nothing to take, and the Maker still has no arc to claim
+        board = digraph_new(2, [], start=0)
+        spec = GameSpec(
+            GameKind.AUX_EDGE, board, preclaimed_maker=0b11, breaker_premove=True
+        )
+        assert not naive_decide(spec)
+        assert not solve_aux_game(board, 1, 0b11, breaker_premove=True)
 
 
 class TestGameValues:
@@ -183,6 +195,65 @@ class TestAgainstNaiveSolver:
             assert got == expected, (arcs, b, seeds, t, premove)
 
 
+@st.composite
+def hypergraphs(draw, max_core, max_dead=0):
+    """Up to four random edges on `core` elements, padded with up to
+    `max_dead` isolated elements that no edge contains."""
+    core = draw(st.integers(1, max_core))
+    edges = draw(st.lists(st.integers(1, (1 << core) - 1), min_size=1, max_size=4))
+    return hypergraph_from_masks(core + draw(st.integers(0, max_dead)), edges), core
+
+
+round_budgets = st.one_of(st.none(), st.integers(0, 4))
+
+
+class TestHypothesisAgainstNaive:
+    """The budget filter and the residual key, checked against plain
+    engine-driven recursion on small boards."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        hypergraphs(5),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.sampled_from((Player.MAKER, Player.BREAKER)),
+        round_budgets,
+        st.data(),
+    )
+    def test_claiming_game(self, board, m, b, first, t, data):
+        h, core = board
+        s = data.draw(st.one_of(st.none(), st.integers(1, core)))
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
+        assert decide_mb(h, m, b, first, Objective(t, s)) == naive_decide(spec, t, s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hypergraphs(4, max_dead=3), round_budgets, st.data())
+    def test_offer_game_with_dead_elements(self, board, t, data):
+        # the padding varies the count of free dead elements, which the
+        # offer game's key must hold
+        h, core = board
+        s = data.draw(st.one_of(st.none(), st.integers(1, core)))
+        spec = GameSpec(GameKind.WAITER_CLIENT, h)
+        assert decide_wc(h, Objective(t, s)) == naive_decide(spec, t, s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 4), st.integers(1, 2), round_budgets, st.booleans(), st.data())
+    def test_directed_edge_game(self, nv, b, t, premove, data):
+        vertex = st.integers(0, nv - 1)
+        arc = st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1])
+        arcs = data.draw(st.lists(arc, max_size=3))  # arc-less boards included
+        seeds = data.draw(st.integers(0, (1 << nv) - 1))
+        digraph = digraph_new(nv, arcs, start=0)
+        spec = GameSpec(
+            GameKind.AUX_EDGE, digraph, breaker_bias=b,
+            preclaimed_maker=seeds, breaker_premove=premove,
+        )
+        got = solve_aux_game(
+            digraph, b, seeds, Objective(max_rounds=t), breaker_premove=premove
+        )
+        assert got == naive_decide(spec, t, None)
+
+
 class TestSolverInvariants:
     def test_memo_transparency_offer_game(self, rng):
         plain = SolverSettings(use_memo=False)
@@ -207,6 +278,22 @@ class TestSolverInvariants:
                     board, b, seeds, objective, breaker_premove=premove, settings=plain
                 )
                 assert memo == bare, (arcs, b, seeds, objective, premove)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3, 3), (1, 1, 3, 4)])
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
+    def test_memo_transparency_claiming_game(self, shape, t, first):
+        # the free search keys on the residual family, the restricted one on
+        # the two players' sets; all four must agree
+        h, fam = build_hmbst(*shape)
+        restriction = MoveRestriction(fam.sets)
+        plain = SolverSettings(use_memo=False)
+        values = {
+            decide_mb(h, 1, 1, first, Objective(t), menu, settings=mode)
+            for menu in (None, restriction)
+            for mode in (None, plain)
+        }
+        assert len(values) == 1
 
     def test_memo_cap_guard_is_loud(self):
         tiny = SolverSettings(memo_cap=2)
