@@ -32,14 +32,7 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
 
 def indices_of(mask: int) -> list[int]:
     """Sorted list of element indices in the mask."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [bit.bit_length() - 1 for bit in iter_bits(mask)]
 
 
 def iter_bits(mask: int) -> Iterator[int]:

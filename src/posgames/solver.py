@@ -39,29 +39,37 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     dead ones; otherwise it takes useful elements only, because swapping a
     dead element for a useful one never hurts the claimer (Maker is helped
     by owning more, Breaker by denying more).
-  * Offer game.  A lone useful element is kept by the Client whenever
-    offered (and a lone free element goes to the Client), so the Waiter
-    cannot gain.  Offering two dead elements dominates any offer of one
-    useful and one dead element: there the Client may keep the useful one.
+  * Offer game.  The Waiter offers two useful elements, and a node with
+    fewer than two left is lost.  Let V be the value when she may offer any
+    two free elements and V0 the value with useful pairs only.  V >= V0,
+    since V's menu contains V0's.  V <= V0 by induction on the budget:
+      - a useful pair that wins in V has children that win in V, so in V0
+        by induction, and the pair wins in V0 too;
+      - a pass (two dead elements) leaves the live family of the node at
+        budget - 1, and V0 is monotone in the budget: a larger budget keeps
+        a superset of the live sets, so a winning V0 strategy stays legal
+        and still wins;
+      - a mixed offer {x, d}, d dead, wins only if the child where the
+        Client keeps x wins.  The Waiter can play that child's V0 strategy
+        from the node itself: she never offers x, has one more round and
+        faces a superset of the live sets.
   * Reduced menu.  With a `MoveRestriction`, Maker claims a whole
     associated set; `validate_restriction` checks the hypotheses under
-    which this loses nothing.
+    which this loses nothing, m <= b among them.
   * Residual key.  Once the filter has run, the rest of play is decided by
-    the live needs, the free dead elements, the mover and the budget:
-    nothing else of the two players' sets can matter.  In the claiming and
-    directed-edge games the number of free dead elements does not matter
-    either.  A claim takes dead elements only as padding when every useful
-    element fits, and such a claim completes every live set (Maker) or
-    kills every one (Breaker), however many dead elements there are.
+    the live needs, the mover and the budget: nothing else of the two
+    players' sets can matter, and neither can the number of free dead
+    elements.  A claim takes dead elements only as padding when every
+    useful element fits, and such a claim completes every live set (Maker)
+    or kills every one (Breaker), however many dead elements there are.
     Otherwise it takes useful elements only, since owning more never hurts
-    the claimer.  So the key is the set of live needs (as a sorted tuple
-    of distinct masks, which holds it in about a quarter of a frozenset's
-    memory), the mover and the budget.  In the offer game the Waiter's
-    pass (two dead elements) and the mixed offer depend on how many dead
-    elements are free, so the key also holds their exact count.  With a
-    `MoveRestriction` the Maker's menu is the associated sets still free,
-    which the live needs do not determine, so the restricted search keys
-    on (Maker's set, Breaker's set, mover, budget).
+    the claimer, and the Waiter offers useful elements only.  So in all
+    three games the key is the set of live needs (as a sorted tuple of
+    distinct masks, which holds it in about a quarter of a frozenset's
+    memory), the mover and the budget.  With a `MoveRestriction` the
+    Maker's menu is the associated sets still free, which the live needs
+    do not determine, so the restricted search keys on (Maker's set,
+    Breaker's set, mover, budget).
 
 The memo-free mode (`SolverSettings(use_memo=False)`) exists for
 cross-checking.
@@ -156,7 +164,13 @@ class SolveResult:
         }
 
 
-def validate_restriction(h: Hypergraph, m: int, restriction: MoveRestriction) -> None:
+def validate_restriction(
+    h: Hypergraph, m: int, b: int, restriction: MoveRestriction
+) -> None:
+    if m > b:
+        # Lemma 3.9 plays at m <= b; at m > b one free claim can split two
+        # associated sets and make two threats at once
+        raise RestrictionError("maker bias must not exceed breaker bias")
     family = restriction.family
     seen = 0
     for v in family:
@@ -185,12 +199,13 @@ def validate_restriction(h: Hypergraph, m: int, restriction: MoveRestriction) ->
 class _Search:
     """The shared skeleton; see the module docstring.
 
-    A subclass supplies `_key`, the memo key of a node that passed the leaf
-    test, and `_maker_node`, which expands a node with Maker to move.  The
-    leaf test and the Breaker's node are shared and live here.
+    A subclass supplies `_maker_node`, which expands a node with Maker to
+    move.  The leaf test, the memo key and the Breaker's node are shared and
+    live here.
     """
 
     b: int  # Breaker's bias, set by the claim games
+    restriction: Optional[tuple[int, ...]] = None  # a reduced Maker menu
 
     def __init__(self, n: int, edges: Sequence[int], m: int, settings: SolverSettings):
         self.full = (1 << n) - 1
@@ -219,7 +234,10 @@ class _Search:
         free = self.full & ~(maker | breaker)
         use_memo = self._use_memo
         if use_memo:
-            key = self._key(maker, breaker, maker_to_move, budget, live, free, useful)
+            if self.restriction is None:
+                key = tuple(sorted(set(live))), maker_to_move, budget
+            else:
+                key = maker, breaker, maker_to_move, budget
             hit = self.memo.get(key)
             if hit is not None:
                 return hit
@@ -281,11 +299,6 @@ class _MBSearch(_Search):
         self.b = b
         self.restriction = restriction
 
-    def _key(self, maker, breaker, maker_to_move, budget, live, free, useful):
-        if self.restriction is not None:
-            return maker, breaker, maker_to_move, budget
-        return tuple(sorted(set(live))), maker_to_move, budget
-
     def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
         if any(need.bit_count() <= self.m for need in live):
             return True  # finish a winning set this move
@@ -317,30 +330,13 @@ class _WCSearch(_Search):
     def __init__(self, n: int, edges: Sequence[int], settings: SolverSettings):
         super().__init__(n, edges, 1, settings)
 
-    def _key(self, waiter, client, maker_to_move, budget, live, free, useful):
-        return tuple(sorted(set(live))), budget, (free & ~useful).bit_count()
-
     def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
-        if not useful & (useful - 1):
-            return False  # a lone useful element: the Client keeps it
         run = self.run
-        bits = self._order(useful, live)
-        for x, y in combinations(bits, 2):
+        for x, y in combinations(self._order(useful, live), 2):
             if run(waiter | x, client | y, True, budget - 1) and run(
                 waiter | y, client | x, True, budget - 1
             ):
                 return True
-        useless = free & ~useful
-        if useless.bit_count() >= 2:
-            u1 = useless & -useless
-            u2 = (useless ^ u1) & -(useless ^ u1)
-            return run(waiter | u1, client | u2, True, budget - 1)
-        if useless:
-            for x in bits:
-                if run(waiter | x, client | useless, True, budget - 1) and run(
-                    waiter | useless, client | x, True, budget - 1
-                ):
-                    return True
         return False
 
 
@@ -401,7 +397,7 @@ def decide_mb(
     settings = settings or SolverSettings()
     fam = None
     if restriction is not None:
-        validate_restriction(h, m, restriction)
+        validate_restriction(h, m, b, restriction)
         fam = restriction.family
     edges = _filter_edges(h, objective)
     budget = _mb_budget(h, m, objective)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Optional
 
-from .bitset import iter_bits, low_bits
+from .bitset import indices_of, low_bits
 from .boards import Hypergraph, RootedDigraph, SimpleGraph
 from .constructions import (
     GtbNode,
@@ -145,13 +145,13 @@ def verify_strategy(
             try:
                 nxt = apply_move(spec, state, mv)
             except IllegalMove:
-                return trace + ((f"illegal:{mover.value}", _indices(mv.elements)),)
-            return rec(nxt, mem2, trace + ((mover.value, _indices(mv.elements)),))
+                return trace + ((f"illegal:{mover.value}", indices_of(mv.elements)),)
+            return rec(nxt, mem2, trace + ((mover.value, indices_of(mv.elements)),))
         for mv in moves:
             bad = rec(
                 apply_move(spec, state, mv),
                 mem,
-                trace + ((mover.value, _indices(mv.elements)),),
+                trace + ((mover.value, indices_of(mv.elements)),),
             )
             if bad is not None:
                 return bad
@@ -159,10 +159,6 @@ def verify_strategy(
 
     bad = rec(initial_state(spec), strategy.initial_memory, ())
     return VerifyResult(bad is None, bad, nodes)
-
-
-def _indices(mask: int) -> list[int]:
-    return [b.bit_length() - 1 for b in iter_bits(mask)]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +665,7 @@ def make_client_cycle(n: int) -> Strategy:
 
     def next_move(spec: GameSpec, state: GameState, mem: _ClientCycleMem):
         offer = state.pending_offer
-        pair = [b.bit_length() - 1 for b in iter_bits(offer)]
+        pair = indices_of(offer)
         if mem.case is None:
             if len(pair) < 2:
                 return keep(offer & -offer, mem)

@@ -134,6 +134,17 @@ class TestMalformedInput:
         assert code == 2 and doc["kind"] == "usage"
         assert message in doc["message"]
 
+    def test_family_with_maker_bias_above_breaker_bias(self, capsys, tmp_path):
+        board = tmp_path / "h.json"
+        board.write_text(json.dumps(
+            {"type": "hypergraph", "n": 8, "edges": [[0, 1, 7], [2, 3, 5]]}))
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"type": "family", "sets": [[0, 1], [2, 3]]}))
+        code, doc = run_json(capsys, "solve", "mb", "--board", str(board), "-m", "2",
+                             "-b", "1", "--max-rounds", "2", "--family", str(fam))
+        assert code == 2 and doc["kind"] == "usage"
+        assert "maker bias" in doc["message"]
+
     @pytest.mark.parametrize("seeds", ["-1", "x"])
     def test_bad_seeds(self, capsys, tmp_path, seeds):
         board = tmp_path / "d.json"

@@ -114,7 +114,7 @@ class TestUniformBoards:
         h, fam = build_hmbst(m, b, s, t)
         assert all(e.bit_count() == s for e in h.edges)
         # the overlap law and the exclusivity of outside elements
-        validate_restriction(h, m, MoveRestriction(fam.sets))
+        validate_restriction(h, m, b, MoveRestriction(fam.sets))
         assert all(v.bit_count() == m for v in fam.sets)
 
     def test_parameter_contract(self):

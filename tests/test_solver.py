@@ -13,6 +13,8 @@ from posgames.solver import (
     MoveRestriction,
     Objective,
     SolverSettings,
+    _MBSearch,
+    _WCSearch,
     decide_mb,
     decide_wc,
     game_values,
@@ -230,7 +232,7 @@ class TestHypothesisAgainstNaive:
     @given(hypergraphs(4, max_dead=3), round_budgets, st.data())
     def test_offer_game_with_dead_elements(self, board, t, data):
         # the padding varies the count of free dead elements, which the
-        # offer game's key must hold
+        # Waiter never offers and the offer game's key does not hold
         h, core = board
         s = data.draw(st.one_of(st.none(), st.integers(1, core)))
         spec = GameSpec(GameKind.WAITER_CLIENT, h)
@@ -295,6 +297,18 @@ class TestSolverInvariants:
         }
         assert len(values) == 1
 
+    def test_memo_key_holds_the_budget(self):
+        # every edge fits both budgets, so the second call on the same search
+        # object meets the same live family at the root, one round shorter
+        h, _fam = build_hmbst(1, 1, 3, 4)
+        claiming = _MBSearch(h.n, h.edges, 1, 1, SolverSettings())
+        assert claiming.run(0, 0, True, 4)
+        assert not claiming.run(0, 0, True, 3)
+        h = build_ht_wc(3)
+        offer = _WCSearch(h.n, h.edges, SolverSettings())
+        assert offer.run(0, 0, True, 3)
+        assert not offer.run(0, 0, True, 2)
+
     def test_memo_cap_guard_is_loud(self):
         tiny = SolverSettings(memo_cap=2)
         h, _fam = build_hmbst(1, 1, 3, 3)
@@ -341,21 +355,34 @@ class TestMoveRestriction:
     def test_rejects_oversized_sets(self):
         h = hypergraph_new(4, [[0, 1, 2]])
         with pytest.raises(RestrictionError):
-            validate_restriction(h, 1, MoveRestriction((0b11,)))
+            validate_restriction(h, 1, 1, MoveRestriction((0b11,)))
 
     def test_rejects_overlapping_sets(self):
         h = hypergraph_new(4, [[0, 1, 2]])
         with pytest.raises(RestrictionError):
-            validate_restriction(h, 1, MoveRestriction((0b01, 0b01)))
+            validate_restriction(h, 1, 1, MoveRestriction((0b01, 0b01)))
 
     def test_rejects_straddling_edges(self):
         h = hypergraph_new(4, [[1, 2, 3]])
         # {0,1} meets the edge without being contained in it
         with pytest.raises(RestrictionError):
-            validate_restriction(h, 2, MoveRestriction((0b0011,)))
+            validate_restriction(h, 2, 2, MoveRestriction((0b0011,)))
+
+    def test_rejects_maker_bias_above_breaker_bias(self):
+        # Maker's free first claim {0, 2} makes two threats and wins within
+        # two rounds; claiming whole associated sets only, she would lose
+        h = hypergraph_new(8, [[0, 1, 7], [2, 3, 5]])
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=2, breaker_bias=1)
+        assert decide_mb(h, 2, 1, Player.MAKER, Objective(2))
+        assert naive_decide(spec, 2, None)
+        restriction = MoveRestriction((0b0011, 0b1100))
+        with pytest.raises(RestrictionError, match="maker bias"):
+            validate_restriction(h, 2, 1, restriction)
+        with pytest.raises(RestrictionError, match="maker bias"):
+            decide_mb(h, 2, 1, Player.MAKER, Objective(2), restriction)
 
     def test_rejects_shared_outside_elements(self):
         h = hypergraph_new(4, [[0, 1], [1, 2]])
         # element 1 is outside the family and lies in two edges
         with pytest.raises(RestrictionError):
-            validate_restriction(h, 1, MoveRestriction((0b1000,)))
+            validate_restriction(h, 1, 1, MoveRestriction((0b1000,)))
