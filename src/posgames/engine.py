@@ -138,7 +138,11 @@ def arc_element_bit(board: RootedDigraph, arc_index: int) -> int:
     return 1 << (board.nv + arc_index)
 
 
-def _breaker_bias_now(spec: GameSpec, state: GameState) -> int:
+def mover_bias(spec: GameSpec, state: GameState) -> int:
+    """The bias of the player to move: the Maker's, the Breaker's, or 1 for
+    the Breaker's one-element pre-move.  A claim takes min(bias, #free)."""
+    if state.to_move is Player.MAKER:
+        return spec.maker_bias
     if spec.breaker_premove and state.breaker == 0:
         return 1
     return spec.breaker_bias
@@ -192,8 +196,7 @@ def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
         return [Move(MoveKind.OFFER, a | b) for a, b in combinations(bits, 2)]
     if spec.kind is GameKind.AUX_EDGE and state.to_move is Player.MAKER:
         return [Move(MoveKind.CLAIM, m) for m in _aux_maker_elements(spec, state)]
-    bias = spec.maker_bias if state.to_move is Player.MAKER else _breaker_bias_now(spec, state)
-    size = min(bias, free.bit_count())
+    size = min(mover_bias(spec, state), free.bit_count())
     if size == 0:
         return []
     return [Move(MoveKind.CLAIM, m) for m in _claim_combinations(free, size)]
@@ -243,8 +246,7 @@ def apply_move(spec: GameSpec, state: GameState, move: Move) -> GameState:
             if not (state.maker & (1 << u) and state.maker & (1 << v)):
                 raise IllegalMove("arc may only be claimed once both endpoints are owned")
     else:
-        bias = spec.maker_bias if state.to_move is Player.MAKER else _breaker_bias_now(spec, state)
-        if claim.bit_count() != min(bias, free.bit_count()):
+        if claim.bit_count() != min(mover_bias(spec, state), free.bit_count()):
             raise IllegalMove("claim must use exactly min(bias, #free) elements")
     if state.to_move is Player.MAKER:
         return GameState(

@@ -55,7 +55,21 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
         faces a superset of the live sets.
   * Reduced menu.  With a `MoveRestriction`, Maker claims a whole
     associated set; `validate_restriction` checks the hypotheses under
-    which this loses nothing, m <= b among them.
+    which this loses nothing, m <= b among them.  Her menu is the
+    associated sets that meet a useful element, and this is exact:
+      - on a board `validate_restriction` accepts, the restricted Maker
+        owns only whole associated sets (a finishing claim ends play), and
+        each set lies inside or outside each winning set.  So a set v
+        meets a live need exactly when v is free and v is inside that
+        need: the sets that meet a useful element are exactly the live
+        associated sets, and the live needs determine them;
+      - every other free set is dead, so claiming it changes no need: it
+        is a pass.  While a live set is on the menu a pass is dominated,
+        because owning more never hurts Maker.  With no live set left no
+        need can shrink again, so the node is lost with or without passes.
+    The needs that meet a live set v are exactly those that contain v, so
+    every element of v has the same `_order` score; the menu lists each
+    set once, at its lowest element, in `_order`'s order.
   * Residual key.  Once the filter has run, the rest of play is decided by
     the live needs, the mover and the budget: nothing else of the two
     players' sets can matter, and neither can the number of free dead
@@ -63,13 +77,11 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     useful element fits, and such a claim completes every live set (Maker)
     or kills every one (Breaker), however many dead elements there are.
     Otherwise it takes useful elements only, since owning more never hurts
-    the claimer, and the Waiter offers useful elements only.  So in all
-    three games the key is the set of live needs (as a sorted tuple of
-    distinct masks, which holds it in about a quarter of a frozenset's
-    memory), the mover and the budget.  With a `MoveRestriction` the
-    Maker's menu is the associated sets still free, which the live needs
-    do not determine, so the restricted search keys on (Maker's set,
-    Breaker's set, mover, budget).
+    the claimer, the Waiter offers useful elements only, and the reduced
+    menu is a function of the live needs (above).  So in every search the
+    key is the set of live needs (as a sorted tuple of distinct masks,
+    which holds it in about a quarter of a frozenset's memory), the mover
+    and the budget.
 
 The memo-free mode (`SolverSettings(use_memo=False)`) exists for
 cross-checking.
@@ -205,7 +217,6 @@ class _Search:
     """
 
     b: int  # Breaker's bias, set by the claim games
-    restriction: Optional[tuple[int, ...]] = None  # a reduced Maker menu
 
     def __init__(self, n: int, edges: Sequence[int], m: int, settings: SolverSettings):
         self.full = (1 << n) - 1
@@ -234,10 +245,7 @@ class _Search:
         free = self.full & ~(maker | breaker)
         use_memo = self._use_memo
         if use_memo:
-            if self.restriction is None:
-                key = tuple(sorted(set(live))), maker_to_move, budget
-            else:
-                key = maker, breaker, maker_to_move, budget
+            key = tuple(sorted(set(live))), maker_to_move, budget
             hit = self.memo.get(key)
             if hit is not None:
                 return hit
@@ -286,42 +294,36 @@ class _Search:
 class _MBSearch(_Search):
     """(m:b) claiming game on a fixed, size-filtered edge family."""
 
-    def __init__(
-        self,
-        n: int,
-        edges: Sequence[int],
-        m: int,
-        b: int,
-        settings: SolverSettings,
-        restriction: Optional[tuple[int, ...]] = None,
-    ):
+    def __init__(self, n: int, edges: Sequence[int], m: int, b: int, settings: SolverSettings):
         super().__init__(n, edges, m, settings)
         self.b = b
-        self.restriction = restriction
 
     def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
         if any(need.bit_count() <= self.m for need in live):
             return True  # finish a winning set this move
-        for mv in self._menu(maker, breaker, live, free, useful):
+        for mv in self._menu(live, free, useful):
             if self.run(maker | mv, breaker, False, budget - 1):
                 return True
         return False
 
-    def _menu(self, maker, breaker, live, free, useful):
-        if self.restriction is None:
-            return self._claims(self.m, live, free, useful)
-        occupied = maker | breaker
-        menu = [v for v in self.restriction if not v & occupied]
-        menu.sort(key=lambda v: -self._score(v, live))
-        return menu
+    def _menu(self, live, free, useful):
+        return self._claims(self.m, live, free, useful)
 
-    @staticmethod
-    def _score(mask, live) -> int:
-        s = 0
-        for need in live:
-            if need & mask:
-                s += _W >> (3 * need.bit_count())
-        return s
+
+class _RestrictedSearch(_MBSearch):
+    """(m:b) claiming game with the Maker's menu cut to whole associated
+    sets that meet a useful element (the Reduced menu bullet)."""
+
+    def __init__(
+        self, n: int, edges: Sequence[int], m: int, b: int, settings: SolverSettings,
+        family: Sequence[int],
+    ):
+        super().__init__(n, edges, m, b, settings)
+        self.lead = {v & -v: v for v in family}  # each set under its lowest element
+
+    def _menu(self, live, free, useful):
+        lead = self.lead
+        return [lead[bit] for bit in self._order(useful, live) if bit in lead]
 
 
 class _WCSearch(_Search):
@@ -352,7 +354,7 @@ class _AuxSearch(_MBSearch):
         super().__init__(board.n_elements, arc_sets, 1, b, settings)
         self.vertices = (1 << board.nv) - 1
 
-    def _menu(self, maker, breaker, live, free, useful):
+    def _menu(self, live, free, useful):
         # an arc is claimable only once both endpoints are owned, and then
         # its need is the arc alone, which finishes it this move
         return self._order(useful & self.vertices, live)
@@ -395,14 +397,13 @@ def decide_mb(
     if m < 1 or b < 1:
         raise PosgamesError("biases must be at least 1")
     settings = settings or SolverSettings()
-    fam = None
-    if restriction is not None:
-        validate_restriction(h, m, b, restriction)
-        fam = restriction.family
     edges = _filter_edges(h, objective)
-    budget = _mb_budget(h, m, objective)
-    search = _MBSearch(h.n, edges, m, b, settings, fam)
-    return search.run(0, 0, first is Player.MAKER, budget)
+    if restriction is None:
+        search = _MBSearch(h.n, edges, m, b, settings)
+    else:
+        validate_restriction(h, m, b, restriction)
+        search = _RestrictedSearch(h.n, edges, m, b, settings, restriction.family)
+    return search.run(0, 0, first is Player.MAKER, _mb_budget(h, m, objective))
 
 
 def decide_wc(

@@ -47,6 +47,7 @@ from .engine import (
     free_mask,
     initial_state,
     legal_moves,
+    mover_bias,
     status,
 )
 from .errors import GuardExceeded, IllegalMove, PosgamesError
@@ -175,11 +176,7 @@ def _pad(mask: int, size: int, free: int) -> int:
 def _claim_exact(spec: GameSpec, state: GameState, want: int) -> Move:
     """Claim `want` (intersected with free), padded or trimmed to exact bias."""
     free = free_mask(spec, state)
-    if state.to_move is Player.MAKER:
-        bias = spec.maker_bias
-    else:
-        bias = 1 if (spec.breaker_premove and state.breaker == 0) else spec.breaker_bias
-    size = min(bias, free.bit_count())
+    size = min(mover_bias(spec, state), free.bit_count())
     claim = want & free
     if claim.bit_count() > size:
         claim = low_bits(claim, size)
@@ -255,19 +252,26 @@ def _free_out(out_arcs, free: int, v: int) -> int:
     return out_arcs[v] & free
 
 
-def _block_target(reach, out_arcs, free: int, owned: list[int], new_v: Optional[int]) -> Optional[int]:
-    """The vertex whose outgoing arcs to claim, by the two-case order:
-    the older vertex when it precedes the new one, the new one otherwise."""
+def _block_target(
+    reach, dist, out_arcs, free: int, owned: list[int], new_v: Optional[int],
+    threshold: Optional[int] = None,
+) -> Optional[int]:
+    """The vertex whose outgoing arcs to claim: the older live vertex when
+    the new one lies below it at distance under `threshold` (None: any
+    distance), the new one otherwise."""
     candidates = [v for v in owned if _free_out(out_arcs, free, v)]
     if new_v is None or new_v not in candidates:
         return candidates[0] if candidates else None
     others = [v for v in candidates if v != new_v]
     if not others:
         return new_v
-    w_old = others[0]
-    if reach[w_old] & (1 << new_v):
-        return w_old
-    return new_v
+    x = others[0]
+    if not reach[x] & (1 << new_v):
+        return new_v
+    # reach[x] holds new_v, so the distance is defined
+    if threshold is not None and dist[x][new_v] >= threshold:
+        return new_v
+    return x
 
 
 @dataclass(frozen=True)
@@ -278,11 +282,11 @@ class _PrevMem:
 def make_breaker_gtb_block(b: int) -> Strategy:
     def next_move(spec: GameSpec, state: GameState, mem: _PrevMem):
         board: RootedDigraph = spec.board  # type: ignore[assignment]
-        reach, out_arcs, _ = _digraph_tables(board)
+        reach, out_arcs, dist = _digraph_tables(board)
         free = free_mask(spec, state)
         new_v = _new_vertex(board.nv, state.maker & ~mem.prev_maker)
         owned = _maker_vertices(board, state.maker)
-        target = _block_target(reach, out_arcs, free, owned, new_v)
+        target = _block_target(reach, dist, out_arcs, free, owned, new_v)
         want = _free_out(out_arcs, free, target) if target is not None else 0
         return _claim_exact(spec, state, want), _PrevMem(state.maker)
 
@@ -295,28 +299,6 @@ class _SlowMem:
     move_no: int
 
 
-def _slow_target(
-    reach, dist, out_arcs, free: int, owned: list[int], new_v: Optional[int],
-    horizon: int, move_no: int,
-) -> Optional[int]:
-    """Distance-gated blocking: block the new vertex unless it sits close
-    below the old live vertex, in which case block the old one."""
-    candidates = [v for v in owned if _free_out(out_arcs, free, v)]
-    if new_v is None or new_v not in candidates:
-        return candidates[0] if candidates else None
-    others = [v for v in candidates if v != new_v]
-    if not others:
-        return new_v
-    x = others[0]
-    if not reach[x] & (1 << new_v):
-        return new_v
-    ell = dist[x][new_v]
-    threshold = 2 ** max(horizon - move_no - 1, 0)
-    if ell is not None and ell >= threshold:
-        return new_v
-    return x
-
-
 def make_breaker_gtb_slow(t: int, b: int) -> Strategy:
     def next_move(spec: GameSpec, state: GameState, mem: _SlowMem):
         board: RootedDigraph = spec.board  # type: ignore[assignment]
@@ -324,7 +306,8 @@ def make_breaker_gtb_slow(t: int, b: int) -> Strategy:
         free = free_mask(spec, state)
         new_v = _new_vertex(board.nv, state.maker & ~mem.prev_maker)
         owned = _maker_vertices(board, state.maker)
-        target = _slow_target(reach, dist, out_arcs, free, owned, new_v, t, mem.move_no)
+        threshold = 2 ** max(t - mem.move_no - 1, 0)
+        target = _block_target(reach, dist, out_arcs, free, owned, new_v, threshold)
         want = _free_out(out_arcs, free, target) if target is not None else 0
         return _claim_exact(spec, state, want), _SlowMem(state.maker, mem.move_no + 1)
 
@@ -400,12 +383,13 @@ def _copy_map(info: HtbInfo, nv: int) -> tuple[dict[int, int], list[GtbNode], li
     return vmap, copies, sinks
 
 
-def _copy_owned_vertices(copy: GtbNode, sink: int, maker: int, pretend_hubs: bool, start_owned: bool) -> list[int]:
+def _copy_owned_vertices(copy: GtbNode, sink: int, maker: int, start_owned: bool) -> list[int]:
+    """The Maker's vertices inside the copy, plus its start when
+    `start_owned`; the sink hub always counts as hers."""
     owned = [v for v in copy.inner_vertices if maker & (1 << v)]
     if start_owned:
         owned.append(copy.start)
-    if pretend_hubs or maker & (1 << sink):
-        owned.append(sink)
+    owned.append(sink)
     return sorted(owned)
 
 
@@ -416,7 +400,7 @@ def make_breaker_htb_premove(t: int, b: int) -> Strategy:
 
     def next_move(spec: GameSpec, state: GameState, mem: _PrevMem):
         board: RootedDigraph = spec.board  # type: ignore[assignment]
-        reach, out_arcs, _ = _digraph_tables(board)
+        reach, out_arcs, dist = _digraph_tables(board)
         free = free_mask(spec, state)
         if state.breaker == 0:
             want = 1 if free & 1 else 0  # hub 0 as the single opening element
@@ -426,9 +410,9 @@ def make_breaker_htb_premove(t: int, b: int) -> Strategy:
         if new_v is not None and new_v in vmap:
             cid = vmap[new_v]
             copy = copies[cid]
-            owned = _copy_owned_vertices(copy, sinks[cid], state.maker, True, False)
+            owned = _copy_owned_vertices(copy, sinks[cid], state.maker, False)
             cmask = copy.element_mask(nv)
-            target = _block_target(reach, out_arcs, free & cmask, owned, new_v)
+            target = _block_target(reach, dist, out_arcs, free & cmask, owned, new_v)
             if target is not None:
                 want = _free_out(out_arcs, free & cmask, target)
         return _claim_exact(spec, state, want), _PrevMem(state.maker)
@@ -477,18 +461,15 @@ def make_breaker_htb_slow(t: int, b: int) -> Strategy:
         cid = vmap[new_v]
         copy = copies[cid]
         cmask = copy.element_mask(nv)
-        owned = _copy_owned_vertices(copy, sinks[cid], state.maker, True, start_owned)
+        owned = _copy_owned_vertices(copy, sinks[cid], state.maker, start_owned)
         cfree = free & cmask
-        if mode_block:
-            target = _block_target(reach, out_arcs, cfree, owned, new_v)
-            mem2 = mem
-        else:
-            mem2 = mem.bump(cid)
-            target = _slow_target(
-                reach, dist, out_arcs, cfree, owned, new_v, t - 2, mem2.count_for(cid)
-            )
+        threshold = None
+        if not mode_block:
+            mem = mem.bump(cid)
+            threshold = 2 ** max(t - 2 - mem.count_for(cid) - 1, 0)  # horizon t - 2
+        target = _block_target(reach, dist, out_arcs, cfree, owned, new_v, threshold)
         want = _free_out(out_arcs, cfree, target) if target is not None else 0
-        return want, mem2
+        return want, mem
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbSlowMem):
         free = free_mask(spec, state)
@@ -514,9 +495,9 @@ def make_breaker_htb_slow(t: int, b: int) -> Strategy:
                 want, mem = respond_in_copy(spec, state, mem, new_v, free, True, False)
             else:
                 board: RootedDigraph = spec.board  # type: ignore[assignment]
-                reach, out_arcs, _ = _digraph_tables(board)
+                reach, out_arcs, dist = _digraph_tables(board)
                 owned = _maker_vertices(board, state.maker)
-                target = _block_target(reach, out_arcs, free, owned, new_v)
+                target = _block_target(reach, dist, out_arcs, free, owned, new_v)
                 if target is not None:
                     want = _free_out(out_arcs, free, target)
         elif mode == "slowall":

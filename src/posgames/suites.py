@@ -110,7 +110,7 @@ def suite_lemma39(settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Uniform-board values, identical with and without the reduced menu."""
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
-    for m, b, s, t in [(1, 1, 3, 3), (1, 2, 3, 3)]:
+    for m, b, s, t in [(1, 1, 3, 3), (1, 2, 3, 3), (1, 2, 3, 4), (2, 2, 5, 3)]:
         h, fam = build_hmbst_indexed(m, b, s, t)[:2]
         restriction = MoveRestriction(fam.sets)
         for restr in (None, restriction):

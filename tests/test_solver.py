@@ -209,9 +209,35 @@ def hypergraphs(draw, max_core, max_dead=0):
 round_budgets = st.one_of(st.none(), st.integers(0, 4))
 
 
+@st.composite
+def restricted_boards(draw):
+    """A board `validate_restriction` accepts, labels shuffled: disjoint
+    associated sets of size m <= b, edges that are one or two of them plus
+    at most one private element each, and padding elements in no edge.  An
+    associated set may lie in no edge."""
+    m = draw(st.integers(1, 2))
+    b = draw(st.integers(m, 2))
+    k = draw(st.integers(1, 3 if m == 1 else 2))
+    pick = st.sets(st.integers(0, k - 1), min_size=1, max_size=2)
+    unions = draw(st.lists(pick, min_size=1, max_size=4))
+    # an edge of one associated set needs a private element to exceed m
+    private = [draw(st.booleans()) or len(u) == 1 for u in unions]
+    n = k * m + sum(private) + draw(st.integers(0, 1))
+    label = draw(st.permutations(range(n)))
+    family = [sum(1 << label[i * m + j] for j in range(m)) for i in range(k)]
+    edges, nxt = [], k * m
+    for u, own in zip(unions, private):
+        e = sum(family[i] for i in u)
+        if own:
+            e |= 1 << label[nxt]
+            nxt += 1
+        edges.append(e)
+    return hypergraph_from_masks(n, edges), MoveRestriction(tuple(family)), m, b
+
+
 class TestHypothesisAgainstNaive:
-    """The budget filter and the residual key, checked against plain
-    engine-driven recursion on small boards."""
+    """The budget filter, the residual key and the reduced menu, checked
+    against plain engine-driven recursion on small boards."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -255,6 +281,23 @@ class TestHypothesisAgainstNaive:
         )
         assert got == naive_decide(spec, t, None)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        restricted_boards(),
+        st.sampled_from((Player.MAKER, Player.BREAKER)),
+        round_budgets,
+        st.data(),
+    )
+    def test_reduced_menu(self, board, first, t, data):
+        h, restriction, m, b = board
+        # every edge exceeds m, so a smaller size budget leaves no edge
+        s = data.draw(st.one_of(st.none(), st.integers(m + 1, h.n)))
+        validate_restriction(h, m, b, restriction)
+        free = decide_mb(h, m, b, first, Objective(t, s))
+        assert decide_mb(h, m, b, first, Objective(t, s), restriction) == free
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
+        assert free == naive_decide(spec, t, s)
+
 
 class TestSolverInvariants:
     def test_memo_transparency_offer_game(self, rng):
@@ -285,8 +328,7 @@ class TestSolverInvariants:
     @pytest.mark.parametrize("t", [2, 3, 4])
     @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
     def test_memo_transparency_claiming_game(self, shape, t, first):
-        # the free search keys on the residual family, the restricted one on
-        # the two players' sets; all four must agree
+        # both menus key on the residual family; all four must agree
         h, fam = build_hmbst(*shape)
         restriction = MoveRestriction(fam.sets)
         plain = SolverSettings(use_memo=False)
@@ -351,6 +393,14 @@ class TestMoveRestriction:
                 free = decide_mb(h, 1, 1, first, Objective(t, 3))
                 reduced = decide_mb(h, 1, 1, first, Objective(t, 3), restriction)
                 assert free == reduced
+
+    def test_paper_board_within_a_small_memo(self):
+        # the reduced menu shares the free search's residual key, so the
+        # paper's H(1,2,3,4) board fits 50,000 entries (6,449 are used)
+        h, fam = build_hmbst(1, 2, 3, 4)
+        small = SolverSettings(memo_cap=50_000)
+        assert decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), MoveRestriction(fam.sets),
+                         settings=small)
 
     def test_rejects_oversized_sets(self):
         h = hypergraph_new(4, [[0, 1, 2]])
