@@ -339,6 +339,7 @@ def _cmd_verify(args, run: _Run) -> int:
         "guarantee": guarantee.describe(),
         "ok": result.ok,
         "nodes": result.nodes,
+        "expanded": result.expanded,
         "counterexample": (
             [list(step) for step in result.counterexample] if result.counterexample else None
         ),
@@ -485,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-exhaustive", type=int)
     verify.add_argument("--max-n", type=int)
     verify.add_argument("--max-bias", type=int)
-    verify.add_argument("--max-nodes", type=int, default=2_000_000)
+    verify.add_argument("--max-nodes", type=int, default=2_000_000,
+                        help="most positions the strategy verifier may expand; "
+                             "subtrees it finds in its table do not count")
     verify.add_argument("--t", type=int)
     verify.add_argument("--b", type=int)
     verify.add_argument("--n", type=int)

@@ -5,6 +5,28 @@ memory') function with a declared guarantee.  Memory objects are immutable;
 the verifier fans out over every opponent reply while keeping the strategy
 fixed, so a shared memory value is safe across branches.
 
+`verify_strategy` walks the reply tree depth first with a transposition
+table, and its answers are those of the plain walk:
+
+* Determinism.  The game and the guarantee are fixed for the whole walk, the
+  verdict at a node reads only the state, and the script's move is a
+  function of (state, memory).  So the subtree below a node, and whether it
+  passes, depend on (state, memory) alone.
+* One key per opponent node.  Entries are stored only where the opponent is
+  to move, under (Maker's set, Breaker's set, pending offer, Maker's moves
+  used, memory).  `to_move` is the opponent at every such node, so the key
+  leaves it out; the table holds no `GameState`.
+* Only passing subtrees are stored.  A hit is a pass, which is what walking
+  the subtree again would return, so a hit never hides a violation and the
+  walk meets the first violation where the plain walk does, with the same
+  trace.
+* Sizes add up.  One running counter counts nodes: an expanded node adds 1,
+  a hit adds the size stored with the entry, which was counted the same way.
+  So `nodes` is the reply-tree size the plain walk counts up to its verdict.
+  `expanded` counts the positions actually expanded; `max_nodes` bounds it,
+  and with it the table, which holds at most one entry per expanded
+  position.
+
 `CATALOG` maps each script name to the one function that builds the game it
 is verified on, the script and the guarantee; `instance` fills the parameters
 not given from the entry's smallest instance.
@@ -87,6 +109,13 @@ def opponent_not_within(t: int) -> Guarantee:
 
 @dataclass(frozen=True)
 class Strategy:
+    """A scripted player: `next_move(spec, state, memory)` returns the move
+    and the memory for the script's next turn.
+
+    `next_move` must be a deterministic function of its arguments, and every
+    memory value immutable and hashable: the verifier shares one memory
+    across sibling branches and keys its table on it."""
+
     name: str
     player: Player
     next_move: Callable[[GameSpec, GameState, Any], tuple[Move, Any]]
@@ -95,9 +124,14 @@ class Strategy:
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """`nodes` is the size of the reply tree walked up to the verdict (all of
+    it on a pass); `expanded` counts the positions actually expanded, the
+    rest lying in subtrees found in the table."""
+
     ok: bool
     counterexample: Optional[tuple]
     nodes: int
+    expanded: int
 
 
 def verify_strategy(
@@ -109,57 +143,85 @@ def verify_strategy(
     """Check the guarantee against every opponent reply sequence.
 
     Returns ok=True, or the first violating trace as a tuple of
-    (player-name, element-index-list) pairs.
+    (player-name, element-index-list) pairs.  `max_nodes` bounds the
+    expanded positions; one more raises `GuardExceeded`.
     """
     nodes = 0
+    expanded = 0
+    passed: dict[tuple, int] = {}
+    kind = guarantee.kind
+    player = strategy.player
 
-    def rec(state: GameState, mem, trace: tuple):
-        nonlocal nodes
+    def rec(state: GameState, mem) -> Optional[tuple]:
+        """The violating trace from `state` on, or None if the subtree passes."""
+        nonlocal nodes, expanded
+        key = None
+        if state.to_move is not player:
+            key = (state.maker, state.breaker, state.pending_offer,
+                   state.maker_moves_used, mem)
+            size = passed.get(key)
+            if size is not None:
+                nodes += size
+                return None
+        start = nodes
         nodes += 1
-        if nodes > max_nodes:
-            raise GuardExceeded(f"verifier exceeded {max_nodes} nodes")
+        expanded += 1
+        if expanded > max_nodes:
+            raise GuardExceeded(
+                f"verifier exceeded {max_nodes} expanded positions "
+                f"({nodes} reply-tree nodes)"
+            )
+        bad = walk(state, mem)
+        if bad is None and key is not None:
+            passed[key] = nodes - start
+        return bad
+
+    def walk(state: GameState, mem) -> Optional[tuple]:
         st = status(spec, state)
         won = st.outcome is Outcome.MAKER_WIN
         rounds = state.maker_moves_used
-        kind = guarantee.kind
         if kind is GuaranteeKind.WIN_WITHIN:
             if won and rounds <= guarantee.rounds:
                 return None
             if won or rounds >= guarantee.rounds:
-                return trace
+                return ()
         elif kind is GuaranteeKind.NEVER_LOSES:
             if won:
-                return trace
+                return ()
             if st.outcome is Outcome.MAKER_CANNOT_WIN:
                 return None
         else:
             if won:
-                return trace if rounds <= guarantee.rounds else None
+                return () if rounds <= guarantee.rounds else None
             if st.outcome is Outcome.MAKER_CANNOT_WIN or rounds > guarantee.rounds:
                 return None
         moves = legal_moves(spec, state)
         if not moves:
-            return trace if kind is GuaranteeKind.WIN_WITHIN else None
+            return () if kind is GuaranteeKind.WIN_WITHIN else None
         mover = state.to_move
-        if mover is strategy.player:
+        if mover is player:
             mv, mem2 = strategy.next_move(spec, state, mem)
             try:
                 nxt = apply_move(spec, state, mv)
             except IllegalMove:
-                return trace + ((f"illegal:{mover.value}", indices_of(mv.elements)),)
-            return rec(nxt, mem2, trace + ((mover.value, indices_of(mv.elements)),))
-        for mv in moves:
-            bad = rec(
-                apply_move(spec, state, mv),
-                mem,
-                trace + ((mover.value, indices_of(mv.elements)),),
-            )
-            if bad is not None:
-                return bad
-        return None
+                return ((f"illegal:{mover.value}", indices_of(mv.elements)),)
+            bad = rec(nxt, mem2)
+        else:
+            for mv in moves:
+                bad = rec(apply_move(spec, state, mv), mem)
+                if bad is not None:
+                    break
+        if bad is None:
+            return None
+        return ((mover.value, indices_of(mv.elements)),) + bad
 
-    bad = rec(initial_state(spec), strategy.initial_memory, ())
-    return VerifyResult(bad is None, bad, nodes)
+    try:
+        bad = rec(initial_state(spec), strategy.initial_memory)
+    finally:
+        # rec and walk refer to each other, so without this the table would
+        # live on until the cycle collector next runs
+        passed.clear()
+    return VerifyResult(bad is None, bad, nodes, expanded)
 
 
 # ---------------------------------------------------------------------------

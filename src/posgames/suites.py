@@ -326,7 +326,8 @@ def suite_thm19c1(settings: Optional[SolverSettings] = None) -> SuiteReport:
     rows.append({"side": "offer", "win2": w2, "win3": w3})
     _check(checks, failures, "offer rounds = 3", w3 and not w2, rows[-1])
     res = verify_strategy(*instance("breaker-pairing", t=3))
-    rows.append({"side": "pairing", "ok": res.ok, "nodes": res.nodes})
+    rows.append({"side": "pairing", "ok": res.ok, "nodes": res.nodes,
+                 "expanded": res.expanded})
     _check(checks, failures, "pairing script never loses on the paired part", res.ok,
            {"counterexample": res.counterexample})
     return _report("thm1.9c1", t0, checks, rows, failures)
@@ -353,16 +354,28 @@ def _solver_min_rounds(spec: GameSpec, settings) -> Optional[int]:
     return game_values(board, spec.maker_bias, spec.breaker_bias, spec.first, settings).min_rounds
 
 
+# Script instances checked beyond the smallest ones: the reply trees have
+# 276,571, 434,521 and 1,477,517 nodes.
+_LARGER_SCRIPT_INSTANCES = [
+    ("client-cycle", {"n": 10}),
+    ("breaker-gtb-slow", {"t": 5, "b": 1}),
+    ("breaker-pairing", {"t": 6}),
+]
+
+
 def suite_strategies(settings: Optional[SolverSettings] = None) -> SuiteReport:
-    """Every catalog script passes its guarantee on its smallest instance and
-    never certifies a round count the solver beats."""
+    """Every catalog script passes its guarantee on its smallest instance, and
+    three on larger ones, and never certifies a round count the solver
+    beats."""
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
-    for name in CATALOG:
-        spec, strat, guarantee = instance(name)
+    for name, params in [(name, {}) for name in CATALOG] + _LARGER_SCRIPT_INSTANCES:
+        spec, strat, guarantee = instance(name, **params)
         res = verify_strategy(spec, strat, guarantee, max_nodes=5_000_000)
+        if params:
+            name += " " + ",".join(f"{k}={v}" for k, v in params.items())
         row = {"strategy": name, "guarantee": guarantee.describe(), "ok": res.ok,
-               "nodes": res.nodes}
+               "nodes": res.nodes, "expanded": res.expanded}
         _check(checks, failures, f"{name} guarantee", res.ok,
                {"counterexample": res.counterexample})
         optimum = _solver_min_rounds(spec, settings)

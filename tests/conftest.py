@@ -1,4 +1,5 @@
-"""Shared test helpers: a pruning-free reference solver and random boards."""
+"""Shared test helpers: a pruning-free reference solver, a table-free
+strategy checker and random boards."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import random
 
 import pytest
 
+from posgames.bitset import iter_bits
 from posgames.boards import Hypergraph, hypergraph_from_masks
 from posgames.engine import (
     GameKind,
@@ -17,6 +19,8 @@ from posgames.engine import (
     legal_moves,
     status,
 )
+from posgames.errors import IllegalMove
+from posgames.strategies import GuaranteeKind
 
 
 def naive_decide(spec: GameSpec, max_rounds=None, max_size=None) -> bool:
@@ -56,6 +60,61 @@ def naive_decide(spec: GameSpec, max_rounds=None, max_size=None) -> bool:
         return all(children)
 
     return rec(initial_state(spec))
+
+
+def naive_verify(spec: GameSpec, strategy, guarantee):
+    """(ok, nodes, counterexample) of a strategy check by plain recursion
+    over the whole reply tree, with no table.
+
+    The reference for `strategies.verify_strategy`: it walks the same tree
+    in the same order, counts every node it visits and records the first
+    violating trace as (player-name, element-index-list) pairs.
+    """
+    nodes = 0
+    rounds_cap = guarantee.rounds
+
+    def rec(state, mem, trace):
+        nonlocal nodes
+        nodes += 1
+        outcome = status(spec, state).outcome
+        won = outcome is Outcome.MAKER_WIN
+        rounds = state.maker_moves_used
+        if guarantee.kind is GuaranteeKind.WIN_WITHIN:
+            if won:
+                return None if rounds <= rounds_cap else trace
+            if rounds >= rounds_cap:
+                return trace
+        elif guarantee.kind is GuaranteeKind.NEVER_LOSES:
+            if won:
+                return trace
+            if outcome is Outcome.MAKER_CANNOT_WIN:
+                return None
+        else:
+            if won:
+                return trace if rounds <= rounds_cap else None
+            if outcome is Outcome.MAKER_CANNOT_WIN or rounds > rounds_cap:
+                return None
+        moves = legal_moves(spec, state)
+        if not moves:
+            return trace if guarantee.kind is GuaranteeKind.WIN_WITHIN else None
+        mover = state.to_move
+        if mover is strategy.player:
+            mv, mem = strategy.next_move(spec, state, mem)
+            step = [b.bit_length() - 1 for b in iter_bits(mv.elements)]
+            try:
+                nxt = apply_move(spec, state, mv)
+            except IllegalMove:
+                return trace + ((f"illegal:{mover.value}", step),)
+            return rec(nxt, mem, trace + ((mover.value, step),))
+        for mv in moves:
+            step = [b.bit_length() - 1 for b in iter_bits(mv.elements)]
+            bad = rec(apply_move(spec, state, mv), mem, trace + ((mover.value, step),))
+            if bad is not None:
+                return bad
+        return None
+
+    bad = rec(initial_state(spec), strategy.initial_memory, ())
+    return bad is None, nodes, bad
 
 
 def random_hypergraph_masks(n: int, max_edges: int, rng: random.Random) -> Hypergraph:

@@ -282,6 +282,15 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", name)
         assert code == 0 and doc["ok"] is True and doc["strategy"] == name
 
+    def test_strategy_guard_exit_code(self, capsys):
+        code, doc = run_json(capsys, "verify", "maker-gtb", "--t", "3", "--b", "2",
+                             "--max-nodes", "10")
+        assert code == 3 and doc["kind"] == "guard"
+
+    def test_strategy_reports_expanded_positions(self, capsys):
+        code, doc = run_json(capsys, "verify", "breaker-gtb-block", "--t", "4", "--b", "1")
+        assert code == 0 and doc["nodes"] == 219_201 and doc["expanded"] < doc["nodes"]
+
     def test_unset_flags_take_catalog_values(self, capsys):
         # t takes its smallest value 2 while the given b=2 is kept
         code, doc = run_json(capsys, "verify", "maker-gtb", "--b", "2")

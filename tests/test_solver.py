@@ -211,17 +211,21 @@ round_budgets = st.one_of(st.none(), st.integers(0, 4))
 
 @st.composite
 def restricted_boards(draw):
-    """A board `validate_restriction` accepts, labels shuffled: disjoint
-    associated sets of size m <= b, edges that are one or two of them plus
-    at most one private element each, and padding elements in no edge.  An
-    associated set may lie in no edge."""
+    """A board `validate_restriction` accepts, labels shuffled: four or five
+    disjoint associated sets of size m <= b, edges that are one or two of them
+    plus at most one private element each, and padding elements in no edge.
+    Set 0 shares an edge with at least two other sets and at least one edge
+    is a single set, so Maker has forks to make and a lure to avoid, and the
+    choice among the sets on the menu decides many games.  An associated set
+    may lie in no edge."""
     m = draw(st.integers(1, 2))
     b = draw(st.integers(m, 2))
-    k = draw(st.integers(1, 3 if m == 1 else 2))
-    pick = st.sets(st.integers(0, k - 1), min_size=1, max_size=2)
-    unions = draw(st.lists(pick, min_size=1, max_size=4))
+    k = draw(st.integers(4, 5))
+    unions = [{0, j} for j in sorted(draw(st.sets(st.integers(1, k - 1), min_size=2)))]
+    unions += draw(st.lists(st.sets(st.integers(0, k - 1), min_size=2, max_size=2), max_size=3))
+    unions += [{i} for i in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2))]
     # an edge of one associated set needs a private element to exceed m
-    private = [draw(st.booleans()) or len(u) == 1 for u in unions]
+    private = [len(u) == 1 or draw(st.integers(0, 4)) == 0 for u in unions]
     n = k * m + sum(private) + draw(st.integers(0, 1))
     label = draw(st.permutations(range(n)))
     family = [sum(1 << label[i * m + j] for j in range(m)) for i in range(k)]
@@ -282,21 +286,21 @@ class TestHypothesisAgainstNaive:
         assert got == naive_decide(spec, t, None)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        restricted_boards(),
-        st.sampled_from((Player.MAKER, Player.BREAKER)),
-        round_budgets,
-        st.data(),
-    )
-    def test_reduced_menu(self, board, first, t, data):
+    @given(restricted_boards(), st.one_of(st.none(), st.integers(2, 5)), st.data())
+    def test_reduced_menu(self, board, t, data):
         h, restriction, m, b = board
-        # every edge exceeds m, so a smaller size budget leaves no edge
+        # every edge exceeds m, so a smaller size budget leaves no edge and
+        # fewer than two rounds never win
         s = data.draw(st.one_of(st.none(), st.integers(m + 1, h.n)))
         validate_restriction(h, m, b, restriction)
-        free = decide_mb(h, m, b, first, Objective(t, s))
-        assert decide_mb(h, m, b, first, Objective(t, s), restriction) == free
-        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
-        assert free == naive_decide(spec, t, s)
+        for first in Player:
+            free = decide_mb(h, m, b, first, Objective(t, s))
+            assert decide_mb(h, m, b, first, Objective(t, s), restriction) == free
+            if h.n <= 7:  # within naive_decide's reach
+                spec = GameSpec(
+                    GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first
+                )
+                assert free == naive_decide(spec, t, s)
 
 
 class TestSolverInvariants:

@@ -1,4 +1,5 @@
 import pytest
+from conftest import naive_verify
 
 from posgames.bitset import iter_bits
 from posgames.boards import hypergraph_new
@@ -15,11 +16,13 @@ from posgames.engine import (
     legal_moves,
     status,
 )
-from posgames.errors import PosgamesError
+from posgames.errors import GuardExceeded, PosgamesError
 from posgames.graphgen import path_graph
 from posgames.solver import Objective, solve_aux_game
 from posgames.strategies import (
     CATALOG,
+    Guarantee,
+    GuaranteeKind,
     instance,
     make_breaker_pairing,
     never_loses,
@@ -100,6 +103,51 @@ class TestVerifierExamples:
         assert not solve_aux_game(
             spec.board, 2, spec.preclaimed_maker, Objective(max_rounds=2)
         )
+
+
+def _tightened(guarantee: Guarantee) -> Guarantee:
+    """The same guarantee one round stricter."""
+    step = -1 if guarantee.kind is GuaranteeKind.WIN_WITHIN else 1
+    return Guarantee(guarantee.kind, guarantee.rounds + step)
+
+
+def _differential_cases():
+    """(spec, script, guarantee, ok) cases: every smallest instance, those
+    with a round count once more one round stricter, and three larger
+    instances."""
+    cases = []
+    for name in CATALOG:
+        spec, strat, guarantee = instance(name)
+        cases.append(pytest.param(spec, strat, guarantee, True, id=name))
+        if guarantee.rounds is not None:
+            cases.append(pytest.param(
+                spec, strat, _tightened(guarantee), False, id=f"{name}-tightened"
+            ))
+    for name, params, ok in [
+        ("client-cycle", {"n": 8}, True),
+        ("maker-gtb", {"t": 3, "b": 2}, True),
+        # the script lets Maker win in 4 rounds; the solver finds no such win
+        ("breaker-htb-slow", {"t": 5, "b": 1}, False),
+    ]:
+        label = name + "-" + "-".join(f"{k}{v}" for k, v in params.items())
+        cases.append(pytest.param(*instance(name, **params), ok, id=label))
+    return cases
+
+
+class TestVerifierTable:
+    @pytest.mark.parametrize("spec, strat, guarantee, ok", _differential_cases())
+    def test_matches_the_plain_reply_tree_walk(self, spec, strat, guarantee, ok):
+        res = verify_strategy(spec, strat, guarantee, max_nodes=5_000_000)
+        assert res.ok is ok
+        assert (res.ok, res.nodes, res.counterexample) == naive_verify(spec, strat, guarantee)
+        assert res.expanded <= res.nodes
+
+    def test_guard_bounds_expanded_positions(self):
+        with pytest.raises(GuardExceeded):
+            verify_strategy(*instance("maker-gtb", t=3, b=2), max_nodes=10)
+        # the reply tree has 219,201 nodes, but far fewer are expanded
+        res = verify_strategy(*instance("breaker-gtb-block", t=4, b=1), max_nodes=10_000)
+        assert res.ok and res.nodes == 219_201 and res.expanded < 10_000
 
 
 class TestSlowBlockerInvariants:
@@ -201,6 +249,7 @@ class TestLegalityFuzz:
                         break
                     if state.to_move is strat.player:
                         mv, mem = strat.next_move(spec, state, mem)
+                        hash(mem)  # the verifier's table keys on it
                         state = apply_move(spec, state, mv)  # raises if illegal
                     else:
                         state = apply_move(spec, state, rng.choice(moves))
