@@ -481,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("target", help="suite name, strategy name, or 'all'")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--count", type=int)
-    verify.add_argument("--count-random", type=int, dest="random_per_n",
-                        help="random trees per size for thm1.7")
     verify.add_argument("--max-exhaustive", type=int)
     verify.add_argument("--max-n", type=int)
     verify.add_argument("--max-bias", type=int)

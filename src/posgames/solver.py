@@ -53,6 +53,20 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
         Client keeps x wins.  The Waiter can play that child's V0 strategy
         from the node itself: she never offers x, has one more round and
         faces a superset of the live sets.
+  * Offer potential (the Waiter-Client analogue of Erdős & Selfridge,
+    JCTA 1973).  Let Phi be the sum of 2^-|need| over the live needs, and
+    Phi_x, Phi_xy the sums over those that contain x, both x and y.  When
+    the Waiter offers {x, y}, keeping x changes Phi by
+    (Phi_y - Phi_xy) - Phi_x and keeping y by (Phi_x - Phi_xy) - Phi_y.
+    The two changes sum to -2 Phi_xy <= 0, so the Client can always keep
+    Phi from rising.  A completed set alone contributes 2^0 = 1, so at a
+    node with Phi < 1 the Waiter never completes a live set, and the node
+    is lost.  Restricting Phi to the live needs is sound: a set the budget
+    filter dropped stays hopeless whatever the Client keeps.  The budget
+    filter at m = 1 leaves every need at most the budget, so the test
+    sum(2^(budget - |need|)) < 2^budget is exact in integers.  No
+    Maker-Breaker analogue is used: Beck's (1:b) criterion cut few nodes
+    there on top of the budget filter and cost more than it saved.
   * Reduced menu.  With a `MoveRestriction`, Maker claims a whole
     associated set; `validate_restriction` checks the hypotheses under
     which this loses nothing, m <= b among them.  Her menu is the
@@ -333,6 +347,9 @@ class _WCSearch(_Search):
         super().__init__(n, edges, 1, settings)
 
     def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
+        # the offer potential: exact in integers, as every need fits the budget
+        if sum(1 << (budget - need.bit_count()) for need in live) < 1 << budget:
+            return False
         run = self.run
         for x, y in combinations(self._order(useful, live), 2):
             if run(waiter | x, client | y, True, budget - 1) and run(

@@ -19,8 +19,8 @@ CASES = [
     ("lemma3.6", {}, 300),
     ("lemma3.9", {}, 600),
     ("thm1.1", {"max_bias": 4}, 600),
-    ("thm1.8", {"max_n": 9}, 600),
-    ("thm1.7", {"seed": 2024}, 1800),
+    ("thm1.8", {"max_n": 12}, 600),
+    ("thm1.7", {}, 1800),
     ("residue", {"count": 50, "seed": 7}, 1800),
     ("gadget", {"count": 20, "seed": 8}, 300),
     ("thm1.9c1", {}, 900),

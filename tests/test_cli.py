@@ -273,6 +273,11 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "thm1.8", "--max-n", "7")
         assert code == 0
 
+    def test_tree_suite_checks_every_tree(self, capsys):
+        # 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 trees on 1 to 9 vertices
+        code, doc = run_json(capsys, "verify", "thm1.7", "--max-exhaustive", "9")
+        assert code == 0 and len(doc["checks"]) == 95
+
     def test_strategy_by_name(self, capsys):
         code, doc = run_json(capsys, "verify", "maker-gtb", "--t", "2", "--b", "2")
         assert code == 0 and doc["ok"] is True

@@ -1,14 +1,16 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_decide, random_hypergraph_masks
 from posgames.boards import digraph_new, hypergraph_from_masks, hypergraph_new
 from posgames.constructions import build_gtb, build_hmbst, build_ht_wc
+from posgames.domination import minimal_dominating_sets
 from posgames.engine import GameKind, GameSpec, Player
 from posgames.errors import GuardExceeded, PosgamesError, RestrictionError
+from posgames.graphgen import cycle_graph
 from posgames.solver import (
     MoveRestriction,
     Objective,
@@ -55,6 +57,18 @@ class TestDecideWC:
         h = build_ht_wc(3)
         assert decide_wc(h, Objective(max_rounds=3, max_size=2))
         assert not decide_wc(h, Objective(max_rounds=2, max_size=2))
+
+    def test_offer_potential_of_exactly_one_is_no_certificate(self):
+        # two singletons: Phi = 1/2 + 1/2, and one offer of both wins
+        assert decide_wc(hypergraph_new(2, [[0], [1]]), Objective(max_rounds=1))
+
+    def test_offer_potential_decides_a_cycle_within_a_tiny_memo(self):
+        # of the 44 minimal dominating sets only the eleven of size 4 fit four
+        # rounds, so Phi = 11/16 at the root; without the certificate the
+        # search needs far more than two memo entries
+        h = minimal_dominating_sets(cycle_graph(11))
+        tiny = SolverSettings(memo_cap=2)
+        assert not decide_wc(h, Objective(max_rounds=4), settings=tiny)
 
 
 class TestAuxGame:
@@ -267,6 +281,17 @@ class TestHypothesisAgainstNaive:
         s = data.draw(st.one_of(st.none(), st.integers(1, core)))
         spec = GameSpec(GameKind.WAITER_CLIENT, h)
         assert decide_wc(h, Objective(t, s)) == naive_decide(spec, t, s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hypergraphs(7), st.integers(1, 4))
+    def test_offer_potential_below_one_is_a_client_win(self, board, t):
+        # the certificate's theorem, checked by the oracle alone: with
+        # sum 2^-|e| < 1 over the edges the Waiter can finish in t rounds,
+        # the Client wins
+        h, _core = board
+        phi = sum(1 << (t - e.bit_count()) for e in h.edges if e.bit_count() <= t)
+        assume(phi < 1 << t)
+        assert not naive_decide(GameSpec(GameKind.WAITER_CLIENT, h), t)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(2, 4), st.integers(1, 2), round_budgets, st.booleans(), st.data())
