@@ -82,9 +82,6 @@ class SimpleGraph:
     def closed_neighborhood(self, v: int) -> int:
         return self.adjacency[v] | (1 << v)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
 
 @dataclass(frozen=True)
 class RootedDigraph:

@@ -158,12 +158,27 @@ def _objective(args) -> Objective:
 # gen
 
 
+# generator name -> (builder, its integer parameters in call order)
+_INT_GENERATORS = {
+    "gtb": (build_gtb, ("t", "b")),
+    "htb": (build_htb, ("t", "b")),
+    "ht-wc": (build_ht_wc, ("t",)),
+    "thm12": (build_thm12, ("m", "b", "s", "s2", "t", "t2")),
+    "thm14": (build_thm14, ("m", "b", "r", "s", "s2", "t", "t2")),
+    "thm15": (build_thm15, ("m", "b", "s", "t")),
+    "thm16": (build_thm16, ("m", "b", "s", "s2", "t", "t2")),
+    "complete-uniform": (build_complete_uniform, ("n", "k")),
+    "wc-gap-case1": (build_wc_gap_case1, ("s", "t")),
+    "cycle": (cycle_graph, ("n",)),
+    "path": (path_graph, ("n",)),
+}
+
+
 def _cmd_gen(args, run: _Run) -> int:
     name = args.generator
-    if name == "gtb":
-        board = build_gtb(args.t, args.b)
-    elif name == "htb":
-        board = build_htb(args.t, args.b)
+    if name in _INT_GENERATORS:
+        build, params = _INT_GENERATORS[name]
+        board = build(*(getattr(args, par) for par in params))
     elif name == "hmbst":
         h, family = build_hmbst(args.m, args.b, args.s, args.t)
         if args.emit_family:
@@ -184,24 +199,6 @@ def _cmd_gen(args, run: _Run) -> int:
         except ValueError as exc:
             raise FormatError(f"--blocked: {exc}") from exc
         board = build_nonmonotone(blocked)
-    elif name == "thm12":
-        board = build_thm12(args.m, args.b, args.s, args.s2, args.t, args.t2)
-    elif name == "thm14":
-        board = build_thm14(args.m, args.b, args.r, args.s, args.s2, args.t, args.t2)
-    elif name == "thm15":
-        board = build_thm15(args.m, args.b, args.s, args.t)
-    elif name == "thm16":
-        board = build_thm16(args.m, args.b, args.s, args.s2, args.t, args.t2)
-    elif name == "ht-wc":
-        board = build_ht_wc(args.t)
-    elif name == "complete-uniform":
-        board = build_complete_uniform(args.n, args.k)
-    elif name == "wc-gap-case1":
-        board = build_wc_gap_case1(args.s, args.t)
-    elif name == "cycle":
-        board = cycle_graph(args.n)
-    elif name == "path":
-        board = path_graph(args.n)
     elif name == "random-graph":
         run.seed = args.seed
         board = random_graph(args.n, args.p, random.Random(args.seed))
@@ -375,11 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit a constructed board as JSON")
     gsub = gen.add_subparsers(dest="generator", required=True)
-    for name, params in [
-        ("gtb", ("t", "b")),
-        ("htb", ("t", "b")),
-        ("ht-wc", ("t",)),
-    ]:
+    for name, (_build, params) in _INT_GENERATORS.items():
         p = gsub.add_parser(name)
         for par in params:
             p.add_argument(f"--{par}", type=int, required=True)
@@ -396,20 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("nonmonotone")
     p.add_argument("--blocked", required=True, help="comma-separated blocked biases")
     _add_common(p)
-    for name, params in [
-        ("thm12", ("m", "b", "s", "s2", "t", "t2")),
-        ("thm14", ("m", "b", "r", "s", "s2", "t", "t2")),
-        ("thm15", ("m", "b", "s", "t")),
-        ("thm16", ("m", "b", "s", "s2", "t", "t2")),
-        ("complete-uniform", ("n", "k")),
-        ("wc-gap-case1", ("s", "t")),
-        ("cycle", ("n",)),
-        ("path", ("n",)),
-    ]:
-        p = gsub.add_parser(name)
-        for par in params:
-            p.add_argument(f"--{par}", type=int, required=True)
-        _add_common(p)
     p = gsub.add_parser("random-graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5)

@@ -37,10 +37,6 @@ class Player(Enum):
     MAKER = "maker"
     BREAKER = "breaker"
 
-    @property
-    def other(self) -> "Player":
-        return Player.BREAKER if self is Player.MAKER else Player.MAKER
-
 
 class Outcome(Enum):
     ONGOING = "ongoing"
@@ -164,17 +160,6 @@ def _aux_maker_elements(spec: GameSpec, state: GameState) -> list[int]:
     return out
 
 
-def _claim_combinations(free: int, size: int) -> list[int]:
-    bits = list(iter_bits(free))
-    out = []
-    for combo in combinations(bits, size):
-        m = 0
-        for b in combo:
-            m |= b
-        out.append(m)
-    return out
-
-
 def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
     """All moves available to the player to move.
 
@@ -199,7 +184,7 @@ def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
     size = min(mover_bias(spec, state), free.bit_count())
     if size == 0:
         return []
-    return [Move(MoveKind.CLAIM, m) for m in _claim_combinations(free, size)]
+    return [Move(MoveKind.CLAIM, m) for m in map(sum, combinations(iter_bits(free), size))]
 
 
 def apply_move(spec: GameSpec, state: GameState, move: Move) -> GameState:

@@ -52,18 +52,59 @@ def random_tree(n: int, rng: random.Random) -> SimpleGraph:
     return graph_new(n, edges)
 
 
-def all_trees(n: int) -> Iterator[SimpleGraph]:
-    """Every tree on n vertices up to isomorphism."""
-    import networkx as nx
+def _tree_code(adj: list[list[int]]) -> str:
+    """The Aho-Hopcroft-Ullman code of the tree rooted at its centre, the
+    smaller of the two codes when it has two centres."""
+    degree = [len(a) for a in adj]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    left = len(adj)
+    while left > 2:  # strip the leaves layer by layer down to the centre
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
 
-    if n == 1:
-        yield graph_new(1, [])
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(c, -1) for c in layer)
+
+
+def all_trees(n: int) -> Iterator[SimpleGraph]:
+    """Every tree on n vertices up to isomorphism, one each.
+
+    The trees on k vertices are those on k - 1 vertices with one leaf added
+    at each vertex in turn, one kept per code.  Exact: removing a leaf from
+    a tree on k >= 2 vertices leaves a tree on k - 1 vertices, isomorphic to
+    one kept, and adding the leaf back at the image of its neighbour gives a
+    copy of the first tree; so every tree on k vertices is grown.  Two trees
+    are isomorphic iff their codes are equal: an isomorphism maps centres to
+    centres, the AHU code of a rooted tree determines it up to rooted
+    isomorphism, and taking the smaller code over the (at most two) centres
+    makes it independent of the labels.
+    """
+    if n < 1:
         return
-    if n == 2:
-        yield graph_new(2, [(0, 1)])
-        return
-    for t in nx.nonisomorphic_trees(n):
-        yield graph_new(n, list(t.edges()))
+    trees: list[list[tuple[int, int]]] = [[]]
+    for k in range(2, n + 1):
+        kept: dict[str, list[tuple[int, int]]] = {}
+        for edges in trees:
+            adj: list[list[int]] = [[] for _ in range(k)]
+            for u, v in edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            for v in range(k - 1):
+                adj[v].append(k - 1)
+                adj[k - 1] = [v]
+                kept.setdefault(_tree_code(adj), edges + [(v, k - 1)])
+                adj[v].pop()
+        trees = list(kept.values())
+    for edges in trees:
+        yield graph_new(n, edges)
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> SimpleGraph:

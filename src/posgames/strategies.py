@@ -39,7 +39,7 @@ engine-legal.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -252,17 +252,6 @@ def _fallback(spec: GameSpec, state: GameState) -> Move:
     return moves[0]
 
 
-@functools.lru_cache(maxsize=128)
-def _digraph_tables(board: RootedDigraph):
-    """(reach masks, free-out arc element mask per vertex builder, dists)."""
-    reach = board.reachability()
-    out_arcs = [0] * board.nv
-    for j, (u, _v) in enumerate(board.arcs):
-        out_arcs[u] |= 1 << (board.nv + j)
-    dist = board.shortest_path_lengths()
-    return reach, tuple(out_arcs), dist
-
-
 def _maker_vertices(board: RootedDigraph, maker: int) -> list[int]:
     return [v for v in range(board.nv) if maker & (1 << v)]
 
@@ -277,11 +266,6 @@ def _new_vertex(nv: int, new: int) -> Optional[int]:
 # Branched-digraph maker: claim the junction, descend into an untouched copy
 
 
-@dataclass(frozen=True)
-class _DescendMem:
-    node: GtbNode
-
-
 def _gtb_step(nv: int, node: GtbNode, maker: int, breaker: int) -> tuple[int, GtbNode]:
     while node.depth > 1 and maker & (1 << node.mid):
         untouched = [c for c in node.children if not c.element_mask(nv) & breaker]
@@ -294,86 +278,82 @@ def _gtb_step(nv: int, node: GtbNode, maker: int, breaker: int) -> tuple[int, Gt
 
 
 def make_maker_gtb(t: int, b: int) -> Strategy:
+    """Memory: the copy the descent is in."""
     digraph, root = build_gtb_indexed(t, b)
     nv = digraph.nv
 
-    def next_move(spec: GameSpec, state: GameState, mem: _DescendMem):
-        bit, node = _gtb_step(nv, mem.node, state.maker, state.breaker)
+    def next_move(spec: GameSpec, state: GameState, node: GtbNode):
+        bit, below = _gtb_step(nv, node, state.maker, state.breaker)
         if not bit & free_mask(spec, state):
-            return _fallback(spec, state), mem
-        return Move(MoveKind.CLAIM, bit), _DescendMem(node)
+            return _fallback(spec, state), node
+        return Move(MoveKind.CLAIM, bit), below
 
-    return Strategy("maker-gtb", Player.MAKER, next_move, _DescendMem(root))
+    return Strategy("maker-gtb", Player.MAKER, next_move, root)
 
 
 # ---------------------------------------------------------------------------
 # Blocking breaker: keep at most one opposing vertex with free outgoing arcs
 
 
-def _free_out(out_arcs, free: int, v: int) -> int:
-    return out_arcs[v] & free
+@functools.lru_cache(maxsize=128)
+def _digraph_tables(board: RootedDigraph):
+    """(reach masks, outgoing arc element mask per vertex, dists)."""
+    reach = board.reachability()
+    out_arcs = [0] * board.nv
+    for j, (u, _v) in enumerate(board.arcs):
+        out_arcs[u] |= 1 << (board.nv + j)
+    dist = board.shortest_path_lengths()
+    return reach, tuple(out_arcs), dist
 
 
-def _block_target(
-    reach, dist, out_arcs, free: int, owned: list[int], new_v: Optional[int],
+def _block_arcs(
+    board: RootedDigraph, free: int, owned: list[int], new_v: Optional[int],
     threshold: Optional[int] = None,
-) -> Optional[int]:
-    """The vertex whose outgoing arcs to claim: the older live vertex when
-    the new one lies below it at distance under `threshold` (None: any
-    distance), the new one otherwise."""
-    candidates = [v for v in owned if _free_out(out_arcs, free, v)]
-    if new_v is None or new_v not in candidates:
-        return candidates[0] if candidates else None
-    others = [v for v in candidates if v != new_v]
-    if not others:
-        return new_v
-    x = others[0]
-    if not reach[x] & (1 << new_v):
-        return new_v
-    # reach[x] holds new_v, so the distance is defined
-    if threshold is not None and dist[x][new_v] >= threshold:
-        return new_v
-    return x
-
-
-@dataclass(frozen=True)
-class _PrevMem:
-    prev_maker: int
+) -> int:
+    """The free outgoing arcs of one of the Maker's `owned` vertices (in
+    ascending order), or 0.  A vertex is live while it has free outgoing
+    arcs.  When the new vertex `new_v` is live, block the lowest other live
+    vertex if `new_v` lies below it at distance under `threshold` (None: any
+    distance), and `new_v` otherwise; else block the lowest live vertex."""
+    reach, out_arcs, dist = _digraph_tables(board)
+    live = [v for v in owned if out_arcs[v] & free]
+    if new_v in live:
+        x = next((v for v in live if v != new_v), None)
+        if x is None or not reach[x] & (1 << new_v):
+            return out_arcs[new_v] & free
+        # reach[x] holds new_v, so the distance is defined
+        if threshold is not None and dist[x][new_v] >= threshold:
+            return out_arcs[new_v] & free
+        return out_arcs[x] & free
+    return out_arcs[live[0]] & free if live else 0
 
 
 def make_breaker_gtb_block(b: int) -> Strategy:
-    def next_move(spec: GameSpec, state: GameState, mem: _PrevMem):
+    """Memory: the Maker's set at the script's previous turn."""
+
+    def next_move(spec: GameSpec, state: GameState, prev_maker: int):
         board: RootedDigraph = spec.board  # type: ignore[assignment]
-        reach, out_arcs, dist = _digraph_tables(board)
-        free = free_mask(spec, state)
-        new_v = _new_vertex(board.nv, state.maker & ~mem.prev_maker)
+        new_v = _new_vertex(board.nv, state.maker & ~prev_maker)
         owned = _maker_vertices(board, state.maker)
-        target = _block_target(reach, dist, out_arcs, free, owned, new_v)
-        want = _free_out(out_arcs, free, target) if target is not None else 0
-        return _claim_exact(spec, state, want), _PrevMem(state.maker)
+        want = _block_arcs(board, free_mask(spec, state), owned, new_v)
+        return _claim_exact(spec, state, want), state.maker
 
-    return Strategy("breaker-gtb-block", Player.BREAKER, next_move, _PrevMem(0))
-
-
-@dataclass(frozen=True)
-class _SlowMem:
-    prev_maker: int
-    move_no: int
+    return Strategy("breaker-gtb-block", Player.BREAKER, next_move, 0)
 
 
 def make_breaker_gtb_slow(t: int, b: int) -> Strategy:
-    def next_move(spec: GameSpec, state: GameState, mem: _SlowMem):
-        board: RootedDigraph = spec.board  # type: ignore[assignment]
-        reach, out_arcs, dist = _digraph_tables(board)
-        free = free_mask(spec, state)
-        new_v = _new_vertex(board.nv, state.maker & ~mem.prev_maker)
-        owned = _maker_vertices(board, state.maker)
-        threshold = 2 ** max(t - mem.move_no - 1, 0)
-        target = _block_target(reach, dist, out_arcs, free, owned, new_v, threshold)
-        want = _free_out(out_arcs, free, target) if target is not None else 0
-        return _claim_exact(spec, state, want), _SlowMem(state.maker, mem.move_no + 1)
+    """Memory: (the Maker's set at the script's previous turn, move number)."""
 
-    return Strategy("breaker-gtb-slow", Player.BREAKER, next_move, _SlowMem(0, 1))
+    def next_move(spec: GameSpec, state: GameState, mem: tuple[int, int]):
+        board: RootedDigraph = spec.board  # type: ignore[assignment]
+        prev_maker, move_no = mem
+        new_v = _new_vertex(board.nv, state.maker & ~prev_maker)
+        owned = _maker_vertices(board, state.maker)
+        threshold = 2 ** max(t - move_no - 1, 0)
+        want = _block_arcs(board, free_mask(spec, state), owned, new_v, threshold)
+        return _claim_exact(spec, state, want), (state.maker, move_no + 1)
+
+    return Strategy("breaker-gtb-slow", Player.BREAKER, next_move, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -430,56 +410,45 @@ def make_maker_htb(t: int, b: int) -> Strategy:
     return Strategy("maker-htb", Player.MAKER, next_move, _HtbMakerMem(None, None))
 
 
-def _copy_map(info: HtbInfo, nv: int) -> tuple[dict[int, int], list[GtbNode], list[int]]:
-    """vertex -> flat copy id, flat copy list, and the sink hub per copy."""
-    vmap: dict[int, int] = {}
-    copies: list[GtbNode] = []
-    sinks: list[int] = []
-    for gi, group in enumerate(info.groups, start=1):
-        for c in group:
-            cid = len(copies)
-            copies.append(c)
-            sinks.append(info.hubs[gi])
-            for v in c.inner_vertices:
-                vmap[v] = cid
-    return vmap, copies, sinks
+def _copy_map(info: HtbInfo) -> tuple[dict[int, int], list[tuple[GtbNode, int]]]:
+    """vertex -> flat copy id, and (copy, sink hub) per copy id."""
+    copies = [(c, info.hubs[gi]) for gi, group in enumerate(info.groups, start=1) for c in group]
+    vmap = {v: cid for cid, (c, _sink) in enumerate(copies) for v in c.inner_vertices}
+    return vmap, copies
 
 
-def _copy_owned_vertices(copy: GtbNode, sink: int, maker: int, start_owned: bool) -> list[int]:
-    """The Maker's vertices inside the copy, plus its start when
-    `start_owned`; the sink hub always counts as hers."""
-    owned = [v for v in copy.inner_vertices if maker & (1 << v)]
+def _block_in_copy(
+    board: RootedDigraph, free: int, maker: int, copy: GtbNode, sink: int,
+    new_v: int, start_owned: bool, threshold: Optional[int] = None,
+) -> int:
+    """`_block_arcs` on the copy's free elements, with the Maker's vertices
+    inside the copy, its start when `start_owned`, and the sink hub, which
+    always counts as hers."""
+    owned = [v for v in copy.inner_vertices if maker & (1 << v)] + [sink]
     if start_owned:
         owned.append(copy.start)
-    owned.append(sink)
-    return sorted(owned)
+    cfree = free & copy.element_mask(board.nv)
+    return _block_arcs(board, cfree, sorted(owned), new_v, threshold)
 
 
 def make_breaker_htb_premove(t: int, b: int) -> Strategy:
+    """Memory: the Maker's set at the script's previous turn."""
     digraph, info = build_htb_indexed(t, b)
-    nv = digraph.nv
-    vmap, copies, sinks = _copy_map(info, nv)
+    vmap, copies = _copy_map(info)
 
-    def next_move(spec: GameSpec, state: GameState, mem: _PrevMem):
-        board: RootedDigraph = spec.board  # type: ignore[assignment]
-        reach, out_arcs, dist = _digraph_tables(board)
+    def next_move(spec: GameSpec, state: GameState, prev_maker: int):
         free = free_mask(spec, state)
-        if state.breaker == 0:
-            want = 1 if free & 1 else 0  # hub 0 as the single opening element
-            return _claim_exact(spec, state, want), _PrevMem(state.maker)
-        new_v = _new_vertex(board.nv, state.maker & ~mem.prev_maker)
-        want = 0
-        if new_v is not None and new_v in vmap:
-            cid = vmap[new_v]
-            copy = copies[cid]
-            owned = _copy_owned_vertices(copy, sinks[cid], state.maker, False)
-            cmask = copy.element_mask(nv)
-            target = _block_target(reach, dist, out_arcs, free & cmask, owned, new_v)
-            if target is not None:
-                want = _free_out(out_arcs, free & cmask, target)
-        return _claim_exact(spec, state, want), _PrevMem(state.maker)
+        want = free & 1  # hub 0 as the single opening element
+        if state.breaker:
+            new_v = _new_vertex(digraph.nv, state.maker & ~prev_maker)
+            want = 0
+            if new_v in vmap:
+                want = _block_in_copy(
+                    spec.board, free, state.maker, *copies[vmap[new_v]], new_v, False
+                )
+        return _claim_exact(spec, state, want), state.maker
 
-    return Strategy("breaker-htb-premove", Player.BREAKER, next_move, _PrevMem(0))
+    return Strategy("breaker-htb-premove", Player.BREAKER, next_move, 0)
 
 
 @dataclass(frozen=True)
@@ -487,96 +456,50 @@ class _HtbSlowMem:
     prev_maker: int
     mode: str  # start | blockall | wait2 | slowall | mixed
     blocked_copy: int
-    counters: tuple[tuple[int, int], ...]  # (copy id, responses so far)
-
-    def count_for(self, cid: int) -> int:
-        for c, k in self.counters:
-            if c == cid:
-                return k
-        return 0
-
-    def bump(self, cid: int) -> "_HtbSlowMem":
-        found = False
-        out = []
-        for c, k in self.counters:
-            if c == cid:
-                out.append((c, k + 1))
-                found = True
-            else:
-                out.append((c, k))
-        if not found:
-            out.append((cid, 1))
-        return replace(self, counters=tuple(out))
+    counts: tuple[int, ...]  # distance-gated responses so far, per copy id
 
 
 def make_breaker_htb_slow(t: int, b: int) -> Strategy:
     digraph, info = build_htb_indexed(t, b)
     nv = digraph.nv
-    vmap, copies, sinks = _copy_map(info, nv)
-    hub_bits = 0
-    for h in info.hubs:
-        hub_bits |= 1 << h
-
-    def respond_in_copy(spec, state, mem, new_v, free, mode_block: bool, start_owned: bool):
-        board: RootedDigraph = spec.board  # type: ignore[assignment]
-        reach, out_arcs, dist = _digraph_tables(board)
-        cid = vmap[new_v]
-        copy = copies[cid]
-        cmask = copy.element_mask(nv)
-        owned = _copy_owned_vertices(copy, sinks[cid], state.maker, start_owned)
-        cfree = free & cmask
-        threshold = None
-        if not mode_block:
-            mem = mem.bump(cid)
-            threshold = 2 ** max(t - 2 - mem.count_for(cid) - 1, 0)  # horizon t - 2
-        target = _block_target(reach, dist, out_arcs, cfree, owned, new_v, threshold)
-        want = _free_out(out_arcs, cfree, target) if target is not None else 0
-        return want, mem
+    vmap, copies = _copy_map(info)
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbSlowMem):
+        board: RootedDigraph = spec.board  # type: ignore[assignment]
         free = free_mask(spec, state)
         new_v = _new_vertex(nv, state.maker & ~mem.prev_maker)
+        cid = vmap.get(new_v)
+        mode, blocked, counts = mem.mode, mem.blocked_copy, mem.counts
         want = 0
-        mode = mem.mode
         if mode == "start":
             if not state.maker & 1:
                 want = 1  # she skipped hub 0: claim it and block her everywhere
                 mode = "blockall"
             else:
                 mode = "wait2"  # skip: arbitrary claims, pretend nothing happened
-        elif mode == "wait2":
-            if new_v is not None and (1 << new_v) & hub_bits:
-                mode = "slowall"  # second skip, then distance-gated blocking all over
-            elif new_v is not None and new_v in vmap:
-                mode = "mixed"
-                mem = replace(mem, blocked_copy=vmap[new_v])
-                want, mem = respond_in_copy(spec, state, mem, new_v, free, True, True)
+        elif cid is not None:
+            # a claim inside a copy, whose start is hub 0: hers unless blockall
+            if mode == "wait2":
+                mode, blocked = "mixed", cid
+            threshold = None
+            if mode == "slowall" or (mode == "mixed" and cid != blocked):
+                counts = counts[:cid] + (counts[cid] + 1,) + counts[cid + 1:]
+                threshold = 2 ** max(t - 3 - counts[cid], 0)  # horizon t - 2
+            want = _block_in_copy(
+                board, free, state.maker, *copies[cid], new_v, mode != "blockall", threshold
+            )
+        elif mode == "wait2" and new_v in info.hubs:
+            mode = "slowall"  # second skip, then distance-gated blocking all over
         elif mode == "blockall":
             # hub 0 is the breaker's own opening claim here
-            if new_v is not None and new_v in vmap:
-                want, mem = respond_in_copy(spec, state, mem, new_v, free, True, False)
-            else:
-                board: RootedDigraph = spec.board  # type: ignore[assignment]
-                reach, out_arcs, dist = _digraph_tables(board)
-                owned = _maker_vertices(board, state.maker)
-                target = _block_target(reach, dist, out_arcs, free, owned, new_v)
-                if target is not None:
-                    want = _free_out(out_arcs, free, target)
-        elif mode == "slowall":
-            if new_v is not None and new_v in vmap:
-                want, mem = respond_in_copy(spec, state, mem, new_v, free, False, True)
-        elif mode == "mixed":
-            if new_v is not None and new_v in vmap:
-                use_block = vmap[new_v] == mem.blocked_copy
-                want, mem = respond_in_copy(spec, state, mem, new_v, free, use_block, True)
-        move = _claim_exact(spec, state, want)
-        return move, replace(mem, prev_maker=state.maker, mode=mode)
+            want = _block_arcs(board, free, _maker_vertices(board, state.maker), new_v)
+        return _claim_exact(spec, state, want), _HtbSlowMem(state.maker, mode, blocked, counts)
 
     return Strategy(
         "breaker-htb-slow",
         Player.BREAKER,
         next_move,
-        _HtbSlowMem(0, "start", -1, ()),
+        _HtbSlowMem(0, "start", -1, (0,) * len(copies)),
     )
 
 
@@ -743,28 +666,24 @@ def make_client_cycle(n: int) -> Strategy:
     return Strategy("client-cycle", Player.BREAKER, next_move, _ClientCycleMem(None, 0, 1))
 
 
-@dataclass(frozen=True)
-class _WaiterTreeMem:
-    index: int
-
-
 def make_waiter_tree(tree) -> Strategy:
+    """Memory: the index of the next pair to offer."""
     if wc_tree_value(tree) is None:
         raise PosgamesError("the tree offer script needs a perfect matching")
     rep = residue(tree)
     pairs = [p for p in rep.removed_pairs]
     pairs.append((rep.kept[0], rep.kept[1]))
 
-    def next_move(spec: GameSpec, state: GameState, mem: _WaiterTreeMem):
+    def next_move(spec: GameSpec, state: GameState, index: int):
         free = free_mask(spec, state)
-        if mem.index < len(pairs):
-            v, w = pairs[mem.index]
+        if index < len(pairs):
+            v, w = pairs[index]
             offer = (1 << v) | (1 << w)
             if offer & free == offer:
-                return Move(MoveKind.OFFER, offer), _WaiterTreeMem(mem.index + 1)
-        return _fallback(spec, state), mem
+                return Move(MoveKind.OFFER, offer), index + 1
+        return _fallback(spec, state), index
 
-    return Strategy("waiter-tree", Player.MAKER, next_move, _WaiterTreeMem(0))
+    return Strategy("waiter-tree", Player.MAKER, next_move, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -844,16 +763,12 @@ def make_maker_hmbst(m: int, b: int, s: int, t: int) -> Strategy:
 # Domination lift: play a hypergraph strategy inside the gadget's core clique
 
 
-@dataclass(frozen=True)
-class _LiftMem:
-    inner: Any
-
-
 def make_dominator_lift(inner: Strategy, inner_spec: GameSpec) -> Strategy:
+    """Memory: the inner script's memory."""
     core: Hypergraph = inner_spec.board  # type: ignore[assignment]
     core_mask = (1 << core.n) - 1
 
-    def next_move(spec: GameSpec, state: GameState, mem: _LiftMem):
+    def next_move(spec: GameSpec, state: GameState, mem):
         inner_state = GameState(
             maker=state.maker & core_mask,
             breaker=state.breaker & core_mask,
@@ -862,17 +777,17 @@ def make_dominator_lift(inner: Strategy, inner_spec: GameSpec) -> Strategy:
         )
         free = free_mask(spec, state)
         if free & core_mask:
-            mv, inner_mem = inner.next_move(inner_spec, inner_state, mem.inner)
+            mv, inner_mem = inner.next_move(inner_spec, inner_state, mem)
             want = mv.elements & free
         else:
-            want, inner_mem = 0, mem.inner
+            want, inner_mem = 0, mem
         # pad outside the core first so the inner view stays undisturbed
         size = min(spec.maker_bias, free.bit_count())
         claim = _pad(want, size, free & ~core_mask)
         claim = _pad(claim, size, free)
-        return Move(MoveKind.CLAIM, claim), _LiftMem(inner_mem)
+        return Move(MoveKind.CLAIM, claim), inner_mem
 
-    return Strategy("dominator-lift", Player.MAKER, next_move, _LiftMem(inner.initial_memory))
+    return Strategy("dominator-lift", Player.MAKER, next_move, inner.initial_memory)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from posgames.errors import (
     FormatError,
     GuardExceeded,
 )
+from posgames.graphgen import all_trees
 
 
 def edge_sets(h):
@@ -233,6 +238,56 @@ class TestGraphsAndDigraphs:
     def test_digraph_allows_parallel_arcs(self):
         d = digraph_new(2, [(0, 1), (0, 1)], start=0, end=1)
         assert len(d.arcs) == 2
+
+
+def _is_tree(g) -> bool:
+    if len(g.edges) != g.n - 1:
+        return False
+    seen, frontier = 1, 1
+    while frontier:
+        reached = 0
+        for bit in range(g.n):
+            if frontier >> bit & 1:
+                reached |= g.adjacency[bit]
+        frontier = reached & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
+
+
+def _brute_canonical(g) -> tuple:
+    """The smallest relabelled edge list over every vertex permutation."""
+    return min(
+        tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges))
+        for p in permutations(range(g.n))
+    )
+
+
+class TestAllTrees:
+    # OEIS A000055: unlabelled trees on n vertices, n = 1..12
+    COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
+
+    def test_counts_and_every_output_is_a_tree(self):
+        for n, count in enumerate(self.COUNTS, start=1):
+            trees = list(all_trees(n))
+            assert len(trees) == count
+            assert all(t.n == n and _is_tree(t) for t in trees)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_no_two_outputs_are_isomorphic(self, n):
+        codes = [_brute_canonical(t) for t in all_trees(n)]
+        assert len(set(codes)) == len(codes)
+
+    def test_needs_no_graph_library(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]);"
+            "from posgames.graphgen import all_trees; list(all_trees(8));"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSerialization:

@@ -113,8 +113,9 @@ def _tightened(guarantee: Guarantee) -> Guarantee:
 
 def _differential_cases():
     """(spec, script, guarantee, ok) cases: every smallest instance, those
-    with a round count once more one round stricter, and three larger
-    instances."""
+    with a round count once more one round stricter, and six larger
+    instances, among them three blocking scripts at t = 4 whose reply trees
+    have 758 to 1,401 nodes."""
     cases = []
     for name in CATALOG:
         spec, strat, guarantee = instance(name)
@@ -126,6 +127,9 @@ def _differential_cases():
     for name, params, ok in [
         ("client-cycle", {"n": 8}, True),
         ("maker-gtb", {"t": 3, "b": 2}, True),
+        ("breaker-gtb-slow", {"t": 4, "b": 1}, True),
+        ("breaker-htb-premove", {"t": 4, "b": 1}, True),
+        ("breaker-htb-slow", {"t": 4, "b": 1}, True),
         # the script lets Maker win in 4 rounds; the solver finds no such win
         ("breaker-htb-slow", {"t": 5, "b": 1}, False),
     ]:
