@@ -96,6 +96,31 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     key is the set of live needs (as a sorted tuple of distinct masks,
     which holds it in about a quarter of a frozenset's memory), the mover
     and the budget.
+  * Component split (m = 1; Hefetz, Krivelevich, Stojaković, Szabó,
+    Positional Games, 2014).  Join two live needs when they share an
+    element.  With Maker to move and two or more connected components, the
+    node is a Maker win exactly when one component alone is, with Maker to
+    move and the same budget.  The search plays a component by giving the
+    Breaker every useful element outside it, so by the residual key the
+    child's key is that component's needs alone: each component gets its
+    own memo entry, and the Breaker nodes above reuse the entries of the
+    components their claims left untouched.  The split covers all three
+    claiming searches, which share this Maker node:
+      - if she wins a component, she plays only there.  Breaker claims
+        outside it are passes there, and a pass never helps the Breaker:
+        she answers a Breaker with fewer claims by imagining he made the
+        rest (the imaginary-move argument);
+      - if she loses every component, the Breaker answers each Maker move
+        inside that move's component, with his strategy for that component
+        at the same budget.  At m = 1 each move lies in one component or is
+        dead, and her moves in one component number at most her moves in
+        all, so every component sees a play of its own game and no set is
+        completed in time.  Extra or padding claims (his strategy's claims
+        outside the component, or his answer to a dead move) never hurt
+        him.
+    The split is wrong at m >= 2, where one claim can advance two
+    components at once: two disjoint triples at (2:1) are a Maker win
+    together, and neither triple is one alone.
 
 The memo-free mode (`SolverSettings(use_memo=False)`) exists for
 cross-checking.
@@ -305,6 +330,22 @@ class _Search:
         return sorted(iter_bits(useful), key=scores.__getitem__, reverse=True)
 
 
+def _components(live) -> list[int]:
+    """The element sets of the connected components of the live needs, two
+    needs being joined when they share an element."""
+    parts: list[int] = []
+    for need in live:
+        rest = []
+        for part in parts:
+            if part & need:
+                need |= part
+            else:
+                rest.append(part)
+        rest.append(need)
+        parts = rest
+    return parts
+
+
 class _MBSearch(_Search):
     """(m:b) claiming game on a fixed, size-filtered edge family."""
 
@@ -315,6 +356,12 @@ class _MBSearch(_Search):
     def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
         if any(need.bit_count() <= self.m for need in live):
             return True  # finish a winning set this move
+        if self.m == 1:
+            parts = _components(live)
+            if len(parts) > 1:  # the component split
+                return any(
+                    self.run(maker, breaker | (useful & ~part), True, budget) for part in parts
+                )
         for mv in self._menu(live, free, useful):
             if self.run(maker | mv, breaker, False, budget - 1):
                 return True

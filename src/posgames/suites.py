@@ -19,6 +19,7 @@ from .constructions import (
     build_hmbst_indexed,
     build_htb_indexed,
     build_nonmonotone,
+    build_thm16,
     build_wc_gap_case1,
 )
 from .domination import (
@@ -74,7 +75,7 @@ def suite_lemma34(settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Branched-digraph game values: win in t, not in t-1, single seeds lose."""
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
-    for t, b in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
+    for t, b in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]:
         board, _ = build_gtb_indexed(t, b)
         seeds = (1 << board.start) | (1 << board.end)
         win = solve_aux_game(board, b, seeds, Objective(max_rounds=t), settings=settings)
@@ -94,7 +95,7 @@ def suite_lemma36(settings: Optional[SolverSettings] = None) -> SuiteReport:
     """Hub-digraph game: win in t, not t-1, opening pre-claim flips it."""
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
-    for t, b in [(3, 1), (3, 2), (4, 1)]:
+    for t, b in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (6, 1)]:
         board, _ = build_htb_indexed(t, b)
         win = solve_aux_game(board, b, 0, Objective(max_rounds=t), settings=settings)
         slow = solve_aux_game(board, b, 0, Objective(max_rounds=t - 1), settings=settings)
@@ -148,6 +149,22 @@ def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) ->
                 won == expected, {"got": won, "expected": expected},
             )
     return _report("thm1.1", t0, checks, rows, failures)
+
+
+def suite_thm16(settings: Optional[SolverSettings] = None) -> SuiteReport:
+    """Composite board H(1,1,4,4) + H(1,1,3,5): the fastest win takes a set
+    of size 4 within 4 rounds, a set of size 3 takes 5, so the frontier has
+    two points."""
+    t0 = time.perf_counter()
+    checks, rows, failures = [], [], []
+    values = game_values(build_thm16(1, 1, 3, 4, 4, 5), 1, 1, Player.MAKER, settings)
+    rows.append({"board": "thm16(1,1,3,4,4,5)", "min_rounds": values.min_rounds,
+                 "min_size": values.min_size, "frontier": [list(p) for p in values.frontier]})
+    _check(checks, failures, "thm16(1,1,3,4,4,5) min rounds = 4", values.min_rounds == 4, rows[-1])
+    _check(checks, failures, "thm16(1,1,3,4,4,5) min size = 3", values.min_size == 3, rows[-1])
+    _check(checks, failures, "thm16(1,1,3,4,4,5) frontier = (4,4), (5,3)",
+           values.frontier == ((4, 4), (5, 3)), rows[-1])
+    return _report("thm1.6", t0, checks, rows, failures)
 
 
 def suite_thm18(max_n: int = 12, settings: Optional[SolverSettings] = None) -> SuiteReport:
@@ -487,6 +504,7 @@ SUITES = {
     "lemma3.6": suite_lemma36,
     "lemma3.9": suite_lemma39,
     "thm1.1": suite_thm11,
+    "thm1.6": suite_thm16,
     "thm1.7": suite_thm17,
     "thm1.8": suite_thm18,
     "thm1.9c1": suite_thm19c1,

@@ -147,17 +147,6 @@ class TestGameValues:
         assert values.min_rounds == 3
         assert values.min_size == 2
 
-    def test_two_point_frontier_on_composite_board(self):
-        # one component yields size 4 within 4 rounds, the other size 3 only
-        # within 5: fastest play and smallest claimed set genuinely diverge
-        from posgames.constructions import build_thm16
-
-        h = build_thm16(1, 1, 3, 4, 4, 5)
-        values = game_values(h, 1, 1, Player.MAKER)
-        assert values.min_rounds == 4
-        assert values.min_size == 3
-        assert values.frontier == ((4, 4), (5, 3))
-
 
 class TestAgainstNaiveSolver:
     """The pruned searches must agree with plain engine-driven recursion."""
@@ -326,6 +315,97 @@ class TestHypothesisAgainstNaive:
                     GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first
                 )
                 assert free == naive_decide(spec, t, s)
+
+
+def _relabel(mask: int, label) -> int:
+    return sum(1 << label[i] for i in range(len(label)) if mask >> i & 1)
+
+
+@st.composite
+def disjoint_unions(draw, max_n, min_edge=1):
+    """Two or three random boards on disjoint elements, labels shuffled so
+    the components interleave: each has one to three edges of at least
+    `min_edge` elements, on at most max_n // parts elements."""
+    parts = draw(st.integers(2, 3))
+    edges, n = [], 0
+    for _ in range(parts):
+        core = draw(st.integers(min_edge, max_n // parts))
+        edge = st.integers(1, (1 << core) - 1).filter(lambda e: e.bit_count() >= min_edge)
+        edges += [e << n for e in draw(st.lists(edge, min_size=1, max_size=3))]
+        n += core
+    label = draw(st.permutations(range(n)))
+    return hypergraph_from_masks(n, [_relabel(e, label) for e in edges])
+
+
+class TestComponentSplit:
+    """The Maker's split of the live sets into components (m = 1), checked
+    against plain engine-driven recursion on disjoint unions."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        disjoint_unions(8, min_edge=2),
+        st.integers(1, 3),
+        st.sampled_from((Player.MAKER, Player.BREAKER)),
+        round_budgets,
+        st.data(),
+    )
+    def test_claiming_game(self, h, b, first, t, data):
+        # no singleton edges: the Maker would finish one before any split
+        s = data.draw(st.one_of(st.none(), st.integers(1, 3)))
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=1, breaker_bias=b, first=first)
+        assert decide_mb(h, 1, b, first, Objective(t, s)) == naive_decide(spec, t, s)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(disjoint_unions(7, min_edge=2), st.integers(1, 2), round_budgets, st.data())
+    def test_reduced_menu(self, h, b, t, data):
+        # at m = 1 the associated sets are single elements; an element in
+        # two or more edges must be one, any other may be
+        bits = [1 << i for i in range(h.n)]
+        shared = [v for v in bits if sum(1 for e in h.edges if e & v) > 1]
+        others = [v for v in bits if v not in shared]
+        extra = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        restriction = MoveRestriction(tuple(shared + extra))
+        validate_restriction(h, 1, b, restriction)
+        for first in Player:
+            spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=1, breaker_bias=b, first=first)
+            got = decide_mb(h, 1, b, first, Objective(t), restriction)
+            assert got == naive_decide(spec, t, None)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(2, 3), min_size=2, max_size=2),
+        st.integers(1, 2),
+        round_budgets,
+        st.booleans(),
+        st.data(),
+    )
+    def test_directed_edge_game(self, sizes, b, t, premove, data):
+        arcs, nv = [], 0
+        for size in sizes:
+            vertex = st.integers(nv, nv + size - 1)
+            arc = st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1])
+            arcs += data.draw(st.lists(arc, min_size=1, max_size=2))
+            nv += size
+        label = data.draw(st.permutations(range(nv)))
+        digraph = digraph_new(nv, [(label[u], label[v]) for u, v in arcs], start=0)
+        seeds = data.draw(st.integers(0, (1 << nv) - 1))
+        spec = GameSpec(
+            GameKind.AUX_EDGE, digraph, breaker_bias=b,
+            preclaimed_maker=seeds, breaker_premove=premove,
+        )
+        got = solve_aux_game(
+            digraph, b, seeds, Objective(max_rounds=t), breaker_premove=premove
+        )
+        assert got == naive_decide(spec, t, None)
+
+    def test_no_split_at_maker_bias_two(self):
+        # at (2:1) the Maker opens in both triples and completes one next
+        # round; either triple alone is lost, so a split would answer False
+        both = hypergraph_new(6, [[0, 1, 2], [3, 4, 5]])
+        for triple in both.edges:
+            assert not decide_mb(hypergraph_from_masks(6, [triple]), 2, 1)
+        assert decide_mb(both, 2, 1)
+        assert naive_decide(GameSpec(GameKind.MAKER_BREAKER, both, maker_bias=2, breaker_bias=1))
 
 
 class TestSolverInvariants:
