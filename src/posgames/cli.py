@@ -49,6 +49,7 @@ from .engine import Player
 from .errors import BoardError, FormatError, GuardExceeded, PosgamesError
 from .graphgen import cycle_graph, path_graph, random_graph, random_tree
 from .solver import (
+    DEFAULT_MEMO_CAP,
     MoveRestriction,
     Objective,
     SolverSettings,
@@ -355,8 +356,8 @@ def _run_suite(name: str, args, settings: SolverSettings):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--memo-cap", type=int, default=0,
-                   help="memo entry cap (default: POSGAMES_MEMO_CAP or built-in)")
+    p.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP,
+                   help="memo entry cap (default: %(default)s)")
     p.add_argument("--manifest", help="write a run manifest JSON to this path")
     p.add_argument("-o", "--output", help="write the result JSON to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json")

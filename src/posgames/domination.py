@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from .bitset import iter_bits
 from .boards import (
     Hypergraph,
     SimpleGraph,
@@ -142,62 +143,24 @@ def is_tree(g: SimpleGraph) -> bool:
     return len(seen) == g.n
 
 
-def _bipartition(g: SimpleGraph) -> Optional[tuple[list[int], list[int]]]:
-    color = [-1] * g.n
-    sides: tuple[list[int], list[int]] = ([], [])
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            mask = g.adjacency[u]
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                v = bit.bit_length() - 1
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    for v in range(g.n):
-        sides[color[v]].append(v)
-    return sides
-
-
-def max_matching_bipartite(g: SimpleGraph) -> int:
-    """Maximum matching size via augmenting paths (bipartite graphs only)."""
-    sides = _bipartition(g)
-    if sides is None:
-        raise BoardError("graph is not bipartite")
-    left, _ = sides
-    match: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        mask = g.adjacency[u]
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
+def has_perfect_matching(tree: SimpleGraph) -> bool:
+    """Does the tree have a perfect matching?  Leaves up, an unmatched
+    vertex can only be matched to its parent, and the root has none."""
+    parent = {0: None}
+    order = [0]
+    for u in order:
+        for bit in iter_bits(tree.adjacency[u]):
             v = bit.bit_length() - 1
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match or augment(match[v], seen):
-                match[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in left:
-        if augment(u, set()):
-            size += 1
-    return size
-
-
-def has_perfect_matching(g: SimpleGraph) -> bool:
-    return g.n % 2 == 0 and max_matching_bipartite(g) * 2 == g.n
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    matched = set()
+    for v in reversed(order):
+        if v not in matched:
+            if parent[v] is None or parent[v] in matched:
+                return False
+            matched.update((v, parent[v]))
+    return True
 
 
 def wc_tree_value(t: SimpleGraph) -> Optional[int]:

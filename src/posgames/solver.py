@@ -95,7 +95,11 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     menu is a function of the live needs (above).  So in every search the
     key is the set of live needs (as a sorted tuple of distinct masks,
     which holds it in about a quarter of a frozenset's memory), the mover
-    and the budget.
+    and the budget.  A size cap only removes winning sets, and a set above
+    the cap is dead just like one the budget filter drops, so the key does
+    not depend on the cap either: `game_values` and `wc_game_values` ask
+    all their (rounds, size) questions about a board of one search, and
+    each question reuses the entries of the others.
   * Component split (m = 1; Hefetz, Krivelevich, Stojaković, Szabó,
     Positional Games, 2014).  Join two live needs when they share an
     element.  With Maker to move and two or more connected components, the
@@ -128,7 +132,6 @@ cross-checking.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
@@ -145,7 +148,6 @@ from .errors import GuardExceeded, PosgamesError, RestrictionError
 # so 2^22 entries take about 1.5-2.3 GB: the guard trips before an 8 GB
 # machine runs out of memory, with room for boards of twice as many live sets.
 DEFAULT_MEMO_CAP = 1 << 22
-_MEMO_CAP_ENV = "POSGAMES_MEMO_CAP"
 
 # Move-ordering weight: elements of nearly-complete winning sets first.
 _W = 1 << 30
@@ -153,24 +155,12 @@ _W = 1 << 30
 
 @dataclass(frozen=True)
 class SolverSettings:
-    memo_cap: int = 0  # 0 means: environment override or the built-in default
+    memo_cap: int = DEFAULT_MEMO_CAP
     use_memo: bool = True
 
-    def effective_cap(self) -> int:
-        """The memo entry cap; a non-positive value is rejected."""
-        cap, source = self.memo_cap, "memo cap"
-        if not cap:
-            raw = os.environ.get(_MEMO_CAP_ENV)
-            if not raw:
-                return DEFAULT_MEMO_CAP
-            try:
-                cap = int(raw)
-            except ValueError as exc:
-                raise PosgamesError(f"bad {_MEMO_CAP_ENV} value {raw!r}") from exc
-            source = _MEMO_CAP_ENV
-        if cap < 1:
-            raise PosgamesError(f"{source} must be positive, got {cap}")
-        return cap
+    def __post_init__(self):
+        if self.memo_cap < 1:
+            raise PosgamesError(f"memo cap must be positive, got {self.memo_cap}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,7 @@ class _Search:
         self.edges = tuple(edges)
         self.m = m
         self.memo: dict = {}
-        self._cap = settings.effective_cap()
+        self._cap = settings.memo_cap
         self._use_memo = settings.use_memo
 
     def run(self, maker: int, breaker: int, maker_to_move: bool, budget: int) -> bool:
@@ -521,17 +511,25 @@ def solve_aux_game(
     return search.run(preclaimed, 0, True, budget)
 
 
-def _values_from_decider(decide, sizes: Sequence[int], round_cap: int) -> SolveResult:
-    """Shared scan for (min rounds, min size, frontier) given a decide(t,s)."""
-    if not decide(None, None):
+def _values(search: _Search, h: Hypergraph, maker_first: bool, round_cap: int) -> SolveResult:
+    """Win flag, min rounds, min size and frontier of h, every (t, s)
+    question asked of the one search, so all share its memo table (exact by
+    the residual key)."""
+    sizes = sorted({e.bit_count() for e in h.edges})
+
+    def wins(t, s):
+        search.edges = _filter_edges(h, Objective(t, s))
+        return search.run(0, 0, maker_first, t or round_cap)
+
+    if not wins(None, None):
         return SolveResult(False, None, None, ())
-    min_rounds = next(t for t in range(1, round_cap + 1) if decide(t, None))
-    min_size = next(s for s in sizes if decide(None, s))
+    min_rounds = next(t for t in range(1, round_cap + 1) if wins(t, None))
+    min_size = next(s for s in sizes if wins(None, s))
     frontier: list[tuple[int, int]] = []
     t = min_rounds
     prev = None
     while True:
-        s_t = next(s for s in sizes if decide(t, s))
+        s_t = next(s for s in sizes if wins(t, s))
         if prev is None or s_t < prev:
             frontier.append((t, s_t))
             prev = s_t
@@ -549,18 +547,12 @@ def game_values(
     settings: Optional[SolverSettings] = None,
 ) -> SolveResult:
     """Win flag, round value, size value and the (rounds, size) frontier."""
-    sizes = sorted({e.bit_count() for e in h.edges})
-
-    def decide(t, s):
-        return decide_mb(h, m, b, first, Objective(t, s), settings=settings)
-
-    return _values_from_decider(decide, sizes, _mb_budget(h, m, Objective()))
+    if m < 1 or b < 1:
+        raise PosgamesError("biases must be at least 1")
+    search = _MBSearch(h.n, h.edges, m, b, settings or SolverSettings())
+    return _values(search, h, first is Player.MAKER, _mb_budget(h, m, Objective()))
 
 
 def wc_game_values(h: Hypergraph, settings: Optional[SolverSettings] = None) -> SolveResult:
-    sizes = sorted({e.bit_count() for e in h.edges})
-
-    def decide(t, s):
-        return decide_wc(h, Objective(t, s), settings=settings)
-
-    return _values_from_decider(decide, sizes, (h.n + 1) // 2)
+    search = _WCSearch(h.n, h.edges, settings or SolverSettings())
+    return _values(search, h, True, (h.n + 1) // 2)

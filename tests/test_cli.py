@@ -155,14 +155,10 @@ class TestMalformedInput:
         assert doc["message"].startswith("--seeds")
 
     def test_negative_memo_cap(self, capsys, hmbst_board):
-        code, doc = run_json(capsys, "solve", "mb", "--board", str(hmbst_board),
-                             "--memo-cap", "-3")
-        assert code == 2 and "must be positive" in doc["message"]
-
-    def test_zero_memo_cap_from_environment(self, capsys, monkeypatch, hmbst_board):
-        monkeypatch.setenv("POSGAMES_MEMO_CAP", "0")
-        code, doc = run_json(capsys, "solve", "mb", "--board", str(hmbst_board))
-        assert code == 2 and "must be positive" in doc["message"]
+        for cap in ("0", "-3"):
+            code, doc = run_json(capsys, "solve", "mb", "--board", str(hmbst_board),
+                                 "--memo-cap", cap)
+            assert code == 2 and "must be positive" in doc["message"]
 
     @pytest.mark.parametrize("command, doc, message", [
         ("solve mb --board", {"type": "hypergraph", "n": 3, "edges": [["a"]]}, "not an integer"),

@@ -17,6 +17,7 @@ from posgames.domination import (
 from posgames.engine import Player
 from posgames.errors import BoardError, GuardExceeded
 from posgames.graphgen import (
+    all_trees,
     cycle_graph,
     path_graph,
     random_graph,
@@ -172,26 +173,11 @@ class TestClosedForms:
     def test_matching_detector(self, rng):
         assert has_perfect_matching(path_graph(6))
         assert not has_perfect_matching(star_graph(3))
-        for _ in range(30):
-            tree = random_tree(rng.randint(2, 9), rng)
-            # oracle: a tree has a perfect matching iff greedily matching
-            # leaves never strands a vertex
-            adj = {v: set() for v in range(tree.n)}
-            for u, v in tree.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            ok = True
-            while adj:
-                leaf = next((v for v in sorted(adj) if len(adj[v]) <= 1), None)
-                if leaf is None:
-                    break
-                if not adj[leaf]:
-                    ok = False
-                    break
-                mate = next(iter(adj[leaf]))
-                for x in (leaf, mate):
-                    for y in list(adj[x]):
-                        adj[y].discard(x)
-                del adj[leaf]
-                del adj[mate]
+        trees = [t for n in range(1, 9) for t in all_trees(n)]
+        for tree in trees + [random_tree(rng.randint(2, 9), rng) for _ in range(30)]:
+            # oracle: some n/2 edges cover every vertex
+            ok = tree.n % 2 == 0 and any(
+                len({v for edge in pick for v in edge}) == tree.n
+                for pick in combinations(tree.edges, tree.n // 2)
+            )
             assert has_perfect_matching(tree) == ok

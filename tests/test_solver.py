@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_decide, random_hypergraph_masks
@@ -317,6 +317,58 @@ class TestHypothesisAgainstNaive:
                 assert free == naive_decide(spec, t, s)
 
 
+def naive_values(spec: GameSpec, n: int):
+    """(win, min rounds, min size, frontier) from the oracle alone: decide
+    every (t, s) of the grid 1..n x 1..n and keep the Pareto-minimal winning
+    pairs.  With t = s = n nothing binds (a player claims at least one
+    element a move)."""
+    grid = {
+        (t, s) for t in range(1, n + 1) for s in range(1, n + 1) if naive_decide(spec, t, s)
+    }
+    if (n, n) not in grid:
+        return False, None, None, ()
+    front = sorted(
+        p for p in grid if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in grid)
+    )
+    min_rounds = min(t for t, s in grid if s == n)
+    min_size = min(s for t, s in grid if t == n)
+    return True, min_rounds, min_size, tuple(front)
+
+
+class TestValuesAgainstNaive:
+    """`game_values` and `wc_game_values` ask every question of one search
+    and share its memo table across round and size budgets; the values must
+    match the oracle's grid."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        hypergraphs(6),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.sampled_from((Player.MAKER, Player.BREAKER)),
+    )
+    def test_claiming_game(self, board, m, b, first):
+        h, _core = board
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
+        got = game_values(h, m, b, first)
+        assert (got.maker_wins, got.min_rounds, got.min_size, got.frontier) == naive_values(
+            spec, h.n
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(hypergraphs(6))
+    # a triangle with a pendant pair, and a pair apart: the Waiter needs all
+    # three rounds, and at two rounds the root keeps the same live sets, so
+    # a memo key without the budget answers 2
+    @example(board=(hypergraph_new(6, [[0, 1], [0, 2], [0, 3], [1, 2], [4, 5]]), 6))
+    def test_offer_game(self, board):
+        h, _core = board
+        got = wc_game_values(h)
+        assert (got.maker_wins, got.min_rounds, got.min_size, got.frontier) == naive_values(
+            GameSpec(GameKind.WAITER_CLIENT, h), h.n
+        )
+
+
 def _relabel(mask: int, label) -> int:
     return sum(1 << label[i] for i in range(len(label)) if mask >> i & 1)
 
@@ -470,24 +522,14 @@ class TestSolverInvariants:
         board = build_gtb(2, 2)
         with pytest.raises(GuardExceeded):
             solve_aux_game(board, 2, (1 << board.start) | (1 << board.end), settings=tiny)
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_non_positive_env_cap_is_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("POSGAMES_MEMO_CAP", raw)
-        with pytest.raises(PosgamesError, match="must be positive"):
-            decide_mb(hypergraph_new(2, [[0]]), 1, 1)
+        # the cap bounds the one table all of a board's questions share
+        with pytest.raises(GuardExceeded):
+            game_values(h, 1, 1, settings=tiny)
 
     def test_negative_setting_cap_is_rejected(self):
-        with pytest.raises(PosgamesError, match="must be positive"):
-            decide_mb(hypergraph_new(2, [[0]]), 1, 1, settings=SolverSettings(memo_cap=-3))
-
-    def test_memo_cap_env_override(self, monkeypatch):
-        h, _fam = build_hmbst(1, 1, 3, 3)
-        monkeypatch.setenv("POSGAMES_MEMO_CAP", "2")
-        with pytest.raises(GuardExceeded):
-            decide_mb(h, 1, 1)
-        # an explicit setting wins over the environment
-        assert decide_mb(h, 1, 1, settings=SolverSettings(memo_cap=1 << 20))
+        for cap in (0, -3):
+            with pytest.raises(PosgamesError, match="must be positive"):
+                decide_mb(hypergraph_new(2, [[0]]), 1, 1, settings=SolverSettings(memo_cap=cap))
 
 
 class TestMoveRestriction:
