@@ -13,14 +13,20 @@ Kinds:
 Bias semantics: a move claims exactly min(bias, #free) elements.  Round
 counting ("within t rounds") counts completed Maker/Waiter moves, whoever
 moved first.
+
+A `GameState` is a named tuple (the two claimed sets, the player to move,
+the Maker's moves used and the pending offer), so it is built, compared and
+hashed at tuple speed; `status` hands out one shared `Status` for each
+outcome that has no witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .bitset import iter_bits
 from .boards import Hypergraph, RootedDigraph
@@ -93,19 +99,18 @@ class GameSpec:
             if self.first is not Player.MAKER:
                 raise BoardError("the waiter always moves first")
 
-    @property
+    @cached_property
     def n_elements(self) -> int:
         if isinstance(self.board, RootedDigraph):
             return self.board.n_elements
         return self.board.n
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.n_elements) - 1
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     maker: int
     breaker: int
     to_move: Player
@@ -117,6 +122,17 @@ class GameState:
 class Status:
     outcome: Outcome
     witness: Optional[int] = None
+
+
+_ONGOING = Status(Outcome.ONGOING)
+_MAKER_CANNOT_WIN = Status(Outcome.MAKER_CANNOT_WIN)
+
+# Python 3.11 reads an enum member through a descriptor, several times slower
+# than a global; the move functions run at every position the verifier
+# expands, so they use these aliases.
+_WC, _AUX = GameKind.WAITER_CLIENT, GameKind.AUX_EDGE
+_MAKER, _BREAKER = Player.MAKER, Player.BREAKER
+_CLAIM, _OFFER, _KEEP = MoveKind.CLAIM, MoveKind.OFFER, MoveKind.KEEP
 
 
 def initial_state(spec: GameSpec) -> GameState:
@@ -137,7 +153,7 @@ def arc_element_bit(board: RootedDigraph, arc_index: int) -> int:
 def mover_bias(spec: GameSpec, state: GameState) -> int:
     """The bias of the player to move: the Maker's, the Breaker's, or 1 for
     the Breaker's one-element pre-move.  A claim takes min(bias, #free)."""
-    if state.to_move is Player.MAKER:
+    if state.to_move is _MAKER:
         return spec.maker_bias
     if spec.breaker_premove and state.breaker == 0:
         return 1
@@ -169,83 +185,69 @@ def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
     """
     if status(spec, state).outcome is Outcome.MAKER_WIN:
         return []
-    free = free_mask(spec, state)
-    if spec.kind is GameKind.WAITER_CLIENT:
-        if state.pending_offer:
-            return [Move(MoveKind.KEEP, bit) for bit in iter_bits(state.pending_offer)]
+    return ongoing_moves(spec, state)
+
+
+def ongoing_moves(spec: GameSpec, state: GameState) -> list[Move]:
+    """`legal_moves` at a state where the Maker owns no winning set, without
+    the status scan that checks it: for callers that have just read `status`."""
+    maker, breaker, to_move, _used, pending = state
+    free = spec.full_mask & ~(maker | breaker)
+    if spec.kind is _WC:
+        if pending:
+            return [Move(_KEEP, bit) for bit in iter_bits(pending)]
         bits = list(iter_bits(free))
-        if not bits:
-            return []
         if len(bits) == 1:
-            return [Move(MoveKind.OFFER, bits[0])]
-        return [Move(MoveKind.OFFER, a | b) for a, b in combinations(bits, 2)]
-    if spec.kind is GameKind.AUX_EDGE and state.to_move is Player.MAKER:
-        return [Move(MoveKind.CLAIM, m) for m in _aux_maker_elements(spec, state)]
+            return [Move(_OFFER, bits[0])]
+        return [Move(_OFFER, a | b) for a, b in combinations(bits, 2)]
+    if spec.kind is _AUX and to_move is _MAKER:
+        return [Move(_CLAIM, m) for m in _aux_maker_elements(spec, state)]
     size = min(mover_bias(spec, state), free.bit_count())
     if size == 0:
         return []
-    return [Move(MoveKind.CLAIM, m) for m in map(sum, combinations(iter_bits(free), size))]
+    return [Move(_CLAIM, m) for m in map(sum, combinations(iter_bits(free), size))]
 
 
 def apply_move(spec: GameSpec, state: GameState, move: Move) -> GameState:
     """Apply a move, validating legality."""
-    free = free_mask(spec, state)
-    if spec.kind is GameKind.WAITER_CLIENT:
-        if state.pending_offer:
-            if move.kind is not MoveKind.KEEP:
+    maker, breaker, to_move, used, pending = state
+    elements = move.elements
+    if spec.kind is _WC:
+        if pending:
+            if move.kind is not _KEEP:
                 raise IllegalMove("expected the client to keep an offered element")
-            kept = move.elements
-            if kept.bit_count() != 1 or not kept & state.pending_offer:
+            if elements.bit_count() != 1 or not elements & pending:
                 raise IllegalMove("client must keep exactly one offered element")
-            to_waiter = state.pending_offer & ~kept
-            return GameState(
-                maker=state.maker | to_waiter,
-                breaker=state.breaker | kept,
-                to_move=Player.MAKER,
-                maker_moves_used=state.maker_moves_used + 1,
-                pending_offer=0,
-            )
-        if move.kind is not MoveKind.OFFER:
+            return GameState(maker | (pending & ~elements), breaker | elements, _MAKER, used + 1)
+        if move.kind is not _OFFER:
             raise IllegalMove("expected a waiter offer")
-        offer = move.elements
-        count = offer.bit_count()
-        if offer & ~free:
+        free = spec.full_mask & ~(maker | breaker)
+        if elements & ~free:
             raise IllegalMove("offer must use free elements")
         want = 2 if free.bit_count() >= 2 else 1
-        if count != want:
+        if elements.bit_count() != want:
             raise IllegalMove(f"offer must contain exactly {want} element(s)")
-        return replace(state, to_move=Player.BREAKER, pending_offer=offer)
+        return GameState(maker, breaker, _BREAKER, used, elements)
 
-    if move.kind is not MoveKind.CLAIM:
+    if move.kind is not _CLAIM:
         raise IllegalMove("expected a claim move")
-    claim = move.elements
-    if claim & ~free:
+    free = spec.full_mask & ~(maker | breaker)
+    if elements & ~free:
         raise IllegalMove("claim must use free elements")
-    if spec.kind is GameKind.AUX_EDGE and state.to_move is Player.MAKER:
+    if spec.kind is _AUX and to_move is _MAKER:
         board: RootedDigraph = spec.board  # type: ignore[assignment]
-        if claim.bit_count() != 1:
+        if elements.bit_count() != 1:
             raise IllegalMove("aux maker claims one element per move")
-        idx = claim.bit_length() - 1
+        idx = elements.bit_length() - 1
         if idx >= board.nv:
             u, v = board.arcs[idx - board.nv]
-            if not (state.maker & (1 << u) and state.maker & (1 << v)):
+            if not (maker & (1 << u) and maker & (1 << v)):
                 raise IllegalMove("arc may only be claimed once both endpoints are owned")
-    else:
-        if claim.bit_count() != min(mover_bias(spec, state), free.bit_count()):
-            raise IllegalMove("claim must use exactly min(bias, #free) elements")
-    if state.to_move is Player.MAKER:
-        return GameState(
-            maker=state.maker | claim,
-            breaker=state.breaker,
-            to_move=Player.BREAKER,
-            maker_moves_used=state.maker_moves_used + 1,
-        )
-    return GameState(
-        maker=state.maker,
-        breaker=state.breaker | claim,
-        to_move=Player.MAKER,
-        maker_moves_used=state.maker_moves_used,
-    )
+    elif elements.bit_count() != min(mover_bias(spec, state), free.bit_count()):
+        raise IllegalMove("claim must use exactly min(bias, #free) elements")
+    if to_move is _MAKER:
+        return GameState(maker | elements, breaker, _BREAKER, used + 1)
+    return GameState(maker, breaker | elements, _MAKER, used)
 
 
 def status(spec: GameSpec, state: GameState) -> Status:
@@ -255,33 +257,23 @@ def status(spec: GameSpec, state: GameState) -> Status:
     every arc element itself is Breaker-claimed.  Exact loss detection is the
     solver's job.
     """
-    if spec.kind is GameKind.AUX_EDGE:
-        board: RootedDigraph = spec.board  # type: ignore[assignment]
-        won = None
-        dead = True
-        for j in range(len(board.arcs)):
-            bit = arc_element_bit(board, j)
-            if state.maker & bit and won is None:
-                won = bit
-            if not state.breaker & bit:
-                dead = False
-        if won is not None:
-            return Status(Outcome.MAKER_WIN, won)
-        if dead:
-            return Status(Outcome.MAKER_CANNOT_WIN)
-        return Status(Outcome.ONGOING)
+    if spec.kind is _AUX:
+        nv = spec.board.nv  # type: ignore[union-attr]
+        arcs = spec.full_mask >> nv << nv
+        won = state.maker & arcs
+        if won:
+            return Status(Outcome.MAKER_WIN, won & -won)
+        if arcs & ~state.breaker:
+            return _ONGOING
+        return _MAKER_CANNOT_WIN
 
-    board_h: Hypergraph = spec.board  # type: ignore[assignment]
-    witness = None
-    all_hit = True
-    for e in board_h.edges:
-        if e & ~state.maker == 0:
-            if witness is None or (e.bit_count(), e) < (witness.bit_count(), witness):
-                witness = e
-        if not e & state.breaker:
-            all_hit = False
-    if witness is not None:
-        return Status(Outcome.MAKER_WIN, witness)
-    if all_hit or not board_h.edges:
-        return Status(Outcome.MAKER_CANNOT_WIN)
-    return Status(Outcome.ONGOING)
+    edges = spec.board.edges  # type: ignore[union-attr]
+    maker = state.maker
+    won_sets = [e for e in edges if e & maker == e]
+    if won_sets:
+        return Status(Outcome.MAKER_WIN, min(won_sets, key=lambda e: (e.bit_count(), e)))
+    breaker = state.breaker
+    for e in edges:
+        if not e & breaker:
+            return _ONGOING
+    return _MAKER_CANNOT_WIN

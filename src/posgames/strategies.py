@@ -12,10 +12,24 @@ table, and its answers are those of the plain walk:
   verdict at a node reads only the state, and the script's move is a
   function of (state, memory).  So the subtree below a node, and whether it
   passes, depend on (state, memory) alone.
-* One key per opponent node.  Entries are stored only where the opponent is
-  to move, under (Maker's set, Breaker's set, pending offer, Maker's moves
-  used, memory).  `to_move` is the opponent at every such node, so the key
-  leaves it out; the table holds no `GameState`.
+* One key per position.  A position is stored under its state (the two
+  claimed sets, the player to move, the Maker's moves used and the pending
+  offer) followed by the memory, as one flat tuple.  Positions with a
+  pending offer are left out.  When the Client is the script, such a
+  position has one parent: the Waiter's position with the same claimed sets,
+  round count and memory, since the Waiter's offer leaves the script's
+  memory alone.  That parent is stored once it passes, so a second visit
+  ends there, and the offer position is expanded at most once.  When the
+  Waiter is the script, an offer position is the Client's and its children
+  are stored, so a repeat costs one expansion.
+* No verdict after an offer.  At a pending-offer position the walk neither
+  checks the guarantee nor looks for the end of play; it goes straight to
+  the keep.  The offer's parent has the same claimed sets and round count,
+  which is all the verdict reads, and the walk went on from it, so the
+  verdict there is to go on.  Every guarantee settles a position where the
+  Maker has won, so she has won neither at the parent nor at the offer, and
+  the offer, one or two free elements, leaves a keep to make.  The position
+  still counts as a node.
 * Only passing subtrees are stored.  A hit is a pass, which is what walking
   the subtree again would return, so a hit never hides a violation and the
   walk meets the first violation where the plain walk does, with the same
@@ -70,6 +84,7 @@ from .engine import (
     initial_state,
     legal_moves,
     mover_bias,
+    ongoing_moves,
     status,
 )
 from .errors import GuardExceeded, IllegalMove, PosgamesError
@@ -143,9 +158,11 @@ def verify_strategy(
     """Check the guarantee against every opponent reply sequence.
 
     Returns ok=True, or the first violating trace as a tuple of
-    (player-name, element-index-list) pairs.  `max_nodes` bounds the
-    expanded positions; one more raises `GuardExceeded`.
+    (player-name, element-index-list) pairs.  `max_nodes`, at least 1,
+    bounds the expanded positions; one more raises `GuardExceeded`.
     """
+    if max_nodes < 1:
+        raise PosgamesError(f"the verifier's node bound must be positive, got {max_nodes}")
     nodes = 0
     expanded = 0
     passed: dict[tuple, int] = {}
@@ -156,9 +173,8 @@ def verify_strategy(
         """The violating trace from `state` on, or None if the subtree passes."""
         nonlocal nodes, expanded
         key = None
-        if state.to_move is not player:
-            key = (state.maker, state.breaker, state.pending_offer,
-                   state.maker_moves_used, mem)
+        if not state.pending_offer:
+            key = state + (mem,)
             size = passed.get(key)
             if size is not None:
                 nodes += size
@@ -177,27 +193,32 @@ def verify_strategy(
         return bad
 
     def walk(state: GameState, mem) -> Optional[tuple]:
-        st = status(spec, state)
-        won = st.outcome is Outcome.MAKER_WIN
-        rounds = state.maker_moves_used
-        if kind is GuaranteeKind.WIN_WITHIN:
-            if won and rounds <= guarantee.rounds:
-                return None
-            if won or rounds >= guarantee.rounds:
-                return ()
-        elif kind is GuaranteeKind.NEVER_LOSES:
-            if won:
-                return ()
-            if st.outcome is Outcome.MAKER_CANNOT_WIN:
-                return None
+        if state.pending_offer:
+            # the verdict is the offer's parent's, and a keep is left: see
+            # the module docstring
+            moves = [] if state.to_move is player else ongoing_moves(spec, state)
         else:
-            if won:
-                return () if rounds <= guarantee.rounds else None
-            if st.outcome is Outcome.MAKER_CANNOT_WIN or rounds > guarantee.rounds:
-                return None
-        moves = legal_moves(spec, state)
-        if not moves:
-            return () if kind is GuaranteeKind.WIN_WITHIN else None
+            st = status(spec, state)
+            won = st.outcome is Outcome.MAKER_WIN
+            rounds = state.maker_moves_used
+            if kind is GuaranteeKind.WIN_WITHIN:
+                if won and rounds <= guarantee.rounds:
+                    return None
+                if won or rounds >= guarantee.rounds:
+                    return ()
+            elif kind is GuaranteeKind.NEVER_LOSES:
+                if won:
+                    return ()
+                if st.outcome is Outcome.MAKER_CANNOT_WIN:
+                    return None
+            else:
+                if won:
+                    return () if rounds <= guarantee.rounds else None
+                if st.outcome is Outcome.MAKER_CANNOT_WIN or rounds > guarantee.rounds:
+                    return None
+            moves = ongoing_moves(spec, state)
+            if not moves:
+                return () if kind is GuaranteeKind.WIN_WITHIN else None
         mover = state.to_move
         if mover is player:
             mv, mem2 = strategy.next_move(spec, state, mem)
@@ -832,6 +853,10 @@ def _breaker_gtb_block(t, b, seed_vertex):
 
 
 def _breaker_gtb_slow(t, b):
+    if t < 2:
+        # the guarantee would be "no opposing win within 0 rounds", which
+        # holds before the first move and so checks nothing
+        raise PosgamesError(f"breaker-gtb-slow needs t >= 2, got t = {t}")
     return _gtb_ends_spec(t, b), make_breaker_gtb_slow(t, b), opponent_not_within(t - 1)
 
 

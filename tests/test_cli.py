@@ -288,6 +288,18 @@ class TestVerify:
                              "--max-nodes", "10")
         assert code == 3 and doc["kind"] == "guard"
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_nonpositive_node_bound_is_a_usage_error(self, capsys, bound):
+        code, doc = run_json(capsys, "verify", "maker-gtb", "--max-nodes", bound)
+        assert code == 2 and doc["kind"] == "usage"
+        assert "must be positive" in doc["message"]
+
+    def test_slow_blocker_needs_two_rounds(self, capsys):
+        # at t = 1 the guarantee would be "no opposing win within 0 rounds"
+        code, doc = run_json(capsys, "verify", "breaker-gtb-slow", "--t", "1")
+        assert code == 2 and doc["kind"] == "usage"
+        assert "t >= 2" in doc["message"]
+
     def test_strategy_reports_expanded_positions(self, capsys):
         code, doc = run_json(capsys, "verify", "breaker-gtb-block", "--t", "4", "--b", "1")
         assert code == 0 and doc["nodes"] == 219_201 and doc["expanded"] < doc["nodes"]

@@ -14,6 +14,7 @@ from posgames.engine import (
     free_mask,
     initial_state,
     legal_moves,
+    ongoing_moves,
     status,
 )
 from posgames.errors import BoardError, IllegalMove
@@ -63,6 +64,77 @@ class TestLegalMoves:
         spec = mb_spec(hypergraph_new(2, [[0]]))
         done = GameState(maker=0b01, breaker=0, to_move=Player.BREAKER, maker_moves_used=1)
         assert legal_moves(spec, done) == []
+
+
+def random_spec_and_state(rng):
+    """A random game of one of the three kinds and a random state of it: the
+    claimed sets, the mover, the Maker's moves used and, in the offer game,
+    sometimes a pending offer."""
+    from conftest import random_hypergraph_masks
+
+    kind = rng.choice(list(GameKind))
+    n = rng.randint(2, 7)
+    if kind is GameKind.AUX_EDGE:
+        arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 5))]
+        spec = GameSpec(kind, digraph_new(n, arcs, start=0), breaker_bias=rng.randint(1, 2),
+                        breaker_premove=rng.random() < 0.3)
+    elif kind is GameKind.WAITER_CLIENT:
+        spec = GameSpec(kind, random_hypergraph_masks(n, 4, rng))
+    else:
+        spec = mb_spec(random_hypergraph_masks(n, 4, rng),
+                       m=rng.randint(1, 2), b=rng.randint(1, 3))
+    maker = breaker = 0
+    for i in range(spec.n_elements):
+        pick = rng.randrange(3)
+        maker |= (pick == 1) << i
+        breaker |= (pick == 2) << i
+    to_move = rng.choice(list(Player))
+    offer = 0
+    free = [1 << i for i in range(spec.n_elements) if not (maker | breaker) >> i & 1]
+    if kind is GameKind.WAITER_CLIENT and free and rng.random() < 0.5:
+        offer = sum(rng.sample(free, min(2, len(free))))
+        to_move = Player.BREAKER
+    return spec, GameState(maker=maker, breaker=breaker, to_move=to_move,
+                           maker_moves_used=rng.randint(0, 4), pending_offer=offer)
+
+
+class TestOngoingMoves:
+    def test_equals_legal_moves_until_the_maker_wins(self, rng):
+        seen = set()
+        for _ in range(600):
+            spec, state = random_spec_and_state(rng)
+            moves = ongoing_moves(spec, state)
+            if status(spec, state).outcome is Outcome.MAKER_WIN:
+                assert legal_moves(spec, state) == []
+                continue
+            assert legal_moves(spec, state) == moves
+            seen.add((spec.kind, bool(state.pending_offer), bool(moves)))
+        # every kind was met with moves and without, and offers were pending
+        assert {kind for kind, _, _ in seen} == set(GameKind)
+        assert {has for _, _, has in seen} == {True, False}
+        assert (GameKind.WAITER_CLIENT, True, True) in seen
+
+
+class TestGameState:
+    def test_keyword_construction_and_defaults(self):
+        state = GameState(maker=0b01, breaker=0b10, to_move=Player.MAKER)
+        assert state == GameState(0b01, 0b10, Player.MAKER, 0, 0)
+        assert (state.maker_moves_used, state.pending_offer) == (0, 0)
+        with pytest.raises(AttributeError):
+            state.maker = 0b11
+
+    def test_equality_and_hashing(self):
+        a = GameState(maker=1, breaker=2, to_move=Player.MAKER, maker_moves_used=1)
+        b = GameState(maker=1, breaker=2, to_move=Player.MAKER, maker_moves_used=1)
+        assert a == b and hash(a) == hash(b)
+        others = [
+            GameState(maker=1, breaker=2, to_move=Player.BREAKER, maker_moves_used=1),
+            GameState(maker=1, breaker=2, to_move=Player.MAKER, maker_moves_used=2),
+            GameState(maker=1, breaker=2, to_move=Player.MAKER, maker_moves_used=1,
+                      pending_offer=4),
+        ]
+        assert all(a != other for other in others)
+        assert len({a, b, *others}) == 4
 
 
 class TestApplyMove:

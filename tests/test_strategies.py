@@ -23,6 +23,7 @@ from posgames.strategies import (
     CATALOG,
     Guarantee,
     GuaranteeKind,
+    Strategy,
     instance,
     make_breaker_pairing,
     never_loses,
@@ -40,6 +41,11 @@ class TestCatalogBasics:
     def test_wrong_params_rejected(self):
         with pytest.raises(PosgamesError, match="unexpected"):
             instance("maker-gtb", n=2)
+
+    def test_slow_blocker_needs_two_rounds(self):
+        # at t = 1 the guarantee would be "no opposing win within 0 rounds"
+        with pytest.raises(PosgamesError, match="t >= 2"):
+            instance("breaker-gtb-slow", t=1)
 
 
 class TestFirstMoves:
@@ -111,11 +117,61 @@ def _tightened(guarantee: Guarantee) -> Guarantee:
     return Guarantee(guarantee.kind, guarantee.rounds + step)
 
 
+def _spoiled(script: Strategy, when, bad_move) -> Strategy:
+    """`script`, except that it plays `bad_move(state)` wherever `when(state)`."""
+
+    def next_move(spec, state, mem):
+        if when(state):
+            return bad_move(state), mem
+        return script.next_move(spec, state, mem)
+
+    return Strategy(script.name, script.player, next_move, script.initial_memory)
+
+
+def _lowest_pairs_waiter() -> Strategy:
+    """Offers the two lowest free elements, or the last one."""
+
+    def next_move(spec, state, mem):
+        free = spec.full_mask & ~(state.maker | state.breaker)
+        low = free & -free
+        rest = free & ~low
+        return Move(MoveKind.OFFER, low | (rest & -rest)), mem
+
+    return Strategy("lowest-pairs", Player.MAKER, next_move)
+
+
+def _offer_script_failures():
+    """(label, spec, script, guarantee) of offer-game scripts that fail after
+    the first round, so their traces run through pending offers: illegal
+    keeps and offers, and legal scripts that are too slow or let the Waiter
+    in."""
+    c9, client, c9_guarantee = instance("client-cycle", n=9)
+    c10, waiter, c10_guarantee = instance("waiter-cycle", n=10)
+    c7 = instance("waiter-cycle", n=7)[0]
+    return [
+        # keeps an element it already holds when a round-2 offer holds
+        # vertex 8, after passing subtrees have been found in the table
+        ("client-illegal-keep", c9, _spoiled(
+            client, lambda s: s.maker_moves_used == 1 and s.pending_offer >> 8 & 1,
+            lambda s: Move(MoveKind.KEEP, s.breaker & -s.breaker),
+        ), c9_guarantee),
+        # offers one of its own elements in round 4 once the Client holds 0
+        ("waiter-illegal-offer", c10, _spoiled(
+            waiter, lambda s: s.maker_moves_used == 3 and s.breaker & 1,
+            lambda s: Move(MoveKind.OFFER, s.maker & -s.maker),
+        ), c10_guarantee),
+        # legal, but on C7 it misses the cycle's value of 3 rounds
+        ("waiter-lowest-pairs", c7, _lowest_pairs_waiter(), win_within(3)),
+        # the catalog script one round short of its bound
+        ("client-cycle-C7", *instance("client-cycle", n=7)[:2], opponent_not_within(3)),
+    ]
+
+
 def _differential_cases():
     """(spec, script, guarantee, ok) cases: every smallest instance, those
-    with a round count once more one round stricter, and six larger
-    instances, among them three blocking scripts at t = 4 whose reply trees
-    have 758 to 1,401 nodes."""
+    with a round count once more one round stricter, six larger instances,
+    among them three blocking scripts at t = 4 whose reply trees have 758 to
+    1,401 nodes, and the offer-game failures above."""
     cases = []
     for name in CATALOG:
         spec, strat, guarantee = instance(name)
@@ -135,10 +191,28 @@ def _differential_cases():
     ]:
         label = name + "-" + "-".join(f"{k}{v}" for k, v in params.items())
         cases.append(pytest.param(*instance(name, **params), ok, id=label))
+    for label, *case in _offer_script_failures():
+        cases.append(pytest.param(*case, False, id=label))
     return cases
 
 
 class TestVerifierTable:
+    def test_offer_script_failures_come_after_the_first_round(self):
+        last = {}
+        for label, *case in _offer_script_failures():
+            res = verify_strategy(*case)
+            assert len(res.counterexample) > 2, label
+            last[label] = (res.counterexample[-1][0], res.expanded < res.nodes)
+        # the illegal keep is met after hits in the table
+        assert last["client-illegal-keep"] == ("illegal:breaker", True)
+        assert last["waiter-illegal-offer"][0] == "illegal:maker"
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_node_bound_must_be_positive(self, bound):
+        with pytest.raises(PosgamesError, match="must be positive") as exc:
+            verify_strategy(*instance("maker-gtb"), max_nodes=bound)
+        assert not isinstance(exc.value, GuardExceeded)
+
     @pytest.mark.parametrize("spec, strat, guarantee, ok", _differential_cases())
     def test_matches_the_plain_reply_tree_walk(self, spec, strat, guarantee, ok):
         res = verify_strategy(spec, strat, guarantee, max_nodes=5_000_000)
