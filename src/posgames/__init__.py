@@ -24,11 +24,8 @@ from .engine import (
     GameKind,
     GameSpec,
     GameState,
-    Move,
-    MoveKind,
     Outcome,
     Player,
-    Status,
     apply_move,
     initial_state,
     legal_moves,

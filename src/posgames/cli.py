@@ -309,6 +309,8 @@ def _given(args, params) -> dict:
 def _cmd_verify(args, run: _Run) -> int:
     target = args.target
     settings = _settings(args)
+    if args.max_nodes is not None and (target == "all" or target in suites_mod.SUITES):
+        raise PosgamesError("--max-nodes bounds a strategy script's verifier, not a suite")
     if target == "all":
         reports = []
         ok = True
@@ -330,7 +332,7 @@ def _cmd_verify(args, run: _Run) -> int:
     if "tree" in given:
         given["tree"] = run.read_board(given["tree"], "graph")
     spec, strat, guarantee = instance(target, **given)
-    result = verify_strategy(spec, strat, guarantee, max_nodes=args.max_nodes)
+    result = verify_strategy(spec, strat, guarantee, **_given(args, ("max_nodes",)))
     payload = {
         "type": "strategy_verification",
         "strategy": strat.name,
@@ -464,9 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-exhaustive", type=int)
     verify.add_argument("--max-n", type=int)
     verify.add_argument("--max-bias", type=int)
-    verify.add_argument("--max-nodes", type=int, default=2_000_000,
-                        help="most positions the strategy verifier may expand; "
-                             "subtrees it finds in its table do not count")
+    verify.add_argument("--max-nodes", type=int,
+                        help="most positions a strategy script's verifier may expand "
+                             "(default: the verifier's own bound); subtrees it finds "
+                             "in its table do not count")
     verify.add_argument("--t", type=int)
     verify.add_argument("--b", type=int)
     verify.add_argument("--n", type=int)

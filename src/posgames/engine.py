@@ -14,10 +14,16 @@ Bias semantics: a move claims exactly min(bias, #free) elements.  Round
 counting ("within t rounds") counts completed Maker/Waiter moves, whoever
 moved first.
 
+A move is an `int` mask of the elements it takes.  The position says what
+kind of move that is: a keep while an offer is pending, else an offer in the
+Waiter-Client game, else a claim.  `legal_moves` lists the masks and
+`apply_move` checks them element by element.  Only `status` decides the end
+of play: `legal_moves` does not look for a Maker win, so callers read
+`status` first.
+
 A `GameState` is a named tuple (the two claimed sets, the player to move,
 the Maker's moves used and the pending offer), so it is built, compared and
-hashed at tuple speed; `status` hands out one shared `Status` for each
-outcome that has no witness.
+hashed at tuple speed.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .bitset import iter_bits
 from .boards import Hypergraph, RootedDigraph
@@ -48,18 +54,6 @@ class Outcome(Enum):
     ONGOING = "ongoing"
     MAKER_WIN = "maker_win"
     MAKER_CANNOT_WIN = "maker_cannot_win"
-
-
-class MoveKind(Enum):
-    CLAIM = "claim"
-    OFFER = "offer"
-    KEEP = "keep"
-
-
-@dataclass(frozen=True)
-class Move:
-    kind: MoveKind
-    elements: int
 
 
 @dataclass(frozen=True)
@@ -118,21 +112,13 @@ class GameState(NamedTuple):
     pending_offer: int = 0  # waiter-client: the offered pair awaiting Client
 
 
-@dataclass(frozen=True)
-class Status:
-    outcome: Outcome
-    witness: Optional[int] = None
-
-
-_ONGOING = Status(Outcome.ONGOING)
-_MAKER_CANNOT_WIN = Status(Outcome.MAKER_CANNOT_WIN)
-
 # Python 3.11 reads an enum member through a descriptor, several times slower
 # than a global; the move functions run at every position the verifier
 # expands, so they use these aliases.
 _WC, _AUX = GameKind.WAITER_CLIENT, GameKind.AUX_EDGE
 _MAKER, _BREAKER = Player.MAKER, Player.BREAKER
-_CLAIM, _OFFER, _KEEP = MoveKind.CLAIM, MoveKind.OFFER, MoveKind.KEEP
+_ONGOING, _MAKER_WIN = Outcome.ONGOING, Outcome.MAKER_WIN
+_MAKER_CANNOT_WIN = Outcome.MAKER_CANNOT_WIN
 
 
 def initial_state(spec: GameSpec) -> GameState:
@@ -176,51 +162,40 @@ def _aux_maker_elements(spec: GameSpec, state: GameState) -> list[int]:
     return out
 
 
-def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
-    """All moves available to the player to move.
+def legal_moves(spec: GameSpec, state: GameState) -> list[int]:
+    """The element masks the player to move may play: the keeps of a pending
+    offer, the Waiter's offers, or the claims.
 
-    An empty list signals the end of play: the Maker already owns a winning
-    set, or no claim is possible.  A state that is merely decided against the
-    Maker still has moves; callers prune on `status` if they want to stop.
+    An empty list means no move is possible.  A won position still has
+    moves: `status` decides the end of play, so read it first.
     """
-    if status(spec, state).outcome is Outcome.MAKER_WIN:
-        return []
-    return ongoing_moves(spec, state)
-
-
-def ongoing_moves(spec: GameSpec, state: GameState) -> list[Move]:
-    """`legal_moves` at a state where the Maker owns no winning set, without
-    the status scan that checks it: for callers that have just read `status`."""
     maker, breaker, to_move, _used, pending = state
     free = spec.full_mask & ~(maker | breaker)
     if spec.kind is _WC:
         if pending:
-            return [Move(_KEEP, bit) for bit in iter_bits(pending)]
+            return list(iter_bits(pending))
         bits = list(iter_bits(free))
         if len(bits) == 1:
-            return [Move(_OFFER, bits[0])]
-        return [Move(_OFFER, a | b) for a, b in combinations(bits, 2)]
+            return bits
+        return [a | b for a, b in combinations(bits, 2)]
     if spec.kind is _AUX and to_move is _MAKER:
-        return [Move(_CLAIM, m) for m in _aux_maker_elements(spec, state)]
+        return _aux_maker_elements(spec, state)
     size = min(mover_bias(spec, state), free.bit_count())
     if size == 0:
         return []
-    return [Move(_CLAIM, m) for m in map(sum, combinations(iter_bits(free), size))]
+    return list(map(sum, combinations(iter_bits(free), size)))
 
 
-def apply_move(spec: GameSpec, state: GameState, move: Move) -> GameState:
-    """Apply a move, validating legality."""
+def apply_move(spec: GameSpec, state: GameState, elements: int) -> GameState:
+    """Play the element mask `elements`, validating legality.  It is a keep
+    while an offer is pending, else an offer in the Waiter-Client game, else
+    a claim."""
     maker, breaker, to_move, used, pending = state
-    elements = move.elements
     if spec.kind is _WC:
         if pending:
-            if move.kind is not _KEEP:
-                raise IllegalMove("expected the client to keep an offered element")
             if elements.bit_count() != 1 or not elements & pending:
                 raise IllegalMove("client must keep exactly one offered element")
             return GameState(maker | (pending & ~elements), breaker | elements, _MAKER, used + 1)
-        if move.kind is not _OFFER:
-            raise IllegalMove("expected a waiter offer")
         free = spec.full_mask & ~(maker | breaker)
         if elements & ~free:
             raise IllegalMove("offer must use free elements")
@@ -229,8 +204,6 @@ def apply_move(spec: GameSpec, state: GameState, move: Move) -> GameState:
             raise IllegalMove(f"offer must contain exactly {want} element(s)")
         return GameState(maker, breaker, _BREAKER, used, elements)
 
-    if move.kind is not _CLAIM:
-        raise IllegalMove("expected a claim move")
     free = spec.full_mask & ~(maker | breaker)
     if elements & ~free:
         raise IllegalMove("claim must use free elements")
@@ -250,8 +223,9 @@ def apply_move(spec: GameSpec, state: GameState, move: Move) -> GameState:
     return GameState(maker, breaker | elements, _MAKER, used)
 
 
-def status(spec: GameSpec, state: GameState) -> Status:
-    """Terminal classification plus the smallest fully-claimed winning set.
+def status(spec: GameSpec, state: GameState) -> Outcome:
+    """Whether the Maker owns a winning set, can no longer claim one, or
+    play goes on.
 
     For aux games the "cannot win" answer is conservative: it only fires when
     every arc element itself is Breaker-claimed.  Exact loss detection is the
@@ -260,18 +234,17 @@ def status(spec: GameSpec, state: GameState) -> Status:
     if spec.kind is _AUX:
         nv = spec.board.nv  # type: ignore[union-attr]
         arcs = spec.full_mask >> nv << nv
-        won = state.maker & arcs
-        if won:
-            return Status(Outcome.MAKER_WIN, won & -won)
+        if state.maker & arcs:
+            return _MAKER_WIN
         if arcs & ~state.breaker:
             return _ONGOING
         return _MAKER_CANNOT_WIN
 
     edges = spec.board.edges  # type: ignore[union-attr]
     maker = state.maker
-    won_sets = [e for e in edges if e & maker == e]
-    if won_sets:
-        return Status(Outcome.MAKER_WIN, min(won_sets, key=lambda e: (e.bit_count(), e)))
+    for e in edges:
+        if e & maker == e:
+            return _MAKER_WIN
     breaker = state.breaker
     for e in edges:
         if not e & breaker:

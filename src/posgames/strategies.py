@@ -1,9 +1,13 @@
 """Scripted strategies and an exhaustive adversary verifier.
 
-Each catalog strategy is a deterministic (spec, state, memory) -> (move,
-memory') function with a declared guarantee.  Memory objects are immutable;
-the verifier fans out over every opponent reply while keeping the strategy
-fixed, so a shared memory value is safe across branches.
+Each catalog strategy is a deterministic (spec, state, memory) -> (mask,
+memory') function with a declared guarantee; the mask holds the elements of
+the move, whose kind the position gives (see `engine`).  Memory objects are
+immutable; the verifier fans out over every opponent reply while keeping the
+strategy fixed, so a shared memory value is safe across branches.
+
+A guarantee either promises the Maker's win within t rounds, or forbids it
+within t rounds, where "never" is the same promise with no bound on t.
 
 `verify_strategy` walks the reply tree depth first with a transposition
 table, and its answers are those of the plain walk:
@@ -53,6 +57,7 @@ engine-legal.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
@@ -75,8 +80,6 @@ from .engine import (
     GameKind,
     GameSpec,
     GameState,
-    Move,
-    MoveKind,
     Outcome,
     Player,
     apply_move,
@@ -84,7 +87,6 @@ from .engine import (
     initial_state,
     legal_moves,
     mover_bias,
-    ongoing_moves,
     status,
 )
 from .errors import GuardExceeded, IllegalMove, PosgamesError
@@ -93,19 +95,26 @@ from .graphgen import cycle_graph, path_graph
 
 class GuaranteeKind(Enum):
     WIN_WITHIN = "win_within"
-    NEVER_LOSES = "never_loses"
     OPPONENT_NOT_WITHIN = "opponent_not_within"
 
 
 @dataclass(frozen=True)
 class Guarantee:
+    """`rounds` None bounds nothing: with `OPPONENT_NOT_WITHIN` it says the
+    Maker never wins."""
+
     kind: GuaranteeKind
     rounds: Optional[int] = None
+
+    @property
+    def horizon(self) -> int:
+        """`rounds`, with no bound read as `sys.maxsize` rounds."""
+        return sys.maxsize if self.rounds is None else self.rounds
 
     def describe(self) -> str:
         if self.kind is GuaranteeKind.WIN_WITHIN:
             return f"wins within {self.rounds} round(s)"
-        if self.kind is GuaranteeKind.NEVER_LOSES:
+        if self.rounds is None:
             return "never lets the claiming player win"
         return f"no opposing win within {self.rounds} round(s)"
 
@@ -115,7 +124,7 @@ def win_within(t: int) -> Guarantee:
 
 
 def never_loses() -> Guarantee:
-    return Guarantee(GuaranteeKind.NEVER_LOSES)
+    return Guarantee(GuaranteeKind.OPPONENT_NOT_WITHIN)
 
 
 def opponent_not_within(t: int) -> Guarantee:
@@ -124,8 +133,8 @@ def opponent_not_within(t: int) -> Guarantee:
 
 @dataclass(frozen=True)
 class Strategy:
-    """A scripted player: `next_move(spec, state, memory)` returns the move
-    and the memory for the script's next turn.
+    """A scripted player: `next_move(spec, state, memory)` returns the
+    element mask of its move and the memory for the script's next turn.
 
     `next_move` must be a deterministic function of its arguments, and every
     memory value immutable and hashable: the verifier shares one memory
@@ -133,7 +142,7 @@ class Strategy:
 
     name: str
     player: Player
-    next_move: Callable[[GameSpec, GameState, Any], tuple[Move, Any]]
+    next_move: Callable[[GameSpec, GameState, Any], tuple[int, Any]]
     initial_memory: Any = None
 
 
@@ -166,7 +175,8 @@ def verify_strategy(
     nodes = 0
     expanded = 0
     passed: dict[tuple, int] = {}
-    kind = guarantee.kind
+    win_within = guarantee.kind is GuaranteeKind.WIN_WITHIN
+    horizon = guarantee.horizon
     player = strategy.player
 
     def rec(state: GameState, mem) -> Optional[tuple]:
@@ -196,36 +206,31 @@ def verify_strategy(
         if state.pending_offer:
             # the verdict is the offer's parent's, and a keep is left: see
             # the module docstring
-            moves = [] if state.to_move is player else ongoing_moves(spec, state)
+            moves = [] if state.to_move is player else legal_moves(spec, state)
         else:
-            st = status(spec, state)
-            won = st.outcome is Outcome.MAKER_WIN
+            outcome = status(spec, state)
+            won = outcome is Outcome.MAKER_WIN
             rounds = state.maker_moves_used
-            if kind is GuaranteeKind.WIN_WITHIN:
-                if won and rounds <= guarantee.rounds:
+            if win_within:
+                if won and rounds <= horizon:
                     return None
-                if won or rounds >= guarantee.rounds:
+                if won or rounds >= horizon:
                     return ()
-            elif kind is GuaranteeKind.NEVER_LOSES:
-                if won:
-                    return ()
-                if st.outcome is Outcome.MAKER_CANNOT_WIN:
-                    return None
             else:
                 if won:
-                    return () if rounds <= guarantee.rounds else None
-                if st.outcome is Outcome.MAKER_CANNOT_WIN or rounds > guarantee.rounds:
+                    return () if rounds <= horizon else None
+                if outcome is Outcome.MAKER_CANNOT_WIN or rounds > horizon:
                     return None
-            moves = ongoing_moves(spec, state)
+            moves = legal_moves(spec, state)
             if not moves:
-                return () if kind is GuaranteeKind.WIN_WITHIN else None
+                return () if win_within else None
         mover = state.to_move
         if mover is player:
             mv, mem2 = strategy.next_move(spec, state, mem)
             try:
                 nxt = apply_move(spec, state, mv)
             except IllegalMove:
-                return ((f"illegal:{mover.value}", indices_of(mv.elements)),)
+                return ((f"illegal:{mover.value}", indices_of(mv)),)
             bad = rec(nxt, mem2)
         else:
             for mv in moves:
@@ -234,7 +239,7 @@ def verify_strategy(
                     break
         if bad is None:
             return None
-        return ((mover.value, indices_of(mv.elements)),) + bad
+        return ((mover.value, indices_of(mv)),) + bad
 
     try:
         bad = rec(initial_state(spec), strategy.initial_memory)
@@ -256,17 +261,17 @@ def _pad(mask: int, size: int, free: int) -> int:
     return mask
 
 
-def _claim_exact(spec: GameSpec, state: GameState, want: int) -> Move:
+def _claim_exact(spec: GameSpec, state: GameState, want: int) -> int:
     """Claim `want` (intersected with free), padded or trimmed to exact bias."""
     free = free_mask(spec, state)
     size = min(mover_bias(spec, state), free.bit_count())
     claim = want & free
     if claim.bit_count() > size:
         claim = low_bits(claim, size)
-    return Move(MoveKind.CLAIM, _pad(claim, size, free))
+    return _pad(claim, size, free)
 
 
-def _fallback(spec: GameSpec, state: GameState) -> Move:
+def _fallback(spec: GameSpec, state: GameState) -> int:
     moves = legal_moves(spec, state)
     if not moves:
         raise PosgamesError("no legal move available")
@@ -307,7 +312,7 @@ def make_maker_gtb(t: int, b: int) -> Strategy:
         bit, below = _gtb_step(nv, node, state.maker, state.breaker)
         if not bit & free_mask(spec, state):
             return _fallback(spec, state), node
-        return Move(MoveKind.CLAIM, bit), below
+        return bit, below
 
     return Strategy("maker-gtb", Player.MAKER, next_move, root)
 
@@ -426,7 +431,7 @@ def make_maker_htb(t: int, b: int) -> Strategy:
         step = _hub_step(info, nv, state.maker, state.breaker, mem)
         if step is None or not step[0] & free_mask(spec, state):
             return _fallback(spec, state), mem
-        return Move(MoveKind.CLAIM, step[0]), step[1]
+        return step
 
     return Strategy("maker-htb", Player.MAKER, next_move, _HtbMakerMem(None, None))
 
@@ -611,7 +616,7 @@ def make_waiter_cycle(n: int) -> Strategy:
         free = free_mask(spec, state)
         if mem.perm is None:
             if state.maker == 0 and state.breaker == 0:
-                return Move(MoveKind.OFFER, (1 << (n - 2)) | (1 << (n - 1))), mem
+                return (1 << (n - 2)) | (1 << (n - 1)), mem
             if state.maker & (1 << (n - 2)):
                 perm = tuple(range(n))
             else:
@@ -623,7 +628,7 @@ def make_waiter_cycle(n: int) -> Strategy:
             c = mem.perm[mem.next_start + 1]
             offer = (1 << a) | (1 << c)
             if offer & free == offer:
-                return Move(MoveKind.OFFER, offer), _WaiterCycleMem(mem.perm, mem.next_start + 2)
+                return offer, _WaiterCycleMem(mem.perm, mem.next_start + 2)
         return _fallback(spec, state), mem
 
     return Strategy("waiter-cycle", Player.MAKER, next_move, _WaiterCycleMem(None, 0))
@@ -647,42 +652,39 @@ def make_client_cycle(n: int) -> Strategy:
         raise PosgamesError("the client script needs at least 6 vertices")
     half = n // 2
 
-    def keep(bit: int, mem) -> tuple[Move, Any]:
-        return Move(MoveKind.KEEP, bit), mem
-
     def next_move(spec: GameSpec, state: GameState, mem: _ClientCycleMem):
         offer = state.pending_offer
         pair = indices_of(offer)
         if mem.case is None:
             if len(pair) < 2:
-                return keep(offer & -offer, mem)
+                return offer & -offer, mem
             a, c = pair
             d = min((a - c) % n, (c - a) % n)
             if d == 1:
                 origin = a if (c - a) % n == 1 else c
                 mem = _ClientCycleMem("adjacent", origin, 1)
                 # keep the second vertex of the adjacent pair
-                return keep(1 << mem.actual(1, n), mem)
+                return 1 << mem.actual(1, n), mem
             origin = a if (c - a) % n <= half else c
             mem = _ClientCycleMem("nonadjacent", origin, 1)
-            return keep(1 << origin, mem)
+            return 1 << origin, mem
         if len(pair) < 2:
-            return keep(offer & -offer, mem)
+            return offer & -offer, mem
         canon = sorted(mem.canon(v, n) for v in pair)
         if mem.case == "adjacent":
             c0, c1 = canon
             if c1 == c0 + 1 and c0 % 2 == 0 and c1 <= 2 * (half - 1) - 1:
-                return keep(1 << mem.actual(c1, n), mem)
-            return keep(1 << mem.actual(c0, n), mem)
+                return 1 << mem.actual(c1, n), mem
+            return 1 << mem.actual(c0, n), mem
         # nonadjacent case: guard the two neighbours of the kept corner,
         # and the far endpoint when it shows up alone
         cset = set(canon)
         if 1 in cset and n - 1 in cset:
-            return keep(1 << mem.actual(n - 1, n), mem)
+            return 1 << mem.actual(n - 1, n), mem
         for c in (1, n - 1, n - 2):
             if c in cset:
-                return keep(1 << mem.actual(c, n), mem)
-        return keep(1 << mem.actual(canon[0], n), mem)
+                return 1 << mem.actual(c, n), mem
+        return 1 << mem.actual(canon[0], n), mem
 
     return Strategy("client-cycle", Player.BREAKER, next_move, _ClientCycleMem(None, 0, 1))
 
@@ -701,7 +703,7 @@ def make_waiter_tree(tree) -> Strategy:
             v, w = pairs[index]
             offer = (1 << v) | (1 << w)
             if offer & free == offer:
-                return Move(MoveKind.OFFER, offer), index + 1
+                return offer, index + 1
         return _fallback(spec, state), index
 
     return Strategy("waiter-tree", Player.MAKER, next_move, 0)
@@ -798,15 +800,15 @@ def make_dominator_lift(inner: Strategy, inner_spec: GameSpec) -> Strategy:
         )
         free = free_mask(spec, state)
         if free & core_mask:
-            mv, inner_mem = inner.next_move(inner_spec, inner_state, mem)
-            want = mv.elements & free
+            want, inner_mem = inner.next_move(inner_spec, inner_state, mem)
+            want &= free
         else:
             want, inner_mem = 0, mem
         # pad outside the core first so the inner view stays undisturbed
         size = min(spec.maker_bias, free.bit_count())
         claim = _pad(want, size, free & ~core_mask)
         claim = _pad(claim, size, free)
-        return Move(MoveKind.CLAIM, claim), inner_mem
+        return claim, inner_mem
 
     return Strategy("dominator-lift", Player.MAKER, next_move, inner.initial_memory)
 
@@ -849,6 +851,8 @@ def _breaker_gtb_block(t, b, seed_vertex):
     """A single pre-owned vertex, the start unless `seed_vertex` is given."""
     board = build_gtb_indexed(t, b)[0]
     seed = board.start if seed_vertex is None else seed_vertex
+    if not 0 <= seed < board.nv:
+        raise PosgamesError(f"the seed vertex must lie in [0, {board.nv}), got {seed}")
     return _aux_spec(board, b, 1 << seed), make_breaker_gtb_block(b), never_loses()
 
 

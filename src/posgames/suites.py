@@ -389,17 +389,14 @@ def suite_strategies(settings: Optional[SolverSettings] = None) -> SuiteReport:
         _check(checks, failures, f"{name} guarantee", res.ok,
                {"counterexample": res.counterexample})
         optimum = _solver_min_rounds(spec, settings)
+        row["solver_min_rounds"] = optimum
         if guarantee.kind is GuaranteeKind.WIN_WITHIN:
             agree = optimum is not None and optimum <= guarantee.rounds
-            row["solver_min_rounds"] = optimum
             _check(checks, failures, f"{name} certified bound >= solver optimum", agree, row)
-        elif guarantee.kind is GuaranteeKind.NEVER_LOSES:
-            row["solver_min_rounds"] = optimum
-            _check(checks, failures, f"{name} solver agrees: no win", optimum is None, row)
         else:
-            agree = optimum is None or optimum > guarantee.rounds
-            row["solver_min_rounds"] = optimum
-            _check(checks, failures, f"{name} solver agrees: no early win", agree, row)
+            agree = optimum is None or optimum > guarantee.horizon
+            claim = "no win" if guarantee.rounds is None else "no early win"
+            _check(checks, failures, f"{name} solver agrees: {claim}", agree, row)
         rows.append(row)
     return _report("strategies", t0, checks, rows, failures)
 

@@ -3,6 +3,7 @@ strategy checker and random boards."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -41,8 +42,7 @@ def naive_decide(spec: GameSpec, max_rounds=None, max_size=None) -> bool:
             return False
 
     def rec(state):
-        st = status(spec, state)
-        if st.outcome is Outcome.MAKER_WIN:
+        if status(spec, state) is Outcome.MAKER_WIN:
             return True
         if (
             state.to_move is Player.MAKER
@@ -71,24 +71,20 @@ def naive_verify(spec: GameSpec, strategy, guarantee):
     violating trace as (player-name, element-index-list) pairs.
     """
     nodes = 0
-    rounds_cap = guarantee.rounds
+    win_within = guarantee.kind is GuaranteeKind.WIN_WITHIN
+    rounds_cap = math.inf if guarantee.rounds is None else guarantee.rounds
 
     def rec(state, mem, trace):
         nonlocal nodes
         nodes += 1
-        outcome = status(spec, state).outcome
+        outcome = status(spec, state)
         won = outcome is Outcome.MAKER_WIN
         rounds = state.maker_moves_used
-        if guarantee.kind is GuaranteeKind.WIN_WITHIN:
+        if win_within:
             if won:
                 return None if rounds <= rounds_cap else trace
             if rounds >= rounds_cap:
                 return trace
-        elif guarantee.kind is GuaranteeKind.NEVER_LOSES:
-            if won:
-                return trace
-            if outcome is Outcome.MAKER_CANNOT_WIN:
-                return None
         else:
             if won:
                 return trace if rounds <= rounds_cap else None
@@ -96,18 +92,18 @@ def naive_verify(spec: GameSpec, strategy, guarantee):
                 return None
         moves = legal_moves(spec, state)
         if not moves:
-            return trace if guarantee.kind is GuaranteeKind.WIN_WITHIN else None
+            return trace if win_within else None
         mover = state.to_move
         if mover is strategy.player:
             mv, mem = strategy.next_move(spec, state, mem)
-            step = [b.bit_length() - 1 for b in iter_bits(mv.elements)]
+            step = [b.bit_length() - 1 for b in iter_bits(mv)]
             try:
                 nxt = apply_move(spec, state, mv)
             except IllegalMove:
                 return trace + ((f"illegal:{mover.value}", step),)
             return rec(nxt, mem, trace + ((mover.value, step),))
         for mv in moves:
-            step = [b.bit_length() - 1 for b in iter_bits(mv.elements)]
+            step = [b.bit_length() - 1 for b in iter_bits(mv)]
             bad = rec(apply_move(spec, state, mv), mem, trace + ((mover.value, step),))
             if bad is not None:
                 return bad

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from posgames import cli
 from posgames.cli import build_parser, main
 from posgames.strategies import CATALOG
 from posgames.suites import SUITES, SuiteReport
@@ -293,6 +294,33 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", "maker-gtb", "--max-nodes", bound)
         assert code == 2 and doc["kind"] == "usage"
         assert "must be positive" in doc["message"]
+
+    @pytest.mark.parametrize("target", ["thm1.8", "all"])
+    def test_node_bound_with_a_suite_is_a_usage_error(self, capsys, target):
+        code, doc = run_json(capsys, "verify", target, "--max-n", "4", "--max-nodes", "0")
+        assert code == 2 and doc["kind"] == "usage"
+        assert "--max-nodes" in doc["message"]
+
+    def test_unset_node_bound_leaves_the_verifier_default(self, capsys, monkeypatch):
+        seen, real = [], cli.verify_strategy
+
+        def recording_verify(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_strategy", recording_verify)
+        code, doc = run_json(capsys, "verify", "maker-gtb")
+        assert code == 0 and doc["ok"] is True
+        code, _ = run_json(capsys, "verify", "maker-gtb", "--max-nodes", "50")
+        assert code == 0
+        assert seen == [{}, {"max_nodes": 50}]
+
+    @pytest.mark.parametrize("vertex", ["-1", "3"])
+    def test_seed_vertex_off_the_board_is_a_usage_error(self, capsys, vertex):
+        # gtb(2, 1) has vertices 0 to 2
+        code, doc = run_json(capsys, "verify", "breaker-gtb-block", "--seed-vertex", vertex)
+        assert code == 2 and doc["kind"] == "usage"
+        assert "seed vertex" in doc["message"]
 
     def test_slow_blocker_needs_two_rounds(self, capsys):
         # at t = 1 the guarantee would be "no opposing win within 0 rounds"

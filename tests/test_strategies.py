@@ -1,14 +1,13 @@
 import pytest
 from conftest import naive_verify
 
+from posgames import strategies
 from posgames.bitset import iter_bits
 from posgames.boards import hypergraph_new
 from posgames.constructions import build_gtb_indexed, build_ht_wc_indexed
 from posgames.engine import (
     GameKind,
     GameSpec,
-    Move,
-    MoveKind,
     Outcome,
     Player,
     apply_move,
@@ -47,28 +46,33 @@ class TestCatalogBasics:
         with pytest.raises(PosgamesError, match="t >= 2"):
             instance("breaker-gtb-slow", t=1)
 
+    def test_never_is_the_unbounded_opponent_guarantee(self):
+        guarantee = never_loses()
+        assert guarantee == Guarantee(GuaranteeKind.OPPONENT_NOT_WITHIN, None)
+        assert guarantee.describe() == "never lets the claiming player win"
+
 
 class TestFirstMoves:
     def test_branched_maker_claims_the_junction(self):
         _board, root = build_gtb_indexed(2, 2)
         spec, strat, _ = instance("maker-gtb", t=2, b=2)
         move, _mem = strat.next_move(spec, initial_state(spec), strat.initial_memory)
-        assert move.elements == 1 << root.mid
+        assert move == 1 << root.mid
 
     def test_pairing_answers_the_partner(self):
         _h, pairs = build_ht_wc_indexed(3)
         spec, strat, _ = instance("breaker-pairing", t=3)
         state = initial_state(spec)
         a1 = pairs[0] & -pairs[0]
-        state = apply_move(spec, state, Move(MoveKind.CLAIM, a1))
+        state = apply_move(spec, state, a1)
         move, _ = strat.next_move(spec, state, strat.initial_memory)
-        assert move.elements == pairs[0] & ~a1
+        assert move == pairs[0] & ~a1
 
     def test_cycle_waiter_opens_next_to_the_seam(self):
         n = 5
         spec, strat, _ = instance("waiter-cycle", n=n)
         move, _ = strat.next_move(spec, initial_state(spec), strat.initial_memory)
-        assert move.elements == (1 << (n - 2)) | (1 << (n - 1))
+        assert move == (1 << (n - 2)) | (1 << (n - 1))
 
 
 class TestVerifierExamples:
@@ -135,7 +139,7 @@ def _lowest_pairs_waiter() -> Strategy:
         free = spec.full_mask & ~(state.maker | state.breaker)
         low = free & -free
         rest = free & ~low
-        return Move(MoveKind.OFFER, low | (rest & -rest)), mem
+        return low | (rest & -rest), mem
 
     return Strategy("lowest-pairs", Player.MAKER, next_move)
 
@@ -153,12 +157,12 @@ def _offer_script_failures():
         # vertex 8, after passing subtrees have been found in the table
         ("client-illegal-keep", c9, _spoiled(
             client, lambda s: s.maker_moves_used == 1 and s.pending_offer >> 8 & 1,
-            lambda s: Move(MoveKind.KEEP, s.breaker & -s.breaker),
+            lambda s: s.breaker & -s.breaker,
         ), c9_guarantee),
         # offers one of its own elements in round 4 once the Client holds 0
         ("waiter-illegal-offer", c10, _spoiled(
             waiter, lambda s: s.maker_moves_used == 3 and s.breaker & 1,
-            lambda s: Move(MoveKind.OFFER, s.maker & -s.maker),
+            lambda s: s.maker & -s.maker,
         ), c10_guarantee),
         # legal, but on C7 it misses the cycle's value of 3 rounds
         ("waiter-lowest-pairs", c7, _lowest_pairs_waiter(), win_within(3)),
@@ -197,6 +201,20 @@ def _differential_cases():
 
 
 class TestVerifierTable:
+    @pytest.mark.parametrize("name", ["breaker-pairing", "client-cycle"])
+    def test_engine_calls_go_through_the_strategies_module(self, monkeypatch, name):
+        """The verifier looks the engine up under these names in
+        `strategies`, so wrapping them there sees every call."""
+        calls = dict.fromkeys(("legal_moves", "apply_move", "status"), 0)
+        for attr in calls:
+            def counted(*args, _fn=getattr(strategies, attr), _attr=attr):
+                calls[_attr] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(strategies, attr, counted)
+        assert verify_strategy(*instance(name)).ok
+        assert all(calls.values()), calls
+
     def test_offer_script_failures_come_after_the_first_round(self):
         last = {}
         for label, *case in _offer_script_failures():
@@ -246,7 +264,7 @@ class TestSlowBlockerInvariants:
             mem = strat.initial_memory
             move_no = 0
             while True:
-                if status(spec, state).outcome is not Outcome.ONGOING:
+                if status(spec, state) is not Outcome.ONGOING:
                     break
                 moves = legal_moves(spec, state)
                 if not moves:
@@ -320,7 +338,7 @@ class TestLegalityFuzz:
                 state = initial_state(spec)
                 mem = strat.initial_memory
                 while True:
-                    if status(spec, state).outcome is not Outcome.ONGOING:
+                    if status(spec, state) is not Outcome.ONGOING:
                         break
                     moves = legal_moves(spec, state)
                     if not moves:
