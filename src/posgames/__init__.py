@@ -41,7 +41,6 @@ from .errors import (
     RestrictionError,
 )
 from .solver import (
-    MoveRestriction,
     Objective,
     SolveResult,
     SolverSettings,
@@ -55,7 +54,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 from .constructions import (  # noqa: E402
-    AssociatedFamily,
     build_complete_uniform,
     build_gadget,
     build_gtb,

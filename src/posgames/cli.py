@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success / claim holds; 1 claim violated (counterexample JSON on
-stdout); 2 usage error; 3 resource-guard abort.  Results are JSON on stdout
-(CSV for tabular output with --format csv).  A run manifest (command line,
-input digests, version, seed, wall time, result) can be written with
---manifest; identical inputs reproduce identical result payloads.
+stdout); 2 usage error; 3 resource-guard abort.  Results are JSON on stdout,
+or in the file given with -o (CSV for tabular output with --format csv).  A
+run manifest (command line, input digests, version, seed, wall time, result)
+can be written with --manifest; identical inputs reproduce identical result
+payloads.  --memo-cap is offered where a search runs (solve, frontier, dom
+solve, verify) and --format where the result has rows (frontier, dom solve,
+verify).
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .errors import BoardError, FormatError, GuardExceeded, PosgamesError
 from .graphgen import cycle_graph, path_graph, random_graph, random_tree
 from .solver import (
     DEFAULT_MEMO_CAP,
-    MoveRestriction,
     Objective,
     SolverSettings,
     decide_mb,
@@ -94,8 +96,8 @@ class _Run:
             raise FormatError(f"{path}: expected a {kind} document")
         return from_json(doc)
 
-    def read_family(self, path: str, n: int) -> MoveRestriction:
-        return MoveRestriction(family_from_json(self.read_json(path), n))
+    def read_family(self, path: str, n: int) -> tuple[int, ...]:
+        return family_from_json(self.read_json(path), n)
 
     def manifest(self, result) -> dict:
         return {
@@ -114,6 +116,8 @@ def _settings(args) -> SolverSettings:
 
 
 def _emit(args, run: _Run, payload, rows=None) -> None:
+    """Write the rows as CSV with --format csv, else the payload as JSON, to
+    the -o path or stdout."""
     if getattr(args, "format", "json") == "csv" and rows:
         buf = io.StringIO()
         keys: list[str] = []
@@ -125,16 +129,14 @@ def _emit(args, run: _Run, payload, rows=None) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _csv_cell(row.get(k)) for k in keys})
-        out = buf.getvalue()
-        sys.stdout.write(out)
+        text = buf.getvalue()
     else:
-        out_file = getattr(args, "output", None)
-        text = json.dumps(payload, indent=2)
-        if out_file:
-            with open(out_file, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     if args.manifest:
         with open(args.manifest, "w") as fh:
             json.dump(run.manifest(payload), fh, indent=2)
@@ -185,7 +187,7 @@ def _cmd_gen(args, run: _Run) -> int:
         if args.emit_family:
             doc = {
                 "type": "family",
-                "sets": [indices_of(m) for m in family.sets],
+                "sets": [indices_of(m) for m in family],
             }
             with open(args.emit_family, "w") as fh:
                 json.dump(doc, fh)
@@ -258,8 +260,8 @@ def _cmd_frontier(args, run: _Run) -> int:
 
 
 def _cmd_dom(args, run: _Run) -> int:
-    settings = _settings(args)
     if args.dom_command == "solve":
+        settings = _settings(args)
         graph = run.read_board(args.graph, "graph")
         if args.game == "mb":
             result = dom_game_values(graph, args.m, args.b, _player(args.first), settings)
@@ -357,12 +359,16 @@ def _run_suite(name: str, args, settings: SolverSettings):
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP,
-                   help="memo entry cap (default: %(default)s)")
+def _add_common(p: argparse.ArgumentParser, search: bool = False, rows: bool = False) -> None:
+    """The output flags, plus --memo-cap where a search runs and --format
+    where the result has rows."""
+    if search:
+        p.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP,
+                       help="memo entry cap (default: %(default)s)")
     p.add_argument("--manifest", help="write a run manifest JSON to this path")
-    p.add_argument("-o", "--output", help="write the result JSON to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("-o", "--output", help="write the result to this path, not stdout")
+    if rows:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,19 +418,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int)
     p.add_argument("--max-size", type=int)
     p.add_argument("--family", help="associated-set family JSON enabling the reduced menu")
-    _add_common(p)
+    _add_common(p, search=True)
     p = ssub.add_parser("wc")
     p.add_argument("--board", required=True)
     p.add_argument("--max-rounds", type=int)
     p.add_argument("--max-size", type=int)
-    _add_common(p)
+    _add_common(p, search=True)
     p = ssub.add_parser("aux")
     p.add_argument("--board", required=True)
     p.add_argument("-b", type=int, default=1)
     p.add_argument("--seeds", default="", help="comma-separated pre-owned vertices")
     p.add_argument("--max-rounds", type=int)
     p.add_argument("--breaker-premove", action="store_true")
-    _add_common(p)
+    _add_common(p, search=True)
 
     frontier = sub.add_parser("frontier", help="full values incl. the rounds/size frontier")
     fsub = frontier.add_subparsers(dest="game", required=True)
@@ -433,10 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=1)
     p.add_argument("-b", type=int, default=1)
     p.add_argument("--first", choices=("maker", "breaker"), default="maker")
-    _add_common(p)
+    _add_common(p, search=True, rows=True)
     p = fsub.add_parser("wc")
     p.add_argument("--board", required=True)
-    _add_common(p)
+    _add_common(p, search=True, rows=True)
 
     dom = sub.add_parser("dom", help="domination-game commands")
     dsub = dom.add_subparsers(dest="dom_command", required=True)
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=1)
     p.add_argument("-b", type=int, default=1)
     p.add_argument("--first", choices=("maker", "breaker"), default="maker")
-    _add_common(p)
+    _add_common(p, search=True, rows=True)
     p = dsub.add_parser("gamma")
     p.add_argument("--graph", required=True)
     _add_common(p)
@@ -477,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--s", type=int)
     verify.add_argument("--seed-vertex", type=int)
     verify.add_argument("--graph", dest="tree", help="tree JSON for waiter-tree")
-    _add_common(verify)
+    _add_common(verify, search=True, rows=True)
     return top
 
 

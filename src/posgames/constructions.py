@@ -142,13 +142,6 @@ def build_htb(t: int, b: int) -> RootedDigraph:
 
 
 @dataclass(frozen=True)
-class AssociatedFamily:
-    """Disjoint size-m vertex sets; each edge contains or avoids each set."""
-
-    sets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class MbstInfo:
     m: int
     b: int
@@ -180,7 +173,7 @@ def _check_hmbst_params(m: int, b: int, s: int, t: int) -> None:
 
 def build_hmbst_indexed(
     m: int, b: int, s: int, t: int
-) -> tuple[Hypergraph, AssociatedFamily, MbstInfo]:
+) -> tuple[Hypergraph, tuple[int, ...], MbstInfo]:
     _check_hmbst_params(m, b, s, t)
     if s <= 3 * m:
         digraph, hinfo = build_htb_indexed(t, b)
@@ -207,7 +200,7 @@ def build_hmbst_indexed(
             htb=hinfo, digraph=digraph,
             vertex_sets=tuple(vertex_sets), arc_edges=tuple(arc_edges),
         )
-        return h, AssociatedFamily(family), info
+        return h, family, info
 
     shared = (1 << m) - 1
     inner_h, _, inner_info = build_hmbst_indexed(m, b, s - m, t - 1)
@@ -232,11 +225,13 @@ def build_hmbst_indexed(
         m, b, s, t, pos, tuple(family),
         shared=shared, copies=tuple(copies), copy_offsets=tuple(offsets),
     )
-    return h, AssociatedFamily(tuple(family)), info
+    return h, info.family, info
 
 
-def build_hmbst(m: int, b: int, s: int, t: int) -> tuple[Hypergraph, AssociatedFamily]:
-    """The s-uniform board on which the maker needs exactly t rounds."""
+def build_hmbst(m: int, b: int, s: int, t: int) -> tuple[Hypergraph, tuple[int, ...]]:
+    """The s-uniform board on which the maker needs exactly t rounds, and its
+    associated-set family: disjoint size-m vertex sets (masks), each inside
+    or outside every edge."""
     h, fam, _ = build_hmbst_indexed(m, b, s, t)
     return h, fam
 

@@ -9,7 +9,6 @@ survive the reduction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .bitset import iter_bits
@@ -21,10 +20,8 @@ from .boards import (
     minimal_transversals,
 )
 from .engine import Player
-from .errors import BoardError, GuardExceeded
+from .errors import BoardError
 from .solver import SolveResult, SolverSettings, game_values, wc_game_values
-
-GAMMA_BOARD_LIMIT = 24
 
 
 def is_dominating(g: SimpleGraph, dset: int) -> bool:
@@ -35,21 +32,11 @@ def is_dominating(g: SimpleGraph, dset: int) -> bool:
 
 
 def domination_number(g: SimpleGraph) -> int:
-    """Smallest dominating set size, by increasing-size subset search."""
-    if g.n > GAMMA_BOARD_LIMIT:
-        raise GuardExceeded(
-            f"exact domination number limited to {GAMMA_BOARD_LIMIT} vertices, got {g.n}"
-        )
+    """Smallest dominating set size: a minimum dominating set is minimal, so
+    the smallest set of `minimal_dominating_sets(g)`, under its guard."""
     if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if is_dominating(g, mask):
-                return k
-    raise AssertionError("the full vertex set always dominates")
+        return 0  # the empty set dominates, and a board needs an element
+    return min(e.bit_count() for e in minimal_dominating_sets(g).edges)
 
 
 def minimal_dominating_sets(g: SimpleGraph) -> Hypergraph:

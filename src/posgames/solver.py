@@ -7,8 +7,9 @@ counting the Maker's moves still to come.  In the offer game the Waiter
 plays Maker's part and the Client Breaker's; a round (offer plus keep) is
 one node, so its mover flag is always True.  The directed-edge game is the
 claiming game at m = 1 on the arc sets {tail, head, arc} with the Maker's
-menu cut to vertices: she may claim an arc only once she owns both
-endpoints, and that claim finishes a set.  `run` does four things in order:
+menu cut to vertices (a led-set menu, below): she may claim an arc only
+once she owns both endpoints, and that claim finishes a set.  `run` does
+four things in order:
 
   1. leaf test: scan the winning sets the opponent has not hit.  A
      completed set is a win.  The others that can still be finished within
@@ -67,23 +68,30 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     sum(2^(budget - |need|)) < 2^budget is exact in integers.  No
     Maker-Breaker analogue is used: Beck's (1:b) criterion cut few nodes
     there on top of the budget filter and cost more than it saved.
-  * Reduced menu.  With a `MoveRestriction`, Maker claims a whole
-    associated set; `validate_restriction` checks the hypotheses under
-    which this loses nothing, m <= b among them.  Her menu is the
-    associated sets that meet a useful element, and this is exact:
-      - on a board `validate_restriction` accepts, the restricted Maker
-        owns only whole associated sets (a finishing claim ends play), and
-        each set lies inside or outside each winning set.  So a set v
-        meets a live need exactly when v is free and v is inside that
-        need: the sets that meet a useful element are exactly the live
-        associated sets, and the live needs determine them;
-      - every other free set is dead, so claiming it changes no need: it
-        is a pass.  While a live set is on the menu a pass is dominated,
-        because owning more never hurts Maker.  With no live set left no
-        need can shrink again, so the node is lost with or without passes.
+  * Led-set menu.  A search may cut the Maker's claims to the sets of a
+    `lead` table, which maps the lowest element of each set to the set.  Her
+    menu is then the sets whose lowest element is useful, in `_order`'s
+    order; a finishing claim (finish now) stays open.  Two tables exist:
+      - a validated associated-set family (Lemma 3.9): she claims whole
+        associated sets.  `validate_restriction` checks the hypotheses under
+        which this loses nothing, m <= b among them.  On a board it accepts
+        the restricted Maker owns only whole associated sets (a finishing
+        claim ends play), and each set lies inside or outside each winning
+        set.  So a set v meets a live need exactly when v is free and v is
+        inside that need: the sets that meet a useful element are exactly
+        the live associated sets, and the live needs determine them.  Every
+        other free set is dead, so claiming it changes no need: it is a
+        pass.  While a live set is on the menu a pass is dominated, because
+        owning more never hurts Maker.  With no live set left no need can
+        shrink again, so the node is lost with or without passes;
+      - the singleton vertex table of the directed-edge game, which is that
+        game's own rule rather than a dominance result: she claims vertices,
+        and an arc only once she owns both endpoints, when its need is the
+        arc alone and the finish-now test takes it.
     The needs that meet a live set v are exactly those that contain v, so
-    every element of v has the same `_order` score; the menu lists each
-    set once, at its lowest element, in `_order`'s order.
+    every element of v has the same `_order` score, and ordering the lowest
+    elements alone gives the order of ordering all useful elements and then
+    keeping the lowest ones (`sorted` is stable and the key is the same).
   * Residual key.  Once the filter has run, the rest of play is decided by
     the live needs, the mover and the budget: nothing else of the two
     players' sets can matter, and neither can the number of free dead
@@ -91,7 +99,7 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     useful element fits, and such a claim completes every live set (Maker)
     or kills every one (Breaker), however many dead elements there are.
     Otherwise it takes useful elements only, since owning more never hurts
-    the claimer, the Waiter offers useful elements only, and the reduced
+    the claimer, the Waiter offers useful elements only, and the led-set
     menu is a function of the live needs (above).  So in every search the
     key is the set of live needs (as a sorted tuple of distinct masks,
     which holds it in about a quarter of a frozenset's memory), the mover
@@ -108,8 +116,8 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     Breaker every useful element outside it, so by the residual key the
     child's key is that component's needs alone: each component gets its
     own memo entry, and the Breaker nodes above reuse the entries of the
-    components their claims left untouched.  The split covers all three
-    claiming searches, which share this Maker node:
+    components their claims left untouched.  The split holds for every
+    menu of the claiming search, which all go through its one Maker node:
       - if she wins a component, she plays only there.  Breaker claims
         outside it are passes there, and a pass never helps the Breaker:
         she answers a Breaker with fewer claims by imagining he made the
@@ -133,8 +141,10 @@ cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import ceil
+from operator import or_
 from typing import Optional, Sequence
 
 from .bitset import iter_bits, low_bits
@@ -178,17 +188,6 @@ class Objective:
 
 
 @dataclass(frozen=True)
-class MoveRestriction:
-    """Reduced Maker menu: claim a whole associated set, or finish a win.
-
-    Sound only for boards satisfying the structural hypotheses checked by
-    `validate_restriction`.
-    """
-
-    family: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SolveResult:
     maker_wins: bool
     min_rounds: Optional[int]
@@ -205,14 +204,13 @@ class SolveResult:
         }
 
 
-def validate_restriction(
-    h: Hypergraph, m: int, b: int, restriction: MoveRestriction
-) -> None:
+def validate_restriction(h: Hypergraph, m: int, b: int, family: Sequence[int]) -> None:
+    """Reject an associated-set family on which the reduced menu could lose
+    value (the Led-set menu bullet)."""
     if m > b:
         # Lemma 3.9 plays at m <= b; at m > b one free claim can split two
         # associated sets and make two threats at once
         raise RestrictionError("maker bias must not exceed breaker bias")
-    family = restriction.family
     seen = 0
     for v in family:
         if v.bit_count() != m:
@@ -238,19 +236,23 @@ def validate_restriction(
 
 
 class _Search:
-    """The shared skeleton; see the module docstring.
+    """The claiming search; see the module docstring.
 
-    A subclass supplies `_maker_node`, which expands a node with Maker to
-    move.  The leaf test, the memo key and the Breaker's node are shared and
-    live here.
+    With a `lead` table the Maker's menu is the led sets (the Led-set
+    menu bullet), else every claim `_claims` lists.  `_WCSearch` replaces
+    the Maker's node with the Waiter's offers and shares the rest.
     """
 
-    b: int  # Breaker's bias, set by the claim games
-
-    def __init__(self, n: int, edges: Sequence[int], m: int, settings: SolverSettings):
+    def __init__(
+        self, n: int, edges: Sequence[int], m: int, b: int, settings: SolverSettings,
+        lead: Optional[dict[int, int]] = None,
+    ):
         self.full = (1 << n) - 1
         self.edges = tuple(edges)
         self.m = m
+        self.b = b
+        self.lead = lead
+        self.leads = sum(lead or ())  # the keys are distinct bits
         self.memo: dict = {}
         self._cap = settings.memo_cap
         self._use_memo = settings.use_memo
@@ -289,6 +291,25 @@ class _Search:
                 )
             self.memo[key] = value
         return value
+
+    def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
+        if any(need.bit_count() <= self.m for need in live):
+            return True  # finish a winning set this move
+        if self.m == 1:
+            parts = _components(live)
+            if len(parts) > 1:  # the component split
+                return any(
+                    self.run(maker, breaker | (useful & ~part), True, budget) for part in parts
+                )
+        lead = self.lead
+        if lead is None:
+            menu = self._claims(self.m, live, free, useful)
+        else:
+            menu = [lead[bit] for bit in self._order(useful & self.leads, live)]
+        for mv in menu:
+            if self.run(maker | mv, breaker, False, budget - 1):
+                return True
+        return False
 
     def _breaker_node(self, maker, breaker, budget, live, free, useful) -> bool:
         for mv in self._claims(self.b, live, free, useful):
@@ -336,52 +357,11 @@ def _components(live) -> list[int]:
     return parts
 
 
-class _MBSearch(_Search):
-    """(m:b) claiming game on a fixed, size-filtered edge family."""
-
-    def __init__(self, n: int, edges: Sequence[int], m: int, b: int, settings: SolverSettings):
-        super().__init__(n, edges, m, settings)
-        self.b = b
-
-    def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
-        if any(need.bit_count() <= self.m for need in live):
-            return True  # finish a winning set this move
-        if self.m == 1:
-            parts = _components(live)
-            if len(parts) > 1:  # the component split
-                return any(
-                    self.run(maker, breaker | (useful & ~part), True, budget) for part in parts
-                )
-        for mv in self._menu(live, free, useful):
-            if self.run(maker | mv, breaker, False, budget - 1):
-                return True
-        return False
-
-    def _menu(self, live, free, useful):
-        return self._claims(self.m, live, free, useful)
-
-
-class _RestrictedSearch(_MBSearch):
-    """(m:b) claiming game with the Maker's menu cut to whole associated
-    sets that meet a useful element (the Reduced menu bullet)."""
-
-    def __init__(
-        self, n: int, edges: Sequence[int], m: int, b: int, settings: SolverSettings,
-        family: Sequence[int],
-    ):
-        super().__init__(n, edges, m, b, settings)
-        self.lead = {v & -v: v for v in family}  # each set under its lowest element
-
-    def _menu(self, live, free, useful):
-        lead = self.lead
-        return [lead[bit] for bit in self._order(useful, live) if bit in lead]
-
-
 class _WCSearch(_Search):
     """Unbiased offer game; a round is offer + keep, folded into one node."""
 
     def __init__(self, n: int, edges: Sequence[int], settings: SolverSettings):
-        super().__init__(n, edges, 1, settings)
+        super().__init__(n, edges, 1, 1, settings)
 
     def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
         # the offer potential: exact in integers, as every need fits the budget
@@ -394,32 +374,6 @@ class _WCSearch(_Search):
             ):
                 return True
         return False
-
-
-class _AuxSearch(_MBSearch):
-    """(1:b) vertex-then-arc game: the claiming game at m = 1 on the arc sets
-    {tail, head, arc}, with the Maker's menu cut to vertices."""
-
-    def __init__(self, board: RootedDigraph, b: int, settings: SolverSettings):
-        arc_sets = [
-            (1 << (board.nv + j)) | (1 << u) | (1 << v)
-            for j, (u, v) in enumerate(board.arcs)
-        ]
-        super().__init__(board.n_elements, arc_sets, 1, b, settings)
-        self.vertices = (1 << board.nv) - 1
-
-    def _menu(self, live, free, useful):
-        # an arc is claimable only once both endpoints are owned, and then
-        # its need is the arc alone, which finishes it this move
-        return self._order(useful & self.vertices, live)
-
-    def breaker_single_openings(self, maker: int) -> list[int]:
-        """Menu for a one-element opening claim: the free elements of the
-        arc sets (any other element is dead).  Empty on an arc-less board."""
-        useful = 0
-        for arc_set in self.edges:
-            useful |= arc_set
-        return list(iter_bits(useful & ~maker))
 
 
 def _mb_budget(h: Hypergraph, m: int, objective: Objective) -> int:
@@ -441,22 +395,24 @@ def decide_mb(
     b: int,
     first: Player = Player.MAKER,
     objective: Objective = Objective(),
-    restriction: Optional[MoveRestriction] = None,
+    restriction: Optional[Sequence[int]] = None,
     settings: Optional[SolverSettings] = None,
 ) -> bool:
     """Can the Maker claim a winning set within the objective, playing perfectly?
 
-    A round budget of 0 is allowed and is trivially false.
+    `restriction`, an associated-set family (masks), cuts the Maker's menu
+    to whole sets of it once `validate_restriction` accepts it.  A round
+    budget of 0 is allowed and is trivially false.
     """
     if m < 1 or b < 1:
         raise PosgamesError("biases must be at least 1")
     settings = settings or SolverSettings()
     edges = _filter_edges(h, objective)
-    if restriction is None:
-        search = _MBSearch(h.n, edges, m, b, settings)
-    else:
+    lead = None
+    if restriction is not None:
         validate_restriction(h, m, b, restriction)
-        search = _RestrictedSearch(h.n, edges, m, b, settings, restriction.family)
+        lead = {v & -v: v for v in restriction}  # each set under its lowest element
+    search = _Search(h.n, edges, m, b, settings, lead)
     return search.run(0, 0, first is Player.MAKER, _mb_budget(h, m, objective))
 
 
@@ -503,9 +459,14 @@ def solve_aux_game(
         if objective.max_rounds is not None
         else board.n_elements
     )
-    search = _AuxSearch(board, b, settings)
-    # with no element to take, play starts without the pre-move
-    openings = search.breaker_single_openings(preclaimed) if breaker_premove else ()
+    arc_sets = [
+        (1 << (board.nv + j)) | (1 << u) | (1 << v) for j, (u, v) in enumerate(board.arcs)
+    ]
+    vertices = {1 << v: 1 << v for v in range(board.nv)}
+    search = _Search(board.n_elements, arc_sets, 1, b, settings, vertices)
+    # the pre-move takes a free element of an arc set (any other is dead);
+    # with none to take, play starts without it
+    openings = list(iter_bits(reduce(or_, arc_sets, 0) & ~preclaimed)) if breaker_premove else ()
     if openings:
         return all(search.run(preclaimed, opening, True, budget) for opening in openings)
     return search.run(preclaimed, 0, True, budget)
@@ -549,7 +510,7 @@ def game_values(
     """Win flag, round value, size value and the (rounds, size) frontier."""
     if m < 1 or b < 1:
         raise PosgamesError("biases must be at least 1")
-    search = _MBSearch(h.n, h.edges, m, b, settings or SolverSettings())
+    search = _Search(h.n, h.edges, m, b, settings or SolverSettings())
     return _values(search, h, first is Player.MAKER, _mb_budget(h, m, Objective()))
 
 

@@ -34,7 +34,6 @@ from .engine import GameKind, GameSpec, Player
 from .errors import PosgamesError
 from .graphgen import all_trees, cycle_graph, random_hypergraph, random_tree
 from .solver import (
-    MoveRestriction,
     Objective,
     SolverSettings,
     decide_mb,
@@ -112,9 +111,8 @@ def suite_lemma39(settings: Optional[SolverSettings] = None) -> SuiteReport:
     t0 = time.perf_counter()
     checks, rows, failures = [], [], []
     for m, b, s, t in [(1, 1, 3, 3), (1, 2, 3, 3), (1, 2, 3, 4), (2, 2, 5, 3)]:
-        h, fam = build_hmbst_indexed(m, b, s, t)[:2]
-        restriction = MoveRestriction(fam.sets)
-        for restr in (None, restriction):
+        h, family = build_hmbst_indexed(m, b, s, t)[:2]
+        for restr in (None, family):
             tag = "restricted" if restr else "free"
             win = decide_mb(h, m, b, Player.MAKER, Objective(t, s), restr, settings)
             slow = decide_mb(h, m, b, Player.MAKER, Objective(t - 1, s), restr, settings)

@@ -51,6 +51,15 @@ class TestGen:
             main(["gen", "gtb", "--t", "3"])  # missing --b
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "gen cycle --n 5 --memo-cap 7",  # no search runs
+        "dom closedform cycle --n 8 --format csv",  # the result has no rows
+    ])
+    def test_option_without_effect_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+
 
 class TestSolveAndFrontier:
     def test_solve_round_trip(self, capsys, tmp_path):
@@ -99,6 +108,15 @@ class TestSolveAndFrontier:
                             "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "t,s"
+
+    def test_frontier_csv_to_output_file(self, capsys, tmp_path):
+        board, table = tmp_path / "h.json", tmp_path / "out.csv"
+        run_cli(capsys, "gen", "complete-uniform", "--n", "4", "--k", "2",
+                "-o", str(board))
+        code, out = run_cli(capsys, "frontier", "mb", "--board", str(board),
+                            "--format", "csv", "-o", str(table))
+        assert code == 0 and out == ""
+        assert table.read_text().splitlines()[0] == "t,s"
 
     def test_family_restriction_flag(self, capsys, tmp_path):
         board = tmp_path / "h.json"

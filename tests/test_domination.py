@@ -15,7 +15,7 @@ from posgames.domination import (
     wc_tree_value,
 )
 from posgames.engine import Player
-from posgames.errors import BoardError, GuardExceeded
+from posgames.errors import BoardError
 from posgames.graphgen import (
     all_trees,
     cycle_graph,
@@ -63,9 +63,12 @@ class TestDominationNumber:
             )
             assert domination_number(g) == best
 
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            domination_number(graph_new(25, []))
+    def test_cycle_beyond_a_subset_scan(self):
+        # 2^30 vertex subsets; the minimal dominating sets give it at once
+        assert domination_number(cycle_graph(30)) == 10
+
+    def test_empty_graph(self):
+        assert domination_number(graph_new(0, [])) == 0
 
 
 class TestMinimalDominatingSets:

@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 
 from conftest import naive_decide, random_hypergraph_masks
 from posgames.boards import digraph_new, hypergraph_from_masks, hypergraph_new
-from posgames.constructions import build_gtb, build_hmbst, build_ht_wc
+from posgames.constructions import build_gtb, build_hmbst, build_ht_wc, build_htb, build_thm16
 from posgames.domination import minimal_dominating_sets
 from posgames.engine import GameKind, GameSpec, Player
 from posgames.errors import GuardExceeded, PosgamesError, RestrictionError
 from posgames.graphgen import cycle_graph
 from posgames.solver import (
-    MoveRestriction,
     Objective,
     SolverSettings,
-    _MBSearch,
+    _Search,
     _WCSearch,
     decide_mb,
     decide_wc,
@@ -239,7 +238,7 @@ def restricted_boards(draw):
             e |= 1 << label[nxt]
             nxt += 1
         edges.append(e)
-    return hypergraph_from_masks(n, edges), MoveRestriction(tuple(family)), m, b
+    return hypergraph_from_masks(n, edges), tuple(family), m, b
 
 
 class TestHypothesisAgainstNaive:
@@ -416,7 +415,7 @@ class TestComponentSplit:
         shared = [v for v in bits if sum(1 for e in h.edges if e & v) > 1]
         others = [v for v in bits if v not in shared]
         extra = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
-        restriction = MoveRestriction(tuple(shared + extra))
+        restriction = tuple(shared + extra)
         validate_restriction(h, 1, b, restriction)
         for first in Player:
             spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=1, breaker_bias=b, first=first)
@@ -491,11 +490,10 @@ class TestSolverInvariants:
     def test_memo_transparency_claiming_game(self, shape, t, first):
         # both menus key on the residual family; all four must agree
         h, fam = build_hmbst(*shape)
-        restriction = MoveRestriction(fam.sets)
         plain = SolverSettings(use_memo=False)
         values = {
             decide_mb(h, 1, 1, first, Objective(t), menu, settings=mode)
-            for menu in (None, restriction)
+            for menu in (None, fam)
             for mode in (None, plain)
         }
         assert len(values) == 1
@@ -504,13 +502,52 @@ class TestSolverInvariants:
         # every edge fits both budgets, so the second call on the same search
         # object meets the same live family at the root, one round shorter
         h, _fam = build_hmbst(1, 1, 3, 4)
-        claiming = _MBSearch(h.n, h.edges, 1, 1, SolverSettings())
+        claiming = _Search(h.n, h.edges, 1, 1, SolverSettings())
         assert claiming.run(0, 0, True, 4)
         assert not claiming.run(0, 0, True, 3)
         h = build_ht_wc(3)
         offer = _WCSearch(h.n, h.edges, SolverSettings())
         assert offer.run(0, 0, True, 3)
         assert not offer.run(0, 0, True, 2)
+
+    def test_search_work_is_pinned(self, monkeypatch):
+        # the `run` calls of one question per menu (free and associated-set
+        # claims, the vertex table of the directed-edge game with and without
+        # the pre-move, offers): a change in pruning or in a menu's order
+        # shows as a change in these counts
+        calls = [0]
+        run = _Search.run
+
+        def counting(self, *args):
+            calls[0] += 1
+            return run(self, *args)
+
+        monkeypatch.setattr(_Search, "run", counting)
+
+        def work(question):
+            calls[0] = 0
+            question()
+            return calls[0]
+
+        h, fam = build_hmbst(1, 2, 3, 4)
+        composite = build_thm16(1, 1, 3, 4, 4, 5)
+        hub = build_htb(5, 1)
+        c10 = minimal_dominating_sets(cycle_graph(10))
+        assert {
+            "associated sets": work(lambda: decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), fam)),
+            "free claims": work(lambda: game_values(composite, 1, 1)),
+            "vertices": work(lambda: solve_aux_game(hub, 1, 0, Objective(max_rounds=5))),
+            "vertices after a pre-move": work(
+                lambda: solve_aux_game(hub, 1, 0, breaker_premove=True)
+            ),
+            "offers": work(lambda: wc_game_values(c10)),
+        } == {
+            "associated sets": 3_175,
+            "free claims": 5_522,
+            "vertices": 849,
+            "vertices after a pre-move": 339,
+            "offers": 18_827,
+        }
 
     def test_memo_cap_guard_is_loud(self):
         tiny = SolverSettings(memo_cap=2)
@@ -533,12 +570,8 @@ class TestSolverInvariants:
 
 
 class TestMoveRestriction:
-    def family(self):
-        h, fam = build_hmbst(1, 1, 3, 3)
-        return h, MoveRestriction(fam.sets)
-
     def test_restriction_preserves_values(self):
-        h, restriction = self.family()
+        h, restriction = build_hmbst(1, 1, 3, 3)
         for t in (2, 3):
             for first in (Player.MAKER, Player.BREAKER):
                 free = decide_mb(h, 1, 1, first, Objective(t, 3))
@@ -550,24 +583,23 @@ class TestMoveRestriction:
         # paper's H(1,2,3,4) board fits 50,000 entries (6,449 are used)
         h, fam = build_hmbst(1, 2, 3, 4)
         small = SolverSettings(memo_cap=50_000)
-        assert decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), MoveRestriction(fam.sets),
-                         settings=small)
+        assert decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), fam, settings=small)
 
     def test_rejects_oversized_sets(self):
         h = hypergraph_new(4, [[0, 1, 2]])
         with pytest.raises(RestrictionError):
-            validate_restriction(h, 1, 1, MoveRestriction((0b11,)))
+            validate_restriction(h, 1, 1, (0b11,))
 
     def test_rejects_overlapping_sets(self):
         h = hypergraph_new(4, [[0, 1, 2]])
         with pytest.raises(RestrictionError):
-            validate_restriction(h, 1, 1, MoveRestriction((0b01, 0b01)))
+            validate_restriction(h, 1, 1, (0b01, 0b01))
 
     def test_rejects_straddling_edges(self):
         h = hypergraph_new(4, [[1, 2, 3]])
         # {0,1} meets the edge without being contained in it
         with pytest.raises(RestrictionError):
-            validate_restriction(h, 2, 2, MoveRestriction((0b0011,)))
+            validate_restriction(h, 2, 2, (0b0011,))
 
     def test_rejects_maker_bias_above_breaker_bias(self):
         # Maker's free first claim {0, 2} makes two threats and wins within
@@ -576,7 +608,7 @@ class TestMoveRestriction:
         spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=2, breaker_bias=1)
         assert decide_mb(h, 2, 1, Player.MAKER, Objective(2))
         assert naive_decide(spec, 2, None)
-        restriction = MoveRestriction((0b0011, 0b1100))
+        restriction = (0b0011, 0b1100)
         with pytest.raises(RestrictionError, match="maker bias"):
             validate_restriction(h, 2, 1, restriction)
         with pytest.raises(RestrictionError, match="maker bias"):
@@ -586,4 +618,4 @@ class TestMoveRestriction:
         h = hypergraph_new(4, [[0, 1], [1, 2]])
         # element 1 is outside the family and lies in two edges
         with pytest.raises(RestrictionError):
-            validate_restriction(h, 1, 1, MoveRestriction((0b1000,)))
+            validate_restriction(h, 1, 1, (0b1000,))
