@@ -97,24 +97,6 @@ class RootedDigraph:
         """Vertices and arcs together form the playable element universe."""
         return self.nv + len(self.arcs)
 
-    def reachability(self) -> list[int]:
-        """Per-vertex mask of vertices reachable by a directed path (reflexive)."""
-        succ = [0] * self.nv
-        for u, v in self.arcs:
-            succ[u] |= 1 << v
-        reach = [(1 << v) | succ[v] for v in range(self.nv)]
-        changed = True
-        while changed:
-            changed = False
-            for v in range(self.nv):
-                acc = reach[v]
-                for bit in iter_bits(acc):
-                    acc |= reach[bit.bit_length() - 1]
-                if acc != reach[v]:
-                    reach[v] = acc
-                    changed = True
-        return reach
-
     def shortest_path_lengths(self) -> list[list[Optional[int]]]:
         """All-pairs shortest directed path lengths (None when unreachable)."""
         succ: list[set[int]] = [set() for _ in range(self.nv)]

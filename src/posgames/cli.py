@@ -7,7 +7,7 @@ run manifest (command line, input digests, version, seed, wall time, result)
 can be written with --manifest; identical inputs reproduce identical result
 payloads.  --memo-cap is offered where a search runs (solve, frontier, dom
 solve, verify) and --format where the result has rows (frontier, dom solve,
-verify).
+verify of one suite); verify rejects a flag its target does not read.
 """
 
 from __future__ import annotations
@@ -112,23 +112,21 @@ class _Run:
 
 
 def _settings(args) -> SolverSettings:
-    return SolverSettings(memo_cap=args.memo_cap)
+    return SolverSettings(**_given(args, ("memo_cap",)))
 
 
-def _emit(args, run: _Run, payload, rows=None) -> None:
+def _emit(args, run: _Run, payload, rows=None, columns=None) -> None:
     """Write the rows as CSV with --format csv, else the payload as JSON, to
-    the -o path or stdout."""
-    if getattr(args, "format", "json") == "csv" and rows:
+    the -o path or stdout.  The CSV columns are `columns`, else every row
+    key in first-seen order; the header is written even with no row."""
+    if getattr(args, "format", "json") == "csv":
+        if columns is None:
+            columns = list(dict.fromkeys(key for row in rows for key in row))
         buf = io.StringIO()
-        keys: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
-        writer = csv.DictWriter(buf, fieldnames=keys)
+        writer = csv.DictWriter(buf, fieldnames=columns)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in keys})
+            writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2) + "\n"
@@ -251,7 +249,7 @@ def _cmd_frontier(args, run: _Run) -> int:
     else:
         result = wc_game_values(board, settings)
     payload = result.to_json()
-    _emit(args, run, payload, rows=[{"t": t, "s": s} for t, s in result.frontier])
+    _emit(args, run, payload, [{"t": t, "s": s} for t, s in result.frontier], ("t", "s"))
     return EXIT_OK
 
 
@@ -268,7 +266,7 @@ def _cmd_dom(args, run: _Run) -> int:
         else:
             result = dom_wc_values(graph, settings)
         payload = result.to_json()
-        _emit(args, run, payload, rows=[{"t": t, "s": s} for t, s in result.frontier])
+        _emit(args, run, payload, [{"t": t, "s": s} for t, s in result.frontier], ("t", "s"))
         return EXIT_OK
     if args.dom_command == "gamma":
         graph = run.read_board(args.graph, "graph")
@@ -308,11 +306,40 @@ def _given(args, params) -> dict:
     return {k: v for k, v in vars(args).items() if k in params and v is not None}
 
 
+# verify's flags that name no target parameter
+_OUTPUT_FLAGS = ("command", "target", "manifest", "output", "format")
+
+
+def _check_verify_flags(args) -> None:
+    """Reject, before anything runs, a flag the target does not read: a
+    script reads its catalog parameters and --max-nodes, a suite its own
+    parameters and --memo-cap, and `all` what any suite reads.  Only a
+    single suite has rows for --format csv."""
+    target = args.target
+    names = list(suites_mod.SUITES) if target == "all" else [target]
+    if all(name in suites_mod.SUITES for name in names):
+        takes = {"memo_cap"}.union(
+            *(inspect.signature(suites_mod.SUITES[name]).parameters for name in names)
+        )
+    elif target in CATALOG:
+        takes = {*CATALOG[target].smallest, "max_nodes"}
+    else:
+        raise PosgamesError(f"unknown target {target!r}: not a suite, a script or 'all'")
+    extra = sorted(
+        k for k, v in vars(args).items()
+        if v is not None and k not in takes and k not in _OUTPUT_FLAGS
+    )
+    if extra:
+        flags = ", ".join("--graph" if k == "tree" else "--" + k.replace("_", "-") for k in extra)
+        raise PosgamesError(f"verify {target} takes no {flags}")
+    if args.format == "csv" and target not in suites_mod.SUITES:
+        raise PosgamesError(f"verify {target} has no rows for --format csv; name one suite")
+
+
 def _cmd_verify(args, run: _Run) -> int:
+    _check_verify_flags(args)
     target = args.target
     settings = _settings(args)
-    if args.max_nodes is not None and (target == "all" or target in suites_mod.SUITES):
-        raise PosgamesError("--max-nodes bounds a strategy script's verifier, not a suite")
     if target == "all":
         reports = []
         ok = True
@@ -324,13 +351,11 @@ def _cmd_verify(args, run: _Run) -> int:
         _emit(args, run, payload)
         return EXIT_OK if ok else EXIT_VIOLATED
     if target in suites_mod.SUITES:
-        run.seed = args.seed
         rep = _run_suite(target, args, settings)
-        rows = rep.get("rows")
-        _emit(args, run, dict(rep), rows=rows)
+        _emit(args, run, rep, rep["rows"])
         return EXIT_OK if rep["ok"] else EXIT_VIOLATED
     # catalog strategy: flags not given take the smallest-instance values
-    given = _given(args, CATALOG[target].smallest if target in CATALOG else ())
+    given = _given(args, CATALOG[target].smallest)
     if "tree" in given:
         given["tree"] = run.read_board(given["tree"], "graph")
     spec, strat, guarantee = instance(target, **given)
@@ -363,8 +388,8 @@ def _add_common(p: argparse.ArgumentParser, search: bool = False, rows: bool = F
     """The output flags, plus --memo-cap where a search runs and --format
     where the result has rows."""
     if search:
-        p.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP,
-                       help="memo entry cap (default: %(default)s)")
+        p.add_argument("--memo-cap", type=int,
+                       help=f"memo entry cap (default: {DEFAULT_MEMO_CAP})")
     p.add_argument("--manifest", help="write a run manifest JSON to this path")
     p.add_argument("-o", "--output", help="write the result to this path, not stdout")
     if rows:
@@ -467,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a claim suite or verify a catalog strategy")
     verify.add_argument("target", help="suite name, strategy name, or 'all'")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=int)
     verify.add_argument("--count", type=int)
     verify.add_argument("--max-exhaustive", type=int)
     verify.add_argument("--max-n", type=int)

@@ -15,6 +15,7 @@ from .bitset import iter_bits
 from .boards import (
     Hypergraph,
     SimpleGraph,
+    _check_board_size,
     hypergraph_from_masks,
     induced_subgraph,
     minimal_transversals,
@@ -45,8 +46,10 @@ def minimal_dominating_sets(g: SimpleGraph) -> Hypergraph:
     Computed as the minimal transversals of the closed neighbourhoods.  The
     enumeration keeps no intermediate family, so large boards work as long as
     the output family stays within `boards.DEFAULT_FAMILY_CAP` sets;
-    `GuardExceeded` is raised when it would not.
+    `GuardExceeded` is raised when it would not.  A graph with more vertices
+    than a board holds raises `BoardError` before the enumeration starts.
     """
+    _check_board_size(g.n)
     hoods = [g.closed_neighborhood(v) for v in range(g.n)]
     masks = minimal_transversals(g.n, hoods)
     return hypergraph_from_masks(g.n, masks)

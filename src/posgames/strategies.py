@@ -323,13 +323,11 @@ def make_maker_gtb(t: int, b: int) -> Strategy:
 
 @functools.lru_cache(maxsize=128)
 def _digraph_tables(board: RootedDigraph):
-    """(reach masks, outgoing arc element mask per vertex, dists)."""
-    reach = board.reachability()
+    """(outgoing arc element mask per vertex, dists)."""
     out_arcs = [0] * board.nv
     for j, (u, _v) in enumerate(board.arcs):
         out_arcs[u] |= 1 << (board.nv + j)
-    dist = board.shortest_path_lengths()
-    return reach, tuple(out_arcs), dist
+    return tuple(out_arcs), board.shortest_path_lengths()
 
 
 def _block_arcs(
@@ -341,13 +339,12 @@ def _block_arcs(
     arcs.  When the new vertex `new_v` is live, block the lowest other live
     vertex if `new_v` lies below it at distance under `threshold` (None: any
     distance), and `new_v` otherwise; else block the lowest live vertex."""
-    reach, out_arcs, dist = _digraph_tables(board)
+    out_arcs, dist = _digraph_tables(board)
     live = [v for v in owned if out_arcs[v] & free]
     if new_v in live:
         x = next((v for v in live if v != new_v), None)
-        if x is None or not reach[x] & (1 << new_v):
+        if x is None or dist[x][new_v] is None:  # new_v does not lie below x
             return out_arcs[new_v] & free
-        # reach[x] holds new_v, so the distance is defined
         if threshold is not None and dist[x][new_v] >= threshold:
             return out_arcs[new_v] & free
         return out_arcs[x] & free

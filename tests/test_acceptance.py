@@ -2,7 +2,8 @@
 pinned arguments and a time budget.
 
 The claim checks themselves live in the suites, which `posgames verify` runs
-as well; this file only pins their arguments.  Each case prints a one-line
+as well; this file pins their arguments, and checks once that a failing
+claim reports its counterexample.  Each case prints a one-line
 PASS summary with its wall time.  Run with `pytest tests/test_acceptance.py
 -v -s` to see the lines live.
 """
@@ -11,6 +12,8 @@ import time
 
 import pytest
 
+from posgames import suites
+from posgames.boards import Hypergraph
 from posgames.suites import SUITES
 
 # (suite name, pinned keyword arguments, time budget in seconds)
@@ -43,3 +46,16 @@ def test_claim_suite(name, kwargs, budget):
     assert elapsed < budget, f"{name} took {elapsed:.2f}s, budget {budget}s"
     print(f"ACCEPT {name}: PASS ({len(report['checks'])} checks, "
           f"{elapsed:.2f}s, budget {budget}s)")
+
+
+def test_failing_property_reports_its_counterexample(monkeypatch):
+    # a minimalize that drops each board's first set changes some board's values
+    monkeypatch.setattr(suites, "minimalize", lambda h: Hypergraph(h.n, h.edges[1:], h.labels))
+    report = suites.suite_properties(count=20, seed=0, max_n=6)
+    assert [c["check"] for c in report["checks"] if not c["ok"]] == [
+        "minimal-subfamily soundness x20"
+    ]
+    assert report["ok"] is False and report["failures"] == [
+        {"check": "minimal-subfamily soundness x20",
+         "detail": {"i": 9, "h": [[3], [4], [1, 3, 4], [1, 2, 3, 4]]}}
+    ]

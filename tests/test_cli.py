@@ -6,7 +6,7 @@ import pytest
 from posgames import cli
 from posgames.cli import build_parser, main
 from posgames.strategies import CATALOG
-from posgames.suites import SUITES, SuiteReport
+from posgames.suites import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +108,17 @@ class TestSolveAndFrontier:
                             "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "t,s"
+
+    @pytest.mark.parametrize("command, generator", [
+        ("frontier mb --board", "complete-uniform --n 3 --k 3"),
+        ("dom solve wc --graph", "path --n 3"),
+    ], ids=["frontier", "dom-solve"])
+    def test_empty_frontier_csv_is_the_header(self, capsys, tmp_path, command, generator):
+        # the Maker loses K_3^(3), and the Dominator the offer game on the 3-path
+        board = tmp_path / "b.json"
+        run_cli(capsys, "gen", *generator.split(), "-o", str(board))
+        code, out = run_cli(capsys, *command.split(), str(board), "--format", "csv")
+        assert code == 0 and out.splitlines() == ["t,s"]
 
     def test_frontier_csv_to_output_file(self, capsys, tmp_path):
         board, table = tmp_path / "h.json", tmp_path / "out.csv"
@@ -356,6 +367,52 @@ class TestVerify:
         assert code == 0
         assert doc["guarantee"] == "wins within 2 round(s)" and doc["nodes"] == 8
 
+    @pytest.mark.parametrize("command, flags", [
+        ("verify maker-gtb --n 5 --count 3", "--count, --n"),
+        ("verify thm1.1 --t 9 --max-bias 1", "--t"),
+        ("verify all --t 3", "--t"),
+        ("verify maker-gtb --memo-cap 7", "--memo-cap"),
+        ("verify waiter-tree --seed 1", "--seed"),
+    ], ids=["script", "suite", "all", "script-memo-cap", "script-seed"])
+    def test_flag_the_target_does_not_take_is_a_usage_error(
+        self, capsys, monkeypatch, command, flags
+    ):
+        monkeypatch.setattr(cli, "verify_strategy", None)  # nothing may run
+        monkeypatch.setattr(cli, "_run_suite", None)
+        code, doc = run_json(capsys, *command.split())
+        assert code == 2 and doc["kind"] == "usage"
+        assert doc["message"].endswith(f"takes no {flags}")
+
+    def test_all_takes_a_flag_that_some_suite_takes(self, capsys, monkeypatch):
+        # --max-n is a parameter of thm1.8, residue and properties only
+        seen = []
+
+        def passing_suite(name, args, settings):
+            seen.append(name)
+            return {"suite": name, "ok": True}
+
+        monkeypatch.setattr(cli, "_run_suite", passing_suite)
+        code, doc = run_json(capsys, "verify", "all", "--max-n", "4")
+        assert code == 0 and doc["ok"] is True and seen == list(SUITES)
+
+    @pytest.mark.parametrize("target", ["maker-gtb", "all"])
+    def test_csv_without_rows_is_a_usage_error(self, capsys, monkeypatch, target):
+        monkeypatch.setattr(cli, "verify_strategy", None)  # nothing may run
+        monkeypatch.setattr(cli, "_run_suite", None)
+        code, doc = run_json(capsys, "verify", target, "--format", "csv")
+        assert code == 2 and doc["kind"] == "usage"
+        assert "--format csv" in doc["message"]
+
+    def test_suite_writes_its_rows_as_csv(self, capsys):
+        code, out = run_cli(capsys, "verify", "thm1.8", "--max-n", "4", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["n,rounds,size,closed", "3,1,1,1", "4,2,2,2"]
+
+    def test_unset_seed_is_recorded_as_null(self, capsys, tmp_path):
+        manifest = tmp_path / "m.json"
+        run_cli(capsys, "verify", "thm1.8", "--max-n", "3", "--manifest", str(manifest))
+        assert json.loads(manifest.read_text())["seed"] is None
+
     def test_every_suite_parameter_has_a_flag(self):
         args = vars(build_parser().parse_args(["verify", "all"]))
         for name, fn in SUITES.items():
@@ -373,9 +430,9 @@ class TestVerify:
         failure = {"check": "C_3 offer values = 1", "detail": {"rounds": 2}}
 
         def failing_suite(**kwargs):
-            return SuiteReport(suite="thm1.8", ok=False, seconds=0.0,
-                               checks=[{"check": failure["check"], "ok": False}],
-                               rows=[], failures=[failure])
+            return dict(suite="thm1.8", ok=False, seconds=0.0,
+                        checks=[{"check": failure["check"], "ok": False}],
+                        rows=[], failures=[failure])
 
         monkeypatch.setitem(SUITES, "thm1.8", failing_suite)
         code, doc = run_json(capsys, "verify", "thm1.8")

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from posgames.boards import graph_new
+from posgames.boards import graph_new, hypergraph_new
+from posgames.constructions import build_gadget
 from posgames.domination import (
     dom_game_values,
     domination_number,
@@ -108,6 +109,13 @@ class TestMinimalDominatingSets:
     @pytest.mark.parametrize("n, count", [(20, 851), (22, 1674), (24, 3281)])
     def test_cycle_family_sizes(self, n, count):
         assert len(minimal_dominating_sets(cycle_graph(n)).edges) == count
+
+    def test_graph_beyond_board_capacity_is_rejected_before_enumerating(self):
+        # 1,349 vertices: the enumeration would recurse past Python's limit
+        g = build_gadget(hypergraph_new(5, [[2], [0, 1, 2, 3, 4]]), 1)
+        for fn in (minimal_dominating_sets, domination_number):
+            with pytest.raises(BoardError, match="exceeds capacity"):
+                fn(g)
 
 
 class TestGameValues:

@@ -254,7 +254,6 @@ class TestSlowBlockerInvariants:
     def test_properties_hold_along_random_plays(self, t, b, rng):
         spec, strat, _ = instance("breaker-gtb-slow", t=t, b=b)
         board = spec.board
-        reach = board.reachability()
         dist = board.shortest_path_lengths()
         out_arcs = [0] * board.nv
         for j, (u, _v) in enumerate(board.arcs):
