@@ -135,24 +135,17 @@ def hypergraph_new(
     Duplicate edges collapse; empty edges and out-of-range indices are errors.
     """
     _check_board_size(n)
-    masks = []
-    for edge in edges:
-        if len(edge) == 0:
-            raise BoardError("empty edge")
-        masks.append(mask_from_indices(edge, n))
-    lab = None
-    if labels is not None:
-        if len(labels) != n:
-            raise BoardError(f"expected {n} labels, got {len(labels)}")
-        lab = tuple(labels)
-    return Hypergraph(n, _canonical_edges(masks), lab)
+    return hypergraph_from_masks(n, [mask_from_indices(edge, n) for edge in edges], labels)
 
 
 def hypergraph_from_masks(
     n: int, masks: Iterable[int], labels: Optional[Sequence[str]] = None
 ) -> Hypergraph:
-    """Construct from pre-built masks (internal fast path, same invariants)."""
+    """Construct from masks: duplicate edges collapse; an empty edge, a bit
+    past the board or a label count other than n is an error."""
     _check_board_size(n)
+    if labels is not None and len(labels) != n:
+        raise BoardError(f"expected {n} labels, got {len(labels)}")
     full = (1 << n) - 1
     out = []
     for m in masks:
@@ -161,7 +154,7 @@ def hypergraph_from_masks(
         if m & ~full:
             raise BoardError("edge mask exceeds board size")
         out.append(m)
-    return Hypergraph(n, _canonical_edges(out), tuple(labels) if labels else None)
+    return Hypergraph(n, _canonical_edges(out), None if labels is None else tuple(labels))
 
 
 def inclusion_minimal(masks: Sequence[int]) -> list[int]:
@@ -287,8 +280,9 @@ def minimal_transversals(
     return found
 
 
-def transversal_hypergraph(h: Hypergraph, family_cap: int = DEFAULT_FAMILY_CAP) -> Hypergraph:
-    """Hypergraph of the inclusion-minimal transversals of h's edge family."""
+def transversal_hypergraph(h: Hypergraph) -> Hypergraph:
+    """Hypergraph of the inclusion-minimal transversals of h's edge family,
+    under the default family cap."""
     if h.n > TRANSVERSAL_BOARD_LIMIT:
         raise GuardExceeded(
             f"transversal enumeration limited to {TRANSVERSAL_BOARD_LIMIT} elements, got {h.n}"
@@ -297,7 +291,7 @@ def transversal_hypergraph(h: Hypergraph, family_cap: int = DEFAULT_FAMILY_CAP) 
         raise DegenerateTransversalError(
             "empty edge family: the empty set is the unique minimal transversal"
         )
-    masks = minimal_transversals(h.n, h.edges, family_cap)
+    masks = minimal_transversals(h.n, h.edges)
     return Hypergraph(h.n, _canonical_edges(masks), h.labels)
 
 

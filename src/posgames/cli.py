@@ -5,9 +5,18 @@ stdout); 2 usage error; 3 resource-guard abort.  Results are JSON on stdout,
 or in the file given with -o (CSV for tabular output with --format csv).  A
 run manifest (command line, input digests, version, seed, wall time, result)
 can be written with --manifest; identical inputs reproduce identical result
-payloads.  --memo-cap is offered where a search runs (solve, frontier, dom
-solve, verify) and --format where the result has rows (frontier, dom solve,
-verify of one suite); verify rejects a flag its target does not read.
+payloads.
+
+The parser is the one place that says which flags a command reads.  Every
+leaf command has its own subparser, and `set_defaults(handler=...)` on it or
+on its group names the function that runs it.  Each verify target (a suite,
+`all` or a catalog script) is a subparser made from the suite's signature or
+the script's catalog parameters through `_VERIFY_FLAGS`, and each
+closed-form shape is one too, so a flag the command does not read is an
+argparse usage error (exit 2) before anything runs.  --memo-cap is offered
+where a search runs (solve, frontier, dom solve, verify of a suite or `all`)
+and --format where the result has rows (frontier, dom solve, verify of one
+suite).
 """
 
 from __future__ import annotations
@@ -41,9 +50,8 @@ from .constructions import (
     build_wc_gap_case1,
 )
 from .domination import (
-    dom_game_values,
-    dom_wc_values,
     domination_number,
+    minimal_dominating_sets,
     residue,
     wc_cycle_value,
     wc_tree_value,
@@ -201,19 +209,15 @@ def _cmd_gen(args, run: _Run) -> int:
             raise FormatError(f"--blocked: {exc}") from exc
         board = build_nonmonotone(blocked)
     elif name == "random-graph":
-        run.seed = args.seed
         board = random_graph(args.n, args.p, random.Random(args.seed))
-    elif name == "random-tree":
-        run.seed = args.seed
+    else:  # random-tree
         board = random_tree(args.n, random.Random(args.seed))
-    else:  # pragma: no cover - argparse restricts choices
-        raise PosgamesError(f"unknown generator {name}")
     _emit(args, run, to_json(board))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# solve / frontier
+# solve / frontier / dom
 
 
 def _cmd_solve(args, run: _Run) -> int:
@@ -241,57 +245,45 @@ def _cmd_solve(args, run: _Run) -> int:
     return EXIT_OK
 
 
-def _cmd_frontier(args, run: _Run) -> int:
+def _cmd_values(args, run: _Run) -> int:
+    """`frontier` on the --board hypergraph, or `dom solve` on the minimal
+    dominating sets of the --graph graph: the game's values and frontier."""
     settings = _settings(args)
-    board = run.read_board(args.board, "hypergraph")
+    if "board" in args:
+        board = run.read_board(args.board, "hypergraph")
+    else:
+        board = minimal_dominating_sets(run.read_board(args.graph, "graph"))
     if args.game == "mb":
         result = game_values(board, args.m, args.b, _player(args.first), settings)
     else:
         result = wc_game_values(board, settings)
-    payload = result.to_json()
-    _emit(args, run, payload, [{"t": t, "s": s} for t, s in result.frontier], ("t", "s"))
+    _emit(args, run, result.to_json(), [{"t": t, "s": s} for t, s in result.frontier], ("t", "s"))
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# dom
+def _cmd_gamma(args, run: _Run) -> int:
+    graph = run.read_board(args.graph, "graph")
+    _emit(args, run, {"type": "gamma", "gamma": domination_number(graph)})
+    return EXIT_OK
 
 
-def _cmd_dom(args, run: _Run) -> int:
-    if args.dom_command == "solve":
-        settings = _settings(args)
-        graph = run.read_board(args.graph, "graph")
-        if args.game == "mb":
-            result = dom_game_values(graph, args.m, args.b, _player(args.first), settings)
-        else:
-            result = dom_wc_values(graph, settings)
-        payload = result.to_json()
-        _emit(args, run, payload, [{"t": t, "s": s} for t, s in result.frontier], ("t", "s"))
-        return EXIT_OK
-    if args.dom_command == "gamma":
-        graph = run.read_board(args.graph, "graph")
-        _emit(args, run, {"type": "gamma", "gamma": domination_number(graph)})
-        return EXIT_OK
-    if args.dom_command == "residue":
-        graph = run.read_board(args.graph, "graph")
-        rep = residue(graph)
-        payload = {
-            "type": "residue_report",
-            "residue": to_json(rep.residue),
-            "removed_pairs": [list(p) for p in rep.removed_pairs],
-            "kept": list(rep.kept),
-        }
-        _emit(args, run, payload)
-        return EXIT_OK
-    # closedform
-    if args.shape == "cycle":
-        if args.n is None:
-            raise PosgamesError("dom closedform cycle needs --n")
-        value = wc_cycle_value(args.n)
-    else:
-        if args.graph is None:
-            raise PosgamesError("dom closedform tree needs --graph")
+def _cmd_residue(args, run: _Run) -> int:
+    rep = residue(run.read_board(args.graph, "graph"))
+    payload = {
+        "type": "residue_report",
+        "residue": to_json(rep.residue),
+        "removed_pairs": [list(p) for p in rep.removed_pairs],
+        "kept": list(rep.kept),
+    }
+    _emit(args, run, payload)
+    return EXIT_OK
+
+
+def _cmd_closed_form(args, run: _Run) -> int:
+    if args.shape == "tree":
         value = wc_tree_value(run.read_board(args.graph, "graph"))
+    else:
+        value = wc_cycle_value(args.n)
     _emit(args, run, {"type": "closed_form", "value": value})
     return EXIT_OK
 
@@ -306,59 +298,31 @@ def _given(args, params) -> dict:
     return {k: v for k, v in vars(args).items() if k in params and v is not None}
 
 
-# verify's flags that name no target parameter
-_OUTPUT_FLAGS = ("command", "target", "manifest", "output", "format")
+def _run_suite(name: str, args, settings: SolverSettings):
+    fn = suites_mod.SUITES[name]
+    return fn(settings=settings, **_given(args, inspect.signature(fn).parameters))
 
 
-def _check_verify_flags(args) -> None:
-    """Reject, before anything runs, a flag the target does not read: a
-    script reads its catalog parameters and --max-nodes, a suite its own
-    parameters and --memo-cap, and `all` what any suite reads.  Only a
-    single suite has rows for --format csv."""
-    target = args.target
-    names = list(suites_mod.SUITES) if target == "all" else [target]
-    if all(name in suites_mod.SUITES for name in names):
-        takes = {"memo_cap"}.union(
-            *(inspect.signature(suites_mod.SUITES[name]).parameters for name in names)
-        )
-    elif target in CATALOG:
-        takes = {*CATALOG[target].smallest, "max_nodes"}
-    else:
-        raise PosgamesError(f"unknown target {target!r}: not a suite, a script or 'all'")
-    extra = sorted(
-        k for k, v in vars(args).items()
-        if v is not None and k not in takes and k not in _OUTPUT_FLAGS
-    )
-    if extra:
-        flags = ", ".join("--graph" if k == "tree" else "--" + k.replace("_", "-") for k in extra)
-        raise PosgamesError(f"verify {target} takes no {flags}")
-    if args.format == "csv" and target not in suites_mod.SUITES:
-        raise PosgamesError(f"verify {target} has no rows for --format csv; name one suite")
+def _cmd_verify_suite(args, run: _Run) -> int:
+    rep = _run_suite(args.target, args, _settings(args))
+    _emit(args, run, rep, rep["rows"])
+    return EXIT_OK if rep["ok"] else EXIT_VIOLATED
 
 
-def _cmd_verify(args, run: _Run) -> int:
-    _check_verify_flags(args)
-    target = args.target
+def _cmd_verify_all(args, run: _Run) -> int:
     settings = _settings(args)
-    if target == "all":
-        reports = []
-        ok = True
-        for name in suites_mod.SUITES:
-            rep = _run_suite(name, args, settings)
-            reports.append(rep)
-            ok = ok and rep["ok"]
-        payload = {"type": "verify_report", "ok": ok, "suites": reports}
-        _emit(args, run, payload)
-        return EXIT_OK if ok else EXIT_VIOLATED
-    if target in suites_mod.SUITES:
-        rep = _run_suite(target, args, settings)
-        _emit(args, run, rep, rep["rows"])
-        return EXIT_OK if rep["ok"] else EXIT_VIOLATED
-    # catalog strategy: flags not given take the smallest-instance values
-    given = _given(args, CATALOG[target].smallest)
+    reports = [_run_suite(name, args, settings) for name in suites_mod.SUITES]
+    ok = all(rep["ok"] for rep in reports)
+    _emit(args, run, {"type": "verify_report", "ok": ok, "suites": reports})
+    return EXIT_OK if ok else EXIT_VIOLATED
+
+
+def _cmd_verify_script(args, run: _Run) -> int:
+    # flags not given take the smallest-instance values
+    given = _given(args, CATALOG[args.target].smallest)
     if "tree" in given:
         given["tree"] = run.read_board(given["tree"], "graph")
-    spec, strat, guarantee = instance(target, **given)
+    spec, strat, guarantee = instance(args.target, **given)
     result = verify_strategy(spec, strat, guarantee, **_given(args, ("max_nodes",)))
     payload = {
         "type": "strategy_verification",
@@ -375,13 +339,17 @@ def _cmd_verify(args, run: _Run) -> int:
     return EXIT_OK if result.ok else EXIT_VIOLATED
 
 
-def _run_suite(name: str, args, settings: SolverSettings):
-    fn = suites_mod.SUITES[name]
-    return fn(settings=settings, **_given(args, inspect.signature(fn).parameters))
-
-
 # ---------------------------------------------------------------------------
 # parser
+
+
+# verify: the flag of each suite or script parameter; a parameter not named
+# here (the scripts' `blocked` and `bias`) has none
+_VERIFY_FLAGS = {
+    "seed": "--seed", "count": "--count", "max_exhaustive": "--max-exhaustive",
+    "max_n": "--max-n", "max_bias": "--max-bias", "t": "--t", "b": "--b", "n": "--n",
+    "m": "--m", "s": "--s", "seed_vertex": "--seed-vertex", "tree": "--graph",
+}
 
 
 def _add_common(p: argparse.ArgumentParser, search: bool = False, rows: bool = False) -> None:
@@ -396,6 +364,16 @@ def _add_common(p: argparse.ArgumentParser, search: bool = False, rows: bool = F
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _add_target(vsub, target: str, params, handler, kind: str) -> argparse.ArgumentParser:
+    """The verify subparser of `target`, with the flag of each parameter."""
+    p = vsub.add_parser(target, help=kind)
+    for name in params:
+        if name in _VERIFY_FLAGS:  # every parameter but `tree` (a graph file) is an int
+            p.add_argument(_VERIFY_FLAGS[name], dest=name, type=str if name == "tree" else int)
+    p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="posgames",
@@ -405,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a constructed board as JSON")
+    gen.set_defaults(handler=_cmd_gen)
     gsub = gen.add_subparsers(dest="generator", required=True)
     for name, (_build, params) in _INT_GENERATORS.items():
         p = gsub.add_parser(name)
@@ -434,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     solve = sub.add_parser("solve", help="decide a bounded or unbounded objective")
+    solve.set_defaults(handler=_cmd_solve)
     ssub = solve.add_subparsers(dest="game", required=True)
     p = ssub.add_parser("mb")
     p.add_argument("--board", required=True)
@@ -458,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, search=True)
 
     frontier = sub.add_parser("frontier", help="full values incl. the rounds/size frontier")
+    frontier.set_defaults(handler=_cmd_values)
     fsub = frontier.add_subparsers(dest="game", required=True)
     p = fsub.add_parser("mb")
     p.add_argument("--board", required=True)
@@ -478,66 +459,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-b", type=int, default=1)
     p.add_argument("--first", choices=("maker", "breaker"), default="maker")
     _add_common(p, search=True, rows=True)
-    p = dsub.add_parser("gamma")
-    p.add_argument("--graph", required=True)
+    p.set_defaults(handler=_cmd_values)
+    for name, handler in (("gamma", _cmd_gamma), ("residue", _cmd_residue)):
+        p = dsub.add_parser(name)
+        p.add_argument("--graph", required=True)
+        _add_common(p)
+        p.set_defaults(handler=handler)
+    closed = dsub.add_parser("closedform")
+    closed.set_defaults(handler=_cmd_closed_form)
+    csub = closed.add_subparsers(dest="shape", required=True)
+    p = csub.add_parser("tree")
+    p.add_argument("--graph", required=True, help="tree JSON")
     _add_common(p)
-    p = dsub.add_parser("residue")
-    p.add_argument("--graph", required=True)
-    _add_common(p)
-    p = dsub.add_parser("closedform")
-    p.add_argument("shape", choices=("tree", "cycle"))
-    p.add_argument("--graph", help="tree JSON (for shape=tree)")
-    p.add_argument("--n", type=int, help="cycle length (for shape=cycle)")
+    p = csub.add_parser("cycle")
+    p.add_argument("--n", type=int, required=True, help="cycle length")
     _add_common(p)
 
     verify = sub.add_parser("verify", help="run a claim suite or verify a catalog strategy")
-    verify.add_argument("target", help="suite name, strategy name, or 'all'")
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--count", type=int)
-    verify.add_argument("--max-exhaustive", type=int)
-    verify.add_argument("--max-n", type=int)
-    verify.add_argument("--max-bias", type=int)
-    verify.add_argument("--max-nodes", type=int,
-                        help="most positions a strategy script's verifier may expand "
-                             "(default: the verifier's own bound); subtrees it finds "
-                             "in its table do not count")
-    verify.add_argument("--t", type=int)
-    verify.add_argument("--b", type=int)
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--m", type=int)
-    verify.add_argument("--s", type=int)
-    verify.add_argument("--seed-vertex", type=int)
-    verify.add_argument("--graph", dest="tree", help="tree JSON for waiter-tree")
-    _add_common(verify, search=True, rows=True)
+    vsub = verify.add_subparsers(dest="target", required=True, metavar="target")
+    suite_params = {
+        name: inspect.signature(fn).parameters for name, fn in suites_mod.SUITES.items()
+    }
+    for name, params in suite_params.items():
+        p = _add_target(vsub, name, params, _cmd_verify_suite, "claim suite")
+        _add_common(p, search=True, rows=True)
+    union = dict.fromkeys(par for params in suite_params.values() for par in params)
+    p = _add_target(vsub, "all", union, _cmd_verify_all, "every claim suite")
+    _add_common(p, search=True)
+    for name, entry in CATALOG.items():
+        p = _add_target(vsub, name, entry.smallest, _cmd_verify_script, "strategy script")
+        p.add_argument("--max-nodes", type=int,
+                       help="most positions the verifier may expand (default: its own "
+                            "bound); subtrees it finds in its table do not count")
+        _add_common(p)
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     run = _Run(["posgames"] + argv)
-    if hasattr(args, "seed"):
-        run.seed = args.seed
+    run.seed = getattr(args, "seed", None)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args, run)
-        if args.command == "solve":
-            return _cmd_solve(args, run)
-        if args.command == "frontier":
-            return _cmd_frontier(args, run)
-        if args.command == "dom":
-            return _cmd_dom(args, run)
-        if args.command == "verify":
-            return _cmd_verify(args, run)
-        parser.error(f"unknown command {args.command}")
+        return args.handler(args, run)
     except GuardExceeded as exc:
         print(json.dumps({"type": "error", "kind": "guard", "message": str(exc)}))
         return EXIT_GUARD
     except (PosgamesError, OSError) as exc:
         print(json.dumps({"type": "error", "kind": "usage", "message": str(exc)}))
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

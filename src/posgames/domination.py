@@ -21,7 +21,7 @@ from .boards import (
     minimal_transversals,
 )
 from .engine import Player
-from .errors import BoardError
+from .errors import BoardError, DegenerateTransversalError
 from .solver import SolveResult, SolverSettings, game_values, wc_game_values
 
 
@@ -47,9 +47,14 @@ def minimal_dominating_sets(g: SimpleGraph) -> Hypergraph:
     enumeration keeps no intermediate family, so large boards work as long as
     the output family stays within `boards.DEFAULT_FAMILY_CAP` sets;
     `GuardExceeded` is raised when it would not.  A graph with more vertices
-    than a board holds raises `BoardError` before the enumeration starts.
+    than a board holds raises `BoardError` before the enumeration starts,
+    and the empty graph `DegenerateTransversalError`.
     """
     _check_board_size(g.n)
+    if g.n == 0:
+        raise DegenerateTransversalError(
+            "the empty set dominates the empty graph, and a board edge cannot be empty"
+        )
     hoods = [g.closed_neighborhood(v) for v in range(g.n)]
     masks = minimal_transversals(g.n, hoods)
     return hypergraph_from_masks(g.n, masks)

@@ -108,6 +108,9 @@ def all_trees(n: int) -> Iterator[SimpleGraph]:
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> SimpleGraph:
+    """Each of the n(n-1)/2 pairs is an edge with probability p."""
+    if not 0 <= p <= 1:
+        raise BoardError(f"edge probability must lie in [0, 1], got {p}")
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return graph_new(n, edges)
 
@@ -116,13 +119,12 @@ def random_hypergraph(
     n: int,
     max_edges: int,
     rng: random.Random,
-    min_edge_size: int = 1,
     max_edge_size: int = 0,
 ) -> Hypergraph:
     """Random small board: up to max_edges random subsets as winning sets."""
     top = max_edge_size or n
     edges = []
     for _ in range(rng.randint(1, max_edges)):
-        size = rng.randint(min_edge_size, max(min_edge_size, top))
+        size = rng.randint(1, max(1, top))
         edges.append(rng.sample(range(n), min(size, n)))
     return hypergraph_new(n, edges)

@@ -1,5 +1,8 @@
+import argparse
 import inspect
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,21 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def usage_error(capsys, *argv):
+    """The last stderr line of a command argparse rejects (exit 2, no stdout)."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err.splitlines()[-1]
+
+
+def subcommands(parser):
+    """The subparsers of `parser`, by name."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 class TestGen:
@@ -140,7 +158,8 @@ class TestSolveAndFrontier:
 
 
 class TestMalformedInput:
-    """Bad input ends in a usage error (exit 2) with a JSON message."""
+    """Bad input ends in a usage error (exit 2): a JSON message on stdout for
+    a bad value, argparse's message on stderr for a missing flag."""
 
     @pytest.fixture
     def hmbst_board(self, capsys, tmp_path):
@@ -237,7 +256,10 @@ class TestMalformedInput:
         ("gen nonmonotone --blocked x", "--blocked"),
         ("gen random-tree --n 0", "at least one vertex"),
         ("gen cycle --n 2", "at least 3 vertices"),
-    ], ids=["blocked-not-int", "empty-tree", "two-cycle"])
+        ("gen random-graph --n 4 --p 3", "[0, 1]"),
+        ("gen random-graph --n 4 --p -1", "[0, 1]"),
+    ], ids=["blocked-not-int", "empty-tree", "two-cycle", "edge-probability-above-1",
+            "edge-probability-below-0"])
     def test_bad_generator_params(self, capsys, command, message):
         code, doc = run_json(capsys, *command.split())
         assert code == 2 and doc["kind"] == "usage"
@@ -260,9 +282,29 @@ class TestMalformedInput:
     @pytest.mark.parametrize("shape, flag", [("tree", "--graph"), ("cycle", "--n")],
                              ids=["tree", "cycle"])
     def test_closed_form_without_its_input(self, capsys, shape, flag):
-        code, doc = run_json(capsys, "dom", "closedform", shape)
+        message = usage_error(capsys, "dom", "closedform", shape)
+        assert message.endswith(f"required: {flag}")
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("dom closedform cycle --n 8 --graph {}", "--graph"),
+        ("dom closedform tree --graph {} --n 8", "--n"),
+    ], ids=["cycle-with-graph", "tree-with-n"])
+    def test_closed_form_rejects_the_other_shapes_input(
+        self, capsys, monkeypatch, tmp_path, argv, flag
+    ):
+        monkeypatch.setattr(cli._Run, "read_json", None)  # no file may be read
+        message = usage_error(capsys, *argv.format(tmp_path / "x.json").split())
+        assert f"unrecognized arguments: {flag}" in message
+
+    @pytest.mark.parametrize("command", [
+        "dom solve mb --graph", "dom solve wc --graph", "verify waiter-tree --graph",
+    ], ids=["dom-solve-mb", "dom-solve-wc", "verify-waiter-tree"])
+    def test_empty_graph_has_no_domination_board(self, capsys, tmp_path, command):
+        board = tmp_path / "g.json"
+        board.write_text('{"type": "graph", "n": 0, "edges": []}')
+        code, doc = run_json(capsys, *command.split(), str(board))
         assert code == 2 and doc["kind"] == "usage"
-        assert flag in doc["message"]
+        assert "empty set dominates the empty graph" in doc["message"]
 
 
 class TestDom:
@@ -325,10 +367,10 @@ class TestVerify:
         assert "must be positive" in doc["message"]
 
     @pytest.mark.parametrize("target", ["thm1.8", "all"])
-    def test_node_bound_with_a_suite_is_a_usage_error(self, capsys, target):
-        code, doc = run_json(capsys, "verify", target, "--max-n", "4", "--max-nodes", "0")
-        assert code == 2 and doc["kind"] == "usage"
-        assert "--max-nodes" in doc["message"]
+    def test_node_bound_with_a_suite_is_a_usage_error(self, capsys, monkeypatch, target):
+        monkeypatch.setattr(cli, "_run_suite", None)  # nothing may run
+        message = usage_error(capsys, "verify", target, "--max-n", "4", "--max-nodes", "0")
+        assert message.endswith("unrecognized arguments: --max-nodes 0")
 
     def test_unset_node_bound_leaves_the_verifier_default(self, capsys, monkeypatch):
         seen, real = [], cli.verify_strategy
@@ -367,21 +409,20 @@ class TestVerify:
         assert code == 0
         assert doc["guarantee"] == "wins within 2 round(s)" and doc["nodes"] == 8
 
-    @pytest.mark.parametrize("command, flags", [
-        ("verify maker-gtb --n 5 --count 3", "--count, --n"),
-        ("verify thm1.1 --t 9 --max-bias 1", "--t"),
-        ("verify all --t 3", "--t"),
-        ("verify maker-gtb --memo-cap 7", "--memo-cap"),
-        ("verify waiter-tree --seed 1", "--seed"),
+    @pytest.mark.parametrize("command, unread", [
+        ("verify maker-gtb --n 5 --count 3", "--n 5 --count 3"),
+        ("verify thm1.1 --t 9 --max-bias 1", "--t 9"),
+        ("verify all --t 3", "--t 3"),
+        ("verify maker-gtb --memo-cap 7", "--memo-cap 7"),
+        ("verify waiter-tree --seed 1", "--seed 1"),
     ], ids=["script", "suite", "all", "script-memo-cap", "script-seed"])
     def test_flag_the_target_does_not_take_is_a_usage_error(
-        self, capsys, monkeypatch, command, flags
+        self, capsys, monkeypatch, command, unread
     ):
         monkeypatch.setattr(cli, "verify_strategy", None)  # nothing may run
         monkeypatch.setattr(cli, "_run_suite", None)
-        code, doc = run_json(capsys, *command.split())
-        assert code == 2 and doc["kind"] == "usage"
-        assert doc["message"].endswith(f"takes no {flags}")
+        message = usage_error(capsys, *command.split())
+        assert message.endswith(f"unrecognized arguments: {unread}")
 
     def test_all_takes_a_flag_that_some_suite_takes(self, capsys, monkeypatch):
         # --max-n is a parameter of thm1.8, residue and properties only
@@ -399,9 +440,8 @@ class TestVerify:
     def test_csv_without_rows_is_a_usage_error(self, capsys, monkeypatch, target):
         monkeypatch.setattr(cli, "verify_strategy", None)  # nothing may run
         monkeypatch.setattr(cli, "_run_suite", None)
-        code, doc = run_json(capsys, "verify", target, "--format", "csv")
-        assert code == 2 and doc["kind"] == "usage"
-        assert "--format csv" in doc["message"]
+        message = usage_error(capsys, "verify", target, "--format", "csv")
+        assert message.endswith("unrecognized arguments: --format csv")
 
     def test_suite_writes_its_rows_as_csv(self, capsys):
         code, out = run_cli(capsys, "verify", "thm1.8", "--max-n", "4", "--format", "csv")
@@ -419,6 +459,27 @@ class TestVerify:
             for param in inspect.signature(fn).parameters:
                 if param != "settings":
                     assert param in args, (name, param)
+
+    def test_each_target_offers_exactly_its_flags(self):
+        # a suite: its parameters, --memo-cap and --format; all: every suite
+        # parameter and --memo-cap; a script: its parameters but blocked and
+        # bias, and --max-nodes; every target: --manifest and -o
+        def flags(params):
+            return {"--graph" if p == "tree" else "--" + p.replace("_", "-")
+                    for p in params if p not in ("settings", "blocked", "bias")}
+
+        suites = {name: flags(inspect.signature(fn).parameters) for name, fn in SUITES.items()}
+        want = {name: own | {"--memo-cap", "--format"} for name, own in suites.items()}
+        want["all"] = set().union(*suites.values()) | {"--memo-cap"}
+        want.update({name: flags(e.smallest) | {"--max-nodes"} for name, e in CATALOG.items()})
+        targets = subcommands(subcommands(build_parser())["verify"])
+        assert len(targets) == 27 and set(targets) == set(want)
+        for name, parser in targets.items():
+            got = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert got == want[name] | {"--manifest", "-o", "--output"}, name
+
+    def test_unknown_target_is_a_usage_error(self, capsys):
+        assert "invalid choice: 'thm9'" in usage_error(capsys, "verify", "thm9")
 
     def test_cycle_scripts_on_four_cycle(self, capsys):
         code, doc = run_json(capsys, "verify", "waiter-cycle", "--n", "4")
@@ -462,3 +523,16 @@ class TestVerify:
         doc = json.loads(manifest.read_text())
         assert str(board) in doc["inputs"]
         assert doc["result"]["gamma"] == 2
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("posgames ") and "..." not in ln]
+    assert len(lines) >= 15
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -16,6 +16,7 @@ from posgames.boards import (
     dumps,
     from_json,
     graph_new,
+    hypergraph_from_masks,
     hypergraph_new,
     loads,
     minimal_transversals,
@@ -57,6 +58,13 @@ class TestHypergraphNew:
     def test_label_count_must_match(self):
         with pytest.raises(BoardError):
             hypergraph_new(2, [[0]], labels=["a"])
+
+    def test_label_count_must_match_from_masks(self):
+        # one label for two elements would not round-trip through JSON
+        with pytest.raises(BoardError, match="expected 2 labels"):
+            hypergraph_from_masks(2, [1], ["a"])
+        h = hypergraph_from_masks(2, [1], ["a", "b"])
+        assert loads(dumps(h)) == h
 
 
 class TestMinimalize:

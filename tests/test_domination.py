@@ -16,7 +16,7 @@ from posgames.domination import (
     wc_tree_value,
 )
 from posgames.engine import Player
-from posgames.errors import BoardError
+from posgames.errors import BoardError, DegenerateTransversalError
 from posgames.graphgen import (
     all_trees,
     cycle_graph,
@@ -109,6 +109,13 @@ class TestMinimalDominatingSets:
     @pytest.mark.parametrize("n, count", [(20, 851), (22, 1674), (24, 3281)])
     def test_cycle_family_sizes(self, n, count):
         assert len(minimal_dominating_sets(cycle_graph(n)).edges) == count
+
+    def test_empty_graph_is_degenerate(self):
+        # the empty set dominates it, and a board edge cannot be empty
+        g = graph_new(0, [])
+        with pytest.raises(DegenerateTransversalError, match="empty set dominates"):
+            minimal_dominating_sets(g)
+        assert domination_number(g) == 0
 
     def test_graph_beyond_board_capacity_is_rejected_before_enumerating(self):
         # 1,349 vertices: the enumeration would recurse past Python's limit
