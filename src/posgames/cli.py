@@ -11,9 +11,11 @@ The parser is the one place that says which flags a command reads.  Every
 leaf command has its own subparser, and `set_defaults(handler=...)` on it or
 on its group names the function that runs it.  Each verify target (a suite,
 `all` or a catalog script) is a subparser made from the suite's signature or
-the script's catalog parameters through `_VERIFY_FLAGS`, and each
-closed-form shape is one too, so a flag the command does not read is an
-argparse usage error (exit 2) before anything runs.  --memo-cap is offered
+the script's catalog parameters through `_VERIFY_FLAGS`; each closed-form
+shape is one too, as is each game of `frontier` and `dom solve`, which
+`_add_value_games` builds for both.  So a flag the command does not read is an
+argparse usage error (exit 2) before anything runs, and so is a flag
+abbreviated to a prefix (every parser is a `_Parser`).  --memo-cap is offered
 where a search runs (solve, frontier, dom solve, verify of a suite or `all`)
 and --format where the result has rows (frontier, dom solve, verify of one
 suite).
@@ -352,6 +354,15 @@ _VERIFY_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parser of the CLI: argparse makes each subparser of its parent's
+    class.  A flag must be spelled in full, so that no prefix of one flag
+    (`--max-n` of `--max-nodes`) stands for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def _add_common(p: argparse.ArgumentParser, search: bool = False, rows: bool = False) -> None:
     """The output flags, plus --memo-cap where a search runs and --format
     where the result has rows."""
@@ -374,8 +385,24 @@ def _add_target(vsub, target: str, params, handler, kind: str) -> argparse.Argum
     return p
 
 
+def _add_value_games(p: argparse.ArgumentParser, source: str) -> None:
+    """The `mb` and `wc` subparsers of `frontier` or `dom solve`, which read
+    their input from the `source` flag (`--board` or `--graph`); only `mb`
+    takes the biases and the first player."""
+    p.set_defaults(handler=_cmd_values)
+    games = p.add_subparsers(dest="game", required=True)
+    for game in ("mb", "wc"):
+        g = games.add_parser(game)
+        g.add_argument(source, required=True)
+        if game == "mb":
+            g.add_argument("-m", type=int, default=1)
+            g.add_argument("-b", type=int, default=1)
+            g.add_argument("--first", choices=("maker", "breaker"), default="maker")
+        _add_common(g, search=True, rows=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="posgames",
         description="exact positional-game solving, constructions and verification",
     )
@@ -438,28 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, search=True)
 
     frontier = sub.add_parser("frontier", help="full values incl. the rounds/size frontier")
-    frontier.set_defaults(handler=_cmd_values)
-    fsub = frontier.add_subparsers(dest="game", required=True)
-    p = fsub.add_parser("mb")
-    p.add_argument("--board", required=True)
-    p.add_argument("-m", type=int, default=1)
-    p.add_argument("-b", type=int, default=1)
-    p.add_argument("--first", choices=("maker", "breaker"), default="maker")
-    _add_common(p, search=True, rows=True)
-    p = fsub.add_parser("wc")
-    p.add_argument("--board", required=True)
-    _add_common(p, search=True, rows=True)
+    _add_value_games(frontier, "--board")
 
     dom = sub.add_parser("dom", help="domination-game commands")
     dsub = dom.add_subparsers(dest="dom_command", required=True)
-    p = dsub.add_parser("solve")
-    p.add_argument("game", choices=("mb", "wc"))
-    p.add_argument("--graph", required=True)
-    p.add_argument("-m", type=int, default=1)
-    p.add_argument("-b", type=int, default=1)
-    p.add_argument("--first", choices=("maker", "breaker"), default="maker")
-    _add_common(p, search=True, rows=True)
-    p.set_defaults(handler=_cmd_values)
+    _add_value_games(dsub.add_parser("solve"), "--graph")
     for name, handler in (("gamma", _cmd_gamma), ("residue", _cmd_residue)):
         p = dsub.add_parser(name)
         p.add_argument("--graph", required=True)

@@ -2,9 +2,11 @@
 
 The two digraph families are built recursively and keep their recursion tree
 (`GtbNode`) around: the scripted strategies navigate copies by their element
-masks, and the tests check structural invariants against the same metadata.
+masks, and the tests check structural invariants against the same masks.
 Vertex numbering is deterministic: the global start is vertex 0, the global
-end (when present) vertex 1, junction vertices in recursion order afterwards.
+end (when present) vertex 1, the hub digraph's hubs vertices 0..b+1, junction
+vertices in recursion order afterwards.  As in the game engine, element v < nv
+is vertex v and element nv + j is arc j, arcs numbered in recursion order too.
 """
 
 from __future__ import annotations
@@ -38,57 +40,52 @@ WINNING_SET_CAP = 10**6
 
 @dataclass(frozen=True)
 class GtbNode:
-    """One copy in the recursive digraph: depth-1 copies are single arcs,
-    deeper copies consist of a junction vertex and b+1 child copies
-    (start->junction, then b parallel junction->end children)."""
+    """One copy in the recursive digraph, from vertex `start` to its end.
 
-    depth: int
+    A depth-1 copy is a single arc: `mid` is None and `arc` is the arc's
+    element bit.  A deeper copy is a junction vertex `mid` and b+1 child
+    copies (start->mid, then b parallel mid->end children), and `arc` is
+    None.  `vertices` masks the copy's inner vertices (its junctions, no
+    endpoint) and `elements` those and its arcs, as game elements."""
+
     start: int
-    end: int
     mid: Optional[int]
     arc: Optional[int]
     children: tuple["GtbNode", ...]
-    inner_vertices: tuple[int, ...]
-    arc_indices: tuple[int, ...]
+    vertices: int
+    elements: int
 
-    def element_mask(self, nv: int) -> int:
-        """Playable elements strictly inside the copy (no endpoints)."""
-        m = 0
-        for v in self.inner_vertices:
-            m |= 1 << v
-        for j in self.arc_indices:
-            m |= 1 << (nv + j)
-        return m
+
+def _junctions(depth: int, b: int) -> int:
+    """Junction vertices in one copy of this depth: none in a single arc,
+    else its own junction and those of its b+1 children."""
+    return 0 if depth == 1 else 1 + (b + 1) * _junctions(depth - 1, b)
 
 
 class _DigraphBuilder:
-    def __init__(self, reserved: int):
-        self.nv = reserved
+    """Grows copies, numbering junctions from `reserved` on and arcs after
+    all `nv` vertices, so a copy's element masks are final when it is built.
+    `nv` is computed ahead from `_junctions`."""
+
+    def __init__(self, reserved: int, nv: int):
+        self.nv = nv
+        self.next_vertex = reserved
         self.arcs: list[tuple[int, int]] = []
 
-    def vertex(self) -> int:
-        v = self.nv
-        self.nv += 1
-        return v
-
-    def arc(self, u: int, v: int) -> int:
-        self.arcs.append((u, v))
-        return len(self.arcs) - 1
-
-
-def _grow(builder: _DigraphBuilder, depth: int, b: int, start: int, end: int) -> GtbNode:
-    if depth == 1:
-        j = builder.arc(start, end)
-        return GtbNode(1, start, end, None, j, (), (), (j,))
-    mid = builder.vertex()
-    children = [_grow(builder, depth - 1, b, start, mid)]
-    children.extend(_grow(builder, depth - 1, b, mid, end) for _ in range(b))
-    inner = [mid]
-    arcs: list[int] = []
-    for c in children:
-        inner.extend(c.inner_vertices)
-        arcs.extend(c.arc_indices)
-    return GtbNode(depth, start, end, mid, None, tuple(children), tuple(inner), tuple(arcs))
+    def grow(self, depth: int, b: int, start: int, end: int) -> GtbNode:
+        if depth == 1:
+            bit = 1 << (self.nv + len(self.arcs))
+            self.arcs.append((start, end))
+            return GtbNode(start, None, bit, (), 0, bit)
+        mid = self.next_vertex
+        self.next_vertex += 1
+        children = [self.grow(depth - 1, b, start, mid)]
+        children.extend(self.grow(depth - 1, b, mid, end) for _ in range(b))
+        vertices = elements = 1 << mid
+        for c in children:
+            vertices |= c.vertices
+            elements |= c.elements
+        return GtbNode(start, mid, None, tuple(children), vertices, elements)
 
 
 def _check_gtb_params(t: int, b: int) -> None:
@@ -100,8 +97,8 @@ def _check_gtb_params(t: int, b: int) -> None:
 
 def build_gtb_indexed(t: int, b: int) -> tuple[RootedDigraph, GtbNode]:
     _check_gtb_params(t, b)
-    builder = _DigraphBuilder(reserved=2)
-    root = _grow(builder, t, b, 0, 1)
+    builder = _DigraphBuilder(2, 2 + _junctions(t, b))
+    root = builder.grow(t, b, 0, 1)
     return RootedDigraph(builder.nv, tuple(builder.arcs), start=0, end=1), root
 
 
@@ -110,26 +107,21 @@ def build_gtb(t: int, b: int) -> RootedDigraph:
     return build_gtb_indexed(t, b)[0]
 
 
-@dataclass(frozen=True)
-class HtbInfo:
-    t: int
-    b: int
-    hubs: tuple[int, ...]  # hub 0 is the common start; hubs 1..b+1 the sinks
-    groups: tuple[tuple[GtbNode, ...], ...]  # groups[i-1]: copies from hub 0 to hub i
-
-
-def build_htb_indexed(t: int, b: int) -> tuple[RootedDigraph, HtbInfo]:
+def build_htb_indexed(
+    t: int, b: int
+) -> tuple[RootedDigraph, tuple[tuple[GtbNode, ...], ...]]:
+    """The hub digraph and its copies: `groups[i-1]` holds the b+1 copies
+    from hub 0 to hub i, and hub i is vertex i."""
     if t < 3:
         raise BoardError("the hub construction needs at least 3 rounds")
     _check_gtb_params(t - 2, b)
     if (b + 1) ** 2 * (1 + b) ** (t - 3) > GTB_ARC_CAP:
         raise GuardExceeded("arc count exceeds cap")
-    builder = _DigraphBuilder(reserved=b + 2)
-    groups = []
-    for i in range(1, b + 2):
-        groups.append(tuple(_grow(builder, t - 2, b, 0, i) for _ in range(b + 1)))
-    info = HtbInfo(t, b, tuple(range(b + 2)), tuple(groups))
-    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0, end=None), info
+    builder = _DigraphBuilder(b + 2, b + 2 + (b + 1) ** 2 * _junctions(t - 2, b))
+    groups = tuple(
+        tuple(builder.grow(t - 2, b, 0, i) for _ in range(b + 1)) for i in range(1, b + 2)
+    )
+    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0), groups
 
 
 def build_htb(t: int, b: int) -> RootedDigraph:
@@ -143,20 +135,25 @@ def build_htb(t: int, b: int) -> RootedDigraph:
 
 @dataclass(frozen=True)
 class MbstInfo:
-    m: int
-    b: int
-    s: int
-    t: int
+    """How an s-uniform board of `n` elements was built.
+
+    Flat form (s at most 3m): the board mirrors the hub digraph `digraph`
+    with copies `groups`.  Vertex x becomes the m elements of
+    `vertex_sets[x]`, which is also the board's associated-set family, and
+    arc j becomes the winning set `arc_edges[j]`: its two end vertices' sets
+    and s - 2m elements of its own.
+
+    Nested form: `inner` describes the board for (s - m, t - 1), of which b+1
+    copies sit at the element offsets `copy_offsets`; each of their winning
+    sets is joined with the `shared` mask of m elements."""
+
     n: int
-    family: tuple[int, ...]
-    # flat form (uniformity width at most 3m): hyperedges mirror digraph arcs
-    htb: Optional[HtbInfo] = None
+    groups: Optional[tuple[tuple[GtbNode, ...], ...]] = None
     digraph: Optional[RootedDigraph] = None
     vertex_sets: Optional[tuple[int, ...]] = None
     arc_edges: Optional[tuple[int, ...]] = None
-    # nested form: a shared set joined onto b+1 recursive copies
     shared: int = 0
-    copies: tuple["MbstInfo", ...] = ()
+    inner: Optional["MbstInfo"] = None
     copy_offsets: tuple[int, ...] = ()
 
 
@@ -176,14 +173,12 @@ def build_hmbst_indexed(
 ) -> tuple[Hypergraph, tuple[int, ...], MbstInfo]:
     _check_hmbst_params(m, b, s, t)
     if s <= 3 * m:
-        digraph, hinfo = build_htb_indexed(t, b)
-        nv = digraph.nv
+        digraph, groups = build_htb_indexed(t, b)
         vertex_sets = []
         labels: list[str] = []
         pos = 0
-        for x in range(nv):
-            mask = ((1 << m) - 1) << pos
-            vertex_sets.append(mask)
+        for x in range(digraph.nv):
+            vertex_sets.append(((1 << m) - 1) << pos)
             labels.extend(f"v{x}.{k}" for k in range(m))
             pos += m
         extras = s - 2 * m
@@ -196,36 +191,29 @@ def build_hmbst_indexed(
         h = hypergraph_from_masks(pos, arc_edges, labels)
         family = tuple(vertex_sets)
         info = MbstInfo(
-            m, b, s, t, pos, family,
-            htb=hinfo, digraph=digraph,
-            vertex_sets=tuple(vertex_sets), arc_edges=tuple(arc_edges),
+            pos, groups=groups, digraph=digraph,
+            vertex_sets=family, arc_edges=tuple(arc_edges),
         )
         return h, family, info
 
     shared = (1 << m) - 1
-    inner_h, _, inner_info = build_hmbst_indexed(m, b, s - m, t - 1)
-    copies = []
-    offsets = []
+    inner_h, inner_family, inner_info = build_hmbst_indexed(m, b, s - m, t - 1)
     edges = []
     family = [shared]
     labels = [f"shared.{k}" for k in range(m)]
     pos = m
     for i in range(b + 1):
-        offsets.append(pos)
-        copies.append(inner_info)
         for em in inner_h.edges:
             edges.append((em << pos) | shared)
-        for v in inner_info.family:
+        for v in inner_family:
             family.append(v << pos)
         lab = inner_h.labels or tuple(str(j) for j in range(inner_h.n))
         labels.extend(f"c{i}:{name}" for name in lab)
         pos += inner_h.n
     h = hypergraph_from_masks(pos, edges, labels)
-    info = MbstInfo(
-        m, b, s, t, pos, tuple(family),
-        shared=shared, copies=tuple(copies), copy_offsets=tuple(offsets),
-    )
-    return h, info.family, info
+    offsets = tuple(range(m, pos, inner_h.n))
+    info = MbstInfo(pos, shared=shared, inner=inner_info, copy_offsets=offsets)
+    return h, tuple(family), info
 
 
 def build_hmbst(m: int, b: int, s: int, t: int) -> tuple[Hypergraph, tuple[int, ...]]:

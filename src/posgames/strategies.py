@@ -66,11 +66,13 @@ from .bitset import indices_of, low_bits
 from .boards import Hypergraph, RootedDigraph, SimpleGraph
 from .constructions import (
     GtbNode,
-    HtbInfo,
     MbstInfo,
     build_gadget,
+    build_gtb,
     build_gtb_indexed,
+    build_hmbst,
     build_hmbst_indexed,
+    build_htb,
     build_htb_indexed,
     build_ht_wc_indexed,
     nonmonotone_blocks,
@@ -292,24 +294,23 @@ def _new_vertex(nv: int, new: int) -> Optional[int]:
 # Branched-digraph maker: claim the junction, descend into an untouched copy
 
 
-def _gtb_step(nv: int, node: GtbNode, maker: int, breaker: int) -> tuple[int, GtbNode]:
-    while node.depth > 1 and maker & (1 << node.mid):
-        untouched = [c for c in node.children if not c.element_mask(nv) & breaker]
-        if not untouched:
+def _gtb_step(node: GtbNode, maker: int, breaker: int) -> tuple[int, GtbNode]:
+    while node.mid is not None and maker & (1 << node.mid):
+        untouched = next((c for c in node.children if not c.elements & breaker), None)
+        if untouched is None:
             break
-        node = untouched[0]
-    if node.depth == 1:
-        return 1 << (nv + node.arc), node
+        node = untouched
+    if node.mid is None:
+        return node.arc, node
     return 1 << node.mid, node
 
 
 def make_maker_gtb(t: int, b: int) -> Strategy:
     """Memory: the copy the descent is in."""
-    digraph, root = build_gtb_indexed(t, b)
-    nv = digraph.nv
+    root = build_gtb_indexed(t, b)[1]
 
     def next_move(spec: GameSpec, state: GameState, node: GtbNode):
-        bit, below = _gtb_step(nv, node, state.maker, state.breaker)
+        bit, below = _gtb_step(node, state.maker, state.breaker)
         if not bit & free_mask(spec, state):
             return _fallback(spec, state), node
         return bit, below
@@ -383,13 +384,6 @@ def make_breaker_gtb_slow(t: int, b: int) -> Strategy:
 # Hub digraph strategies
 
 
-def _group_untouched(info: HtbInfo, nv: int, i: int, maker: int, breaker: int) -> bool:
-    hub_bit = 1 << info.hubs[i]
-    if (maker | breaker) & hub_bit:
-        return False
-    return all(not c.element_mask(nv) & breaker for c in info.groups[i - 1])
-
-
 @dataclass(frozen=True)
 class _HtbMakerMem:
     group: Optional[int]
@@ -397,35 +391,33 @@ class _HtbMakerMem:
 
 
 def _hub_step(
-    info: HtbInfo, nv: int, maker: int, breaker: int, mem: _HtbMakerMem
+    groups: tuple[tuple[GtbNode, ...], ...], maker: int, breaker: int, mem: _HtbMakerMem
 ) -> Optional[tuple[int, _HtbMakerMem]]:
     """The hub script's next element of the hub digraph and its memory, or
-    None when it has no move: hub 0 first, then the hub of an untouched group,
-    then the branched descent inside the group's first untouched copy."""
+    None when it has no move: hub 0 first, then the hub of an untouched group
+    (its hub unclaimed, no Breaker element in its copies), then the branched
+    descent inside the group's first untouched copy."""
     if not maker & 1:
         return 1, mem
     if mem.group is None:
-        for i in range(1, len(info.hubs)):
-            if _group_untouched(info, nv, i, maker, breaker):
-                return 1 << info.hubs[i], _HtbMakerMem(i, None)
+        for i, group in enumerate(groups, start=1):
+            if not (maker | breaker) & (1 << i) and not any(c.elements & breaker for c in group):
+                return 1 << i, _HtbMakerMem(i, None)
         return None
     node = mem.node
     if node is None:
-        node = next(
-            (c for c in info.groups[mem.group - 1] if not c.element_mask(nv) & breaker), None
-        )
+        node = next((c for c in groups[mem.group - 1] if not c.elements & breaker), None)
         if node is None:
             return None
-    bit, node = _gtb_step(nv, node, maker, breaker)
+    bit, node = _gtb_step(node, maker, breaker)
     return bit, _HtbMakerMem(mem.group, node)
 
 
 def make_maker_htb(t: int, b: int) -> Strategy:
-    digraph, info = build_htb_indexed(t, b)
-    nv = digraph.nv
+    groups = build_htb_indexed(t, b)[1]
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbMakerMem):
-        step = _hub_step(info, nv, state.maker, state.breaker, mem)
+        step = _hub_step(groups, state.maker, state.breaker, mem)
         if step is None or not step[0] & free_mask(spec, state):
             return _fallback(spec, state), mem
         return step
@@ -433,10 +425,12 @@ def make_maker_htb(t: int, b: int) -> Strategy:
     return Strategy("maker-htb", Player.MAKER, next_move, _HtbMakerMem(None, None))
 
 
-def _copy_map(info: HtbInfo) -> tuple[dict[int, int], list[tuple[GtbNode, int]]]:
+def _copy_map(
+    groups: tuple[tuple[GtbNode, ...], ...]
+) -> tuple[dict[int, int], list[tuple[GtbNode, int]]]:
     """vertex -> flat copy id, and (copy, sink hub) per copy id."""
-    copies = [(c, info.hubs[gi]) for gi, group in enumerate(info.groups, start=1) for c in group]
-    vmap = {v: cid for cid, (c, _sink) in enumerate(copies) for v in c.inner_vertices}
+    copies = [(c, sink) for sink, group in enumerate(groups, start=1) for c in group]
+    vmap = {v: cid for cid, (c, _sink) in enumerate(copies) for v in indices_of(c.vertices)}
     return vmap, copies
 
 
@@ -447,17 +441,16 @@ def _block_in_copy(
     """`_block_arcs` on the copy's free elements, with the Maker's vertices
     inside the copy, its start when `start_owned`, and the sink hub, which
     always counts as hers."""
-    owned = [v for v in copy.inner_vertices if maker & (1 << v)] + [sink]
+    owned = copy.vertices & maker | 1 << sink
     if start_owned:
-        owned.append(copy.start)
-    cfree = free & copy.element_mask(board.nv)
-    return _block_arcs(board, cfree, sorted(owned), new_v, threshold)
+        owned |= 1 << copy.start
+    return _block_arcs(board, free & copy.elements, indices_of(owned), new_v, threshold)
 
 
 def make_breaker_htb_premove(t: int, b: int) -> Strategy:
     """Memory: the Maker's set at the script's previous turn."""
-    digraph, info = build_htb_indexed(t, b)
-    vmap, copies = _copy_map(info)
+    digraph, groups = build_htb_indexed(t, b)
+    vmap, copies = _copy_map(groups)
 
     def next_move(spec: GameSpec, state: GameState, prev_maker: int):
         free = free_mask(spec, state)
@@ -483,14 +476,13 @@ class _HtbSlowMem:
 
 
 def make_breaker_htb_slow(t: int, b: int) -> Strategy:
-    digraph, info = build_htb_indexed(t, b)
-    nv = digraph.nv
-    vmap, copies = _copy_map(info)
+    digraph, groups = build_htb_indexed(t, b)
+    vmap, copies = _copy_map(groups)
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbSlowMem):
         board: RootedDigraph = spec.board  # type: ignore[assignment]
         free = free_mask(spec, state)
-        new_v = _new_vertex(nv, state.maker & ~mem.prev_maker)
+        new_v = _new_vertex(digraph.nv, state.maker & ~mem.prev_maker)
         cid = vmap.get(new_v)
         mode, blocked, counts = mem.mode, mem.blocked_copy, mem.counts
         want = 0
@@ -511,7 +503,7 @@ def make_breaker_htb_slow(t: int, b: int) -> Strategy:
             want = _block_in_copy(
                 board, free, state.maker, *copies[cid], new_v, mode != "blockall", threshold
             )
-        elif mode == "wait2" and new_v in info.hubs:
+        elif mode == "wait2" and new_v in range(b + 2):  # a hub
             mode = "slowall"  # second skip, then distance-gated blocking all over
         elif mode == "blockall":
             # hub 0 is the breaker's own opening claim here
@@ -718,7 +710,7 @@ class _HmbstMem:
 
 def _hmbst_move(info: MbstInfo, maker: int, breaker: int, mem: _HmbstMem):
     """Claim mask (un-padded) plus memory, recursing through nested levels."""
-    if info.htb is not None:
+    if info.groups is not None:
         digraph = info.digraph
         nv = digraph.nv
         aux_maker = 0
@@ -734,9 +726,8 @@ def _hmbst_move(info: MbstInfo, maker: int, breaker: int, mem: _HmbstMem):
             extras = em & ~(info.vertex_sets[u] | info.vertex_sets[v])
             if extras & breaker:
                 aux_breaker |= 1 << (nv + j)
-        step = _hub_step(
-            info.htb, nv, aux_maker, aux_breaker, mem.inner or _HtbMakerMem(None, None)
-        )
+        hub_mem = mem.inner or _HtbMakerMem(None, None)
+        step = _hub_step(info.groups, aux_maker, aux_breaker, hub_mem)
         if step is None:
             return 0, mem
         idx = step[0].bit_length() - 1
@@ -747,22 +738,16 @@ def _hmbst_move(info: MbstInfo, maker: int, breaker: int, mem: _HmbstMem):
     # nested form
     if info.shared & ~maker:
         return info.shared, mem
-    width = info.copies[0].n
+    full = (1 << info.inner.n) - 1
     if mem.copy is None:
-        chosen = None
-        for i, off in enumerate(info.copy_offsets):
-            cmask = ((1 << width) - 1) << off
-            if not cmask & breaker:
-                chosen = i
-                break
+        untouched = (i for i, off in enumerate(info.copy_offsets) if not breaker >> off & full)
+        chosen = next(untouched, None)
         if chosen is None:
             return 0, mem
         mem = _HmbstMem(chosen, _HmbstMem(None, None))
     off = info.copy_offsets[mem.copy]
-    inner_info = info.copies[mem.copy]
     inner_claim, inner_mem = _hmbst_move(
-        inner_info, (maker >> off) & ((1 << width) - 1), (breaker >> off) & ((1 << width) - 1),
-        mem.inner,
+        info.inner, maker >> off & full, breaker >> off & full, mem.inner
     )
     return inner_claim << off, _HmbstMem(mem.copy, inner_mem)
 
@@ -827,7 +812,7 @@ def _aux_spec(board: RootedDigraph, b: int, preclaimed: int, premove: bool = Fal
 
 def _gtb_ends_spec(t: int, b: int) -> GameSpec:
     """gtb(t,b) with both ends pre-owned."""
-    board = build_gtb_indexed(t, b)[0]
+    board = build_gtb(t, b)
     return _aux_spec(board, b, (1 << board.start) | (1 << board.end))
 
 
@@ -846,7 +831,7 @@ def _maker_gtb(t, b):
 
 def _breaker_gtb_block(t, b, seed_vertex):
     """A single pre-owned vertex, the start unless `seed_vertex` is given."""
-    board = build_gtb_indexed(t, b)[0]
+    board = build_gtb(t, b)
     seed = board.start if seed_vertex is None else seed_vertex
     if not 0 <= seed < board.nv:
         raise PosgamesError(f"the seed vertex must lie in [0, {board.nv}), got {seed}")
@@ -862,17 +847,17 @@ def _breaker_gtb_slow(t, b):
 
 
 def _maker_htb(t, b):
-    board = build_htb_indexed(t, b)[0]
+    board = build_htb(t, b)
     return _aux_spec(board, b, 0), make_maker_htb(t, b), win_within(t)
 
 
 def _breaker_htb_premove(t, b):
-    board = build_htb_indexed(t, b)[0]
+    board = build_htb(t, b)
     return _aux_spec(board, b, 0, premove=True), make_breaker_htb_premove(t, b), never_loses()
 
 
 def _breaker_htb_slow(t, b):
-    board = build_htb_indexed(t, b)[0]
+    board = build_htb(t, b)
     return _aux_spec(board, b, 0), make_breaker_htb_slow(t, b), opponent_not_within(t - 1)
 
 
@@ -904,7 +889,7 @@ def _waiter_tree(tree):
 
 
 def _maker_hmbst(m, b, s, t):
-    h = build_hmbst_indexed(m, b, s, t)[0]
+    h = build_hmbst(m, b, s, t)[0]
     spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b)
     return spec, make_maker_hmbst(m, b, s, t), win_within(t)
 

@@ -14,9 +14,9 @@ from typing import Optional
 from .boards import Hypergraph, induced_subgraph, minimalize
 from .constructions import (
     build_gadget,
-    build_gtb_indexed,
-    build_hmbst_indexed,
-    build_htb_indexed,
+    build_gtb,
+    build_hmbst,
+    build_htb,
     build_nonmonotone,
     build_thm16,
     build_wc_gap_case1,
@@ -85,7 +85,7 @@ def suite_lemma34(settings: Optional[SolverSettings] = None) -> dict:
     """Branched-digraph game values: win in t, not in t-1, single seeds lose."""
     suite = _Suite("lemma3.4")
     for t, b in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]:
-        board, _ = build_gtb_indexed(t, b)
+        board = build_gtb(t, b)
         seeds = (1 << board.start) | (1 << board.end)
         win = solve_aux_game(board, b, seeds, Objective(max_rounds=t), settings=settings)
         slow = solve_aux_game(board, b, seeds, Objective(max_rounds=t - 1), settings=settings)
@@ -103,7 +103,7 @@ def suite_lemma36(settings: Optional[SolverSettings] = None) -> dict:
     """Hub-digraph game: win in t, not t-1, opening pre-claim flips it."""
     suite = _Suite("lemma3.6")
     for t, b in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (6, 1)]:
-        board, _ = build_htb_indexed(t, b)
+        board = build_htb(t, b)
         win = solve_aux_game(board, b, 0, Objective(max_rounds=t), settings=settings)
         slow = solve_aux_game(board, b, 0, Objective(max_rounds=t - 1), settings=settings)
         pre = solve_aux_game(board, b, 0, breaker_premove=True, settings=settings)
@@ -118,7 +118,7 @@ def suite_lemma39(settings: Optional[SolverSettings] = None) -> dict:
     """Uniform-board values, identical with and without the reduced menu."""
     suite = _Suite("lemma3.9")
     for m, b, s, t in [(1, 1, 3, 3), (1, 2, 3, 3), (1, 2, 3, 4), (2, 2, 5, 3)]:
-        h, family = build_hmbst_indexed(m, b, s, t)[:2]
+        h, family = build_hmbst(m, b, s, t)
         for restr in (None, family):
             tag = "restricted" if restr else "free"
             win = decide_mb(h, m, b, Player.MAKER, Objective(t, s), restr, settings)

@@ -296,6 +296,49 @@ class TestMalformedInput:
         message = usage_error(capsys, *argv.format(tmp_path / "x.json").split())
         assert f"unrecognized arguments: {flag}" in message
 
+    def test_offer_game_takes_no_bias_or_first_player(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli._Run, "read_json", None)  # no file may be read
+        message = usage_error(capsys, "dom", "solve", "wc", "--graph", str(tmp_path / "c7.json"),
+                              "-m", "5", "-b", "3", "--first", "breaker")
+        assert message.endswith("unrecognized arguments: -m 5 -b 3 --first breaker")
+
+    def test_value_commands_offer_the_same_flags(self):
+        def flags(parser):
+            return {s for a in parser._actions for s in a.option_strings}
+
+        top = subcommands(build_parser())
+        frontier = subcommands(top["frontier"])
+        dom_solve = subcommands(subcommands(top["dom"])["solve"])
+        assert set(frontier) == set(dom_solve) == {"mb", "wc"}
+        for game in ("mb", "wc"):
+            assert flags(frontier[game]) - {"--board"} == flags(dom_solve[game]) - {"--graph"}
+        common = {"-h", "--help", "--memo-cap", "--manifest", "-o", "--output", "--format"}
+        assert flags(dom_solve["wc"]) == common | {"--graph"}
+        assert flags(dom_solve["mb"]) == common | {"--graph", "-m", "-b", "--first"}
+
+    @pytest.mark.parametrize("command, unread", [
+        ("verify maker-gtb --max-n 4", "--max-n 4"),
+        ("verify maker-gtb --max-e 4", "--max-e 4"),
+        ("verify thm1.8 --max 4", "--max 4"),
+        ("frontier mb --board b.json --fir maker", "--fir maker"),
+        ("gen gtb --t 2 --b 1 --out g.json", "--out g.json"),
+    ], ids=["script-node-bound", "script", "suite", "frontier", "gen"])
+    def test_flag_prefix_is_a_usage_error(self, capsys, monkeypatch, command, unread):
+        monkeypatch.setattr(cli, "verify_strategy", None)  # nothing may run
+        monkeypatch.setattr(cli, "_run_suite", None)
+        monkeypatch.setattr(cli._Run, "read_json", None)
+        message = usage_error(capsys, *command.split())
+        assert message.endswith(f"unrecognized arguments: {unread}")
+
+    def test_every_parser_takes_full_flags_only(self):
+        def parsers(parser):
+            yield parser
+            for child in subcommands(parser).values() if parser._subparsers else ():
+                yield from parsers(child)
+
+        found = list(parsers(build_parser()))
+        assert len(found) > 40 and not any(p.allow_abbrev for p in found)
+
     @pytest.mark.parametrize("command", [
         "dom solve mb --graph", "dom solve wc --graph", "verify waiter-tree --graph",
     ], ids=["dom-solve-mb", "dom-solve-wc", "verify-waiter-tree"])

@@ -5,9 +5,11 @@ from posgames.constructions import (
     build_complete_uniform,
     build_gadget,
     build_gtb,
+    build_gtb_indexed,
     build_hmbst,
     build_hmbst_indexed,
     build_htb,
+    build_htb_indexed,
     build_ht_wc,
     build_ht_wc_indexed,
     build_nonmonotone,
@@ -29,6 +31,32 @@ def expected_gtb_vertices(t, b):
     for _ in range(t - 1):
         v = v + 1 + b * (v - 2)
     return v
+
+
+def all_copies(node):
+    yield node
+    for child in node.children:
+        yield from all_copies(child)
+
+
+def check_copy_masks(d, node):
+    """Every copy below `node` is its junction plus the disjoint union of its
+    children, down to single arcs, whose bit is the arc from the copy's start."""
+    for c in all_copies(node):
+        if c.mid is None:
+            assert c.vertices == 0 and c.elements == c.arc
+            j = c.arc.bit_length() - 1 - d.nv
+            assert c.arc.bit_count() == 1 and 0 <= j < len(d.arcs)
+            assert d.arcs[j][0] == c.start
+            continue
+        assert c.children[0].start == c.start
+        assert all(child.start == c.mid for child in c.children[1:])
+        vertices = elements = 1 << c.mid
+        for child in c.children:
+            assert not child.elements & elements
+            vertices |= child.vertices
+            elements |= child.elements
+        assert (c.vertices, c.elements) == (vertices, elements)
 
 
 class TestBranchedDigraph:
@@ -70,6 +98,18 @@ class TestBranchedDigraph:
         with pytest.raises(GuardExceeded):
             build_gtb(40, 3)
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_copy_masks(self, t, b):
+        d, root = build_gtb_indexed(t, b)
+        ends = (1 << d.start) | (1 << d.end)
+        # the root holds every element but the two ends, so the vertex
+        # count given to the board is the count of vertices numbered
+        assert root.elements == ((1 << d.n_elements) - 1) & ~ends
+        assert root.vertices | ends == (1 << d.nv) - 1
+        assert root.start == d.start
+        check_copy_masks(d, root)
+
 
 class TestHubDigraph:
     @pytest.mark.parametrize(
@@ -85,16 +125,34 @@ class TestHubDigraph:
             build_htb(2, 1)
 
     def test_every_arc_lies_in_one_copy(self):
-        from posgames.constructions import build_htb_indexed
-
-        d, info = build_htb_indexed(4, 1)
-        seen = set()
-        for group in info.groups:
+        d, groups = build_htb_indexed(4, 1)
+        arcs = ((1 << len(d.arcs)) - 1) << d.nv
+        seen = 0
+        for group in groups:
             for copy in group:
-                for j in copy.arc_indices:
-                    assert j not in seen
-                    seen.add(j)
-        assert seen == set(range(len(d.arcs)))
+                assert not copy.elements & arcs & seen
+                seen |= copy.elements & arcs
+        assert seen == arcs
+
+    @pytest.mark.parametrize("t,b", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 3)])
+    def test_copies_partition_the_non_hub_elements(self, t, b):
+        d, groups = build_htb_indexed(t, b)
+        hubs = (1 << (b + 2)) - 1
+        assert len(groups) == b + 1
+        seen = 0
+        for sink, group in enumerate(groups, start=1):
+            assert len(group) == b + 1
+            for copy in group:
+                assert copy.start == 0
+                assert not copy.elements & (seen | hubs)
+                seen |= copy.elements
+                check_copy_masks(d, copy)
+                # the copy's last arcs end at its sink hub
+                last = copy
+                while last.mid is not None:
+                    last = last.children[-1]
+                assert d.arcs[last.arc.bit_length() - 1 - d.nv][1] == sink
+        assert seen == ((1 << d.n_elements) - 1) & ~hubs
 
 
 class TestUniformBoards:
@@ -130,7 +188,7 @@ class TestUniformBoards:
         assert info.shared
         for e in h.edges:
             assert e & info.shared == info.shared or not any(
-                (e >> off) & ((1 << info.copies[0].n) - 1) for off in info.copy_offsets
+                (e >> off) & ((1 << info.inner.n) - 1) for off in info.copy_offsets
             )
 
 
