@@ -1,8 +1,9 @@
 """Generators for the library's board constructions.
 
-The two digraph families are built recursively and keep their recursion tree
-(`GtbNode`) around: the scripted strategies navigate copies by their element
-masks, and the tests check structural invariants against the same masks.
+The two digraph families are built recursively.  Their `*_indexed` builders
+also return the recursion tree (`GtbNode`): the scripted strategies navigate
+copies by their element masks, and the tests check structural invariants
+against the same masks.  The plain builders keep no tree.
 Vertex numbering is deterministic: the global start is vertex 0, the global
 end (when present) vertex 1, the hub digraph's hubs vertices 0..b+1, junction
 vertices in recursion order afterwards.  As in the game engine, element v < nv
@@ -29,6 +30,7 @@ from .boards import (
 from .errors import BoardError, GuardExceeded
 
 GTB_ARC_CAP = 100_000
+COPY_TREE_ARC_CAP = 4096
 GADGET_BOARD_LIMIT = 20
 GADGET_VERTEX_CAP = 1_000_000
 WINNING_SET_CAP = 10**6
@@ -63,24 +65,39 @@ def _junctions(depth: int, b: int) -> int:
 
 
 class _DigraphBuilder:
-    """Grows copies, numbering junctions from `reserved` on and arcs after
-    all `nv` vertices, so a copy's element masks are final when it is built.
-    `nv` is computed ahead from `_junctions`."""
+    """Grows `copies` copies of the given depth, numbering junctions from
+    `reserved` on and arcs after all `nv` vertices.  With `tree` set, `grow`
+    returns each copy as a `GtbNode` whose masks are final when it is built;
+    without, it only records the arcs and returns None.  Each mask spans the
+    board, so a tree's memory grows with the square of its arc count: it
+    stops at COPY_TREE_ARC_CAP arcs, far more than an exhaustive check plays."""
 
-    def __init__(self, reserved: int, nv: int):
-        self.nv = nv
+    def __init__(self, reserved: int, copies: int, depth: int, b: int, tree: bool):
+        if depth < 1 or b < 1:
+            raise BoardError("both parameters must be at least 1")
+        arcs = copies * (1 + b) ** (depth - 1)
+        cap = COPY_TREE_ARC_CAP if tree else GTB_ARC_CAP
+        if arcs > cap:
+            raise GuardExceeded(f"arc count {copies}*(1+{b})^{depth - 1} exceeds cap {cap}")
+        self.b = b
+        self.tree = tree
+        self.nv = reserved + copies * _junctions(depth, b)
         self.next_vertex = reserved
         self.arcs: list[tuple[int, int]] = []
 
-    def grow(self, depth: int, b: int, start: int, end: int) -> GtbNode:
+    def grow(self, depth: int, start: int, end: int) -> Optional[GtbNode]:
         if depth == 1:
-            bit = 1 << (self.nv + len(self.arcs))
             self.arcs.append((start, end))
+            if not self.tree:
+                return None
+            bit = 1 << (self.nv + len(self.arcs) - 1)
             return GtbNode(start, None, bit, (), 0, bit)
         mid = self.next_vertex
         self.next_vertex += 1
-        children = [self.grow(depth - 1, b, start, mid)]
-        children.extend(self.grow(depth - 1, b, mid, end) for _ in range(b))
+        children = [self.grow(depth - 1, start, mid)]
+        children.extend(self.grow(depth - 1, mid, end) for _ in range(self.b))
+        if not self.tree:
+            return None
         vertices = elements = 1 << mid
         for c in children:
             vertices |= c.vertices
@@ -88,23 +105,30 @@ class _DigraphBuilder:
         return GtbNode(start, mid, None, tuple(children), vertices, elements)
 
 
-def _check_gtb_params(t: int, b: int) -> None:
-    if t < 1 or b < 1:
-        raise BoardError("both parameters must be at least 1")
-    if (1 + b) ** (t - 1) > GTB_ARC_CAP:
-        raise GuardExceeded(f"arc count (1+{b})^{t - 1} exceeds cap {GTB_ARC_CAP}")
+def _gtb(t: int, b: int, tree: bool) -> tuple[RootedDigraph, Optional[GtbNode]]:
+    builder = _DigraphBuilder(2, 1, t, b, tree)
+    root = builder.grow(t, 0, 1)
+    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0, end=1), root
 
 
 def build_gtb_indexed(t: int, b: int) -> tuple[RootedDigraph, GtbNode]:
-    _check_gtb_params(t, b)
-    builder = _DigraphBuilder(2, 2 + _junctions(t, b))
-    root = builder.grow(t, b, 0, 1)
-    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0, end=1), root
+    """The branched digraph and its copy tree."""
+    return _gtb(t, b, tree=True)
 
 
 def build_gtb(t: int, b: int) -> RootedDigraph:
     """Branched digraph with start vertex 0 and end vertex 1."""
-    return build_gtb_indexed(t, b)[0]
+    return _gtb(t, b, tree=False)[0]
+
+
+def _htb(t: int, b: int, tree: bool) -> tuple[RootedDigraph, Optional[tuple]]:
+    if t < 3:
+        raise BoardError("the hub construction needs at least 3 rounds")
+    builder = _DigraphBuilder(b + 2, (b + 1) ** 2, t - 2, b, tree)
+    groups = tuple(
+        tuple(builder.grow(t - 2, 0, i) for _ in range(b + 1)) for i in range(1, b + 2)
+    )
+    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0), groups if tree else None
 
 
 def build_htb_indexed(
@@ -112,21 +136,12 @@ def build_htb_indexed(
 ) -> tuple[RootedDigraph, tuple[tuple[GtbNode, ...], ...]]:
     """The hub digraph and its copies: `groups[i-1]` holds the b+1 copies
     from hub 0 to hub i, and hub i is vertex i."""
-    if t < 3:
-        raise BoardError("the hub construction needs at least 3 rounds")
-    _check_gtb_params(t - 2, b)
-    if (b + 1) ** 2 * (1 + b) ** (t - 3) > GTB_ARC_CAP:
-        raise GuardExceeded("arc count exceeds cap")
-    builder = _DigraphBuilder(b + 2, b + 2 + (b + 1) ** 2 * _junctions(t - 2, b))
-    groups = tuple(
-        tuple(builder.grow(t - 2, b, 0, i) for _ in range(b + 1)) for i in range(1, b + 2)
-    )
-    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0), groups
+    return _htb(t, b, tree=True)
 
 
 def build_htb(t: int, b: int) -> RootedDigraph:
     """Hub digraph: b+1 sinks, each fed by b+1 disjoint branched copies."""
-    return build_htb_indexed(t, b)[0]
+    return _htb(t, b, tree=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +152,17 @@ def build_htb(t: int, b: int) -> RootedDigraph:
 class MbstInfo:
     """How an s-uniform board of `n` elements was built.
 
-    Flat form (s at most 3m): the board mirrors the hub digraph `digraph`
-    with copies `groups`.  Vertex x becomes the m elements of
+    Flat form (s at most 3m, `inner` None): the board mirrors the hub
+    digraph `digraph` with copies `groups` (None on a board built without
+    its copy tree, as by `build_hmbst`).  Vertex x becomes the m elements of
     `vertex_sets[x]`, which is also the board's associated-set family, and
     arc j becomes the winning set `arc_edges[j]`: its two end vertices' sets
     and s - 2m elements of its own.
 
-    Nested form: `inner` describes the board for (s - m, t - 1), of which b+1
-    copies sit at the element offsets `copy_offsets`; each of their winning
-    sets is joined with the `shared` mask of m elements."""
+    Nested form: `inner` describes the board for (s - m, t - 1).  The
+    `shared` mask holds elements 0..m-1, b+1 copies of the inner board follow
+    it, `inner.n` elements each, and each of their winning sets is joined
+    with `shared`."""
 
     n: int
     groups: Optional[tuple[tuple[GtbNode, ...], ...]] = None
@@ -154,7 +171,6 @@ class MbstInfo:
     arc_edges: Optional[tuple[int, ...]] = None
     shared: int = 0
     inner: Optional["MbstInfo"] = None
-    copy_offsets: tuple[int, ...] = ()
 
 
 def _check_hmbst_params(m: int, b: int, s: int, t: int) -> None:
@@ -168,12 +184,12 @@ def _check_hmbst_params(m: int, b: int, s: int, t: int) -> None:
         raise BoardError(f"round count {t} must be at least ceil(s/m) = {ceil(s / m)}")
 
 
-def build_hmbst_indexed(
-    m: int, b: int, s: int, t: int
+def _hmbst(
+    m: int, b: int, s: int, t: int, tree: bool
 ) -> tuple[Hypergraph, tuple[int, ...], MbstInfo]:
     _check_hmbst_params(m, b, s, t)
     if s <= 3 * m:
-        digraph, groups = build_htb_indexed(t, b)
+        digraph, groups = _htb(t, b, tree)
         vertex_sets = []
         labels: list[str] = []
         pos = 0
@@ -197,7 +213,7 @@ def build_hmbst_indexed(
         return h, family, info
 
     shared = (1 << m) - 1
-    inner_h, inner_family, inner_info = build_hmbst_indexed(m, b, s - m, t - 1)
+    inner_h, inner_family, inner_info = _hmbst(m, b, s - m, t - 1, tree)
     edges = []
     family = [shared]
     labels = [f"shared.{k}" for k in range(m)]
@@ -211,16 +227,21 @@ def build_hmbst_indexed(
         labels.extend(f"c{i}:{name}" for name in lab)
         pos += inner_h.n
     h = hypergraph_from_masks(pos, edges, labels)
-    offsets = tuple(range(m, pos, inner_h.n))
-    info = MbstInfo(pos, shared=shared, inner=inner_info, copy_offsets=offsets)
-    return h, tuple(family), info
+    return h, tuple(family), MbstInfo(pos, shared=shared, inner=inner_info)
+
+
+def build_hmbst_indexed(
+    m: int, b: int, s: int, t: int
+) -> tuple[Hypergraph, tuple[int, ...], MbstInfo]:
+    """The uniform board, its family, and how it was built, copy tree included."""
+    return _hmbst(m, b, s, t, tree=True)
 
 
 def build_hmbst(m: int, b: int, s: int, t: int) -> tuple[Hypergraph, tuple[int, ...]]:
     """The s-uniform board on which the maker needs exactly t rounds, and its
     associated-set family: disjoint size-m vertex sets (masks), each inside
     or outside every edge."""
-    h, fam, _ = build_hmbst_indexed(m, b, s, t)
+    h, fam, _ = _hmbst(m, b, s, t, tree=False)
     return h, fam
 
 

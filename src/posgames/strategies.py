@@ -704,13 +704,15 @@ def make_waiter_tree(tree) -> Strategy:
 
 @dataclass(frozen=True)
 class _HmbstMem:
-    copy: Optional[int]
+    """`offset`: the first element of the nested copy the script plays in."""
+
+    offset: Optional[int]
     inner: Any
 
 
 def _hmbst_move(info: MbstInfo, maker: int, breaker: int, mem: _HmbstMem):
     """Claim mask (un-padded) plus memory, recursing through nested levels."""
-    if info.groups is not None:
+    if info.inner is None:
         digraph = info.digraph
         nv = digraph.nv
         aux_maker = 0
@@ -739,17 +741,17 @@ def _hmbst_move(info: MbstInfo, maker: int, breaker: int, mem: _HmbstMem):
     if info.shared & ~maker:
         return info.shared, mem
     full = (1 << info.inner.n) - 1
-    if mem.copy is None:
-        untouched = (i for i, off in enumerate(info.copy_offsets) if not breaker >> off & full)
-        chosen = next(untouched, None)
+    if mem.offset is None:
+        offsets = range(info.shared.bit_length(), info.n, info.inner.n)
+        chosen = next((off for off in offsets if not breaker >> off & full), None)
         if chosen is None:
             return 0, mem
         mem = _HmbstMem(chosen, _HmbstMem(None, None))
-    off = info.copy_offsets[mem.copy]
+    off = mem.offset
     inner_claim, inner_mem = _hmbst_move(
         info.inner, maker >> off & full, breaker >> off & full, mem.inner
     )
-    return inner_claim << off, _HmbstMem(mem.copy, inner_mem)
+    return inner_claim << off, _HmbstMem(off, inner_mem)
 
 
 def make_maker_hmbst(m: int, b: int, s: int, t: int) -> Strategy:

@@ -2,6 +2,7 @@ import pytest
 
 from posgames.boards import hypergraph_new
 from posgames.constructions import (
+    COPY_TREE_ARC_CAP,
     build_complete_uniform,
     build_gadget,
     build_gtb,
@@ -98,10 +99,21 @@ class TestBranchedDigraph:
         with pytest.raises(GuardExceeded):
             build_gtb(40, 3)
 
+    def test_copy_tree_guard(self):
+        # the masks of a copy tree grow with the square of the arc count,
+        # so the tree stops at a smaller board than the digraph alone
+        assert len(build_gtb_indexed(13, 1)[0].arcs) == COPY_TREE_ARC_CAP
+        assert len(build_gtb(14, 1).arcs) == 2 * COPY_TREE_ARC_CAP
+        with pytest.raises(GuardExceeded):
+            build_gtb_indexed(14, 1)
+        with pytest.raises(GuardExceeded):
+            build_htb_indexed(14, 1)
+
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_copy_masks(self, t, b):
         d, root = build_gtb_indexed(t, b)
+        assert d == build_gtb(t, b)
         ends = (1 << d.start) | (1 << d.end)
         # the root holds every element but the two ends, so the vertex
         # count given to the board is the count of vertices numbered
@@ -137,6 +149,7 @@ class TestHubDigraph:
     @pytest.mark.parametrize("t,b", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 3)])
     def test_copies_partition_the_non_hub_elements(self, t, b):
         d, groups = build_htb_indexed(t, b)
+        assert d == build_htb(t, b)
         hubs = (1 << (b + 2)) - 1
         assert len(groups) == b + 1
         seen = 0
@@ -186,10 +199,16 @@ class TestUniformBoards:
     def test_nested_case_adds_shared_set(self):
         h, fam, info = build_hmbst_indexed(1, 1, 4, 4)
         assert info.shared
+        offsets = range(info.shared.bit_length(), h.n, info.inner.n)
         for e in h.edges:
             assert e & info.shared == info.shared or not any(
-                (e >> off) & ((1 << info.inner.n) - 1) for off in info.copy_offsets
+                (e >> off) & ((1 << info.inner.n) - 1) for off in offsets
             )
+
+    @pytest.mark.parametrize("m,b,s,t", [(1, 1, 3, 3), (1, 1, 4, 4), (2, 2, 5, 3)])
+    def test_copy_tree_changes_no_board(self, m, b, s, t):
+        h, fam, _info = build_hmbst_indexed(m, b, s, t)
+        assert (h, fam) == build_hmbst(m, b, s, t)
 
 
 class TestGadget:
