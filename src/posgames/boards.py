@@ -30,13 +30,16 @@ SUBSET_COUNT_LIMIT = 10**6
 DEFAULT_FAMILY_CAP = 200_000
 
 
-def _check_board_size(n: int) -> None:
+def _check_board_size(n: int, exact: bool = True) -> None:
+    """Refuse an element count `n` off [0, CAPACITY].  With `exact` False, n
+    is only a lower bound on the board's size, and the message leaves it out."""
     if not isinstance(n, int):
         raise BoardError(f"element count must be an integer, got {n!r}")
     if n < 0:
         raise BoardError(f"negative element count {n}")
     if n > CAPACITY:
-        raise BoardError(f"board size {n} exceeds capacity {CAPACITY}")
+        size = f" {n}" if exact else ""
+        raise BoardError(f"board size{size} exceeds capacity {CAPACITY}")
 
 
 @dataclass(frozen=True)

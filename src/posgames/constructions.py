@@ -1,9 +1,12 @@
 """Generators for the library's board constructions.
 
-The two digraph families are built recursively.  Their `*_indexed` builders
-also return the recursion tree (`GtbNode`): the scripted strategies navigate
-copies by their element masks, and the tests check structural invariants
-against the same masks.  The plain builders keep no tree.
+The two digraph families are built recursively, and their `*_indexed`
+builders also return the recursion tree (`GtbNode`): the scripted strategies
+navigate copies by their element masks, and the tests check structural
+invariants against the same masks.  Every game-board builder checks its
+board's element count against the capacity, by arithmetic on its
+parameters, before it builds the board; the gadget, a graph to test
+domination on, has its own vertex cap.
 Vertex numbering is deterministic: the global start is vertex 0, the global
 end (when present) vertex 1, the hub digraph's hubs vertices 0..b+1, junction
 vertices in recursion order afterwards.  As in the game engine, element v < nv
@@ -17,11 +20,12 @@ from itertools import combinations
 from math import ceil, comb
 from typing import Optional
 
-from .bitset import iter_bits
+from .bitset import CAPACITY, iter_bits
 from .boards import (
     Hypergraph,
     RootedDigraph,
     SimpleGraph,
+    _check_board_size,
     add_all_k_subsets,
     disjoint_union,
     hypergraph_from_masks,
@@ -29,8 +33,6 @@ from .boards import (
 )
 from .errors import BoardError, GuardExceeded
 
-GTB_ARC_CAP = 100_000
-COPY_TREE_ARC_CAP = 4096
 GADGET_BOARD_LIMIT = 20
 GADGET_VERTEX_CAP = 1_000_000
 WINNING_SET_CAP = 10**6
@@ -40,15 +42,17 @@ WINNING_SET_CAP = 10**6
 # Recursively branched digraphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GtbNode:
-    """One copy in the recursive digraph, from vertex `start` to its end.
+    """One copy in the recursive digraph, from its start vertex to its end.
 
-    A depth-1 copy is a single arc: `mid` is None and `arc` is the arc's
-    element bit.  A deeper copy is a junction vertex `mid` and b+1 child
-    copies (start->mid, then b parallel mid->end children), and `arc` is
-    None.  `vertices` masks the copy's inner vertices (its junctions, no
-    endpoint) and `elements` those and its arcs, as game elements."""
+    Every field but `children` is a mask of the board's own elements.  A
+    depth-1 copy is a single arc: `mid` is None and `arc` holds the arc's
+    elements.  A deeper copy is a junction vertex `mid` and b+1 child copies
+    (start->mid, then b parallel mid->end children), and `arc` is None.
+    `vertices` masks the copy's inner vertices (its junctions, no endpoint)
+    and `elements` those and its arcs.  Equality is identity, which is the
+    same on one build: any two distinct copies have disjoint `elements`."""
 
     start: int
     mid: Optional[int]
@@ -58,77 +62,78 @@ class GtbNode:
     elements: int
 
 
-def _junctions(depth: int, b: int) -> int:
-    """Junction vertices in one copy of this depth: none in a single arc,
-    else its own junction and those of its b+1 children."""
-    return 0 if depth == 1 else 1 + (b + 1) * _junctions(depth - 1, b)
-
-
 class _DigraphBuilder:
-    """Grows `copies` copies of the given depth, numbering junctions from
-    `reserved` on and arcs after all `nv` vertices.  With `tree` set, `grow`
-    returns each copy as a `GtbNode` whose masks are final when it is built;
-    without, it only records the arcs and returns None.  Each mask spans the
-    board, so a tree's memory grows with the square of its arc count: it
-    stops at COPY_TREE_ARC_CAP arcs, far more than an exhaustive check plays."""
+    """Grows `copies` copies of the given depth into one board, numbering
+    junctions from vertex `reserved` on and arcs in the order grown.  Vertex
+    v is the `width` elements from width*v on and arc j the `arc_width`
+    elements from width*nv + arc_width*j on, so `grow` returns each copy as a
+    `GtbNode` of the board's own elements."""
 
-    def __init__(self, reserved: int, copies: int, depth: int, b: int, tree: bool):
+    def __init__(
+        self, reserved: int, copies: int, depth: int, b: int, width: int = 1, arc_width: int = 1
+    ):
         if depth < 1 or b < 1:
             raise BoardError("both parameters must be at least 1")
-        arcs = copies * (1 + b) ** (depth - 1)
-        cap = COPY_TREE_ARC_CAP if tree else GTB_ARC_CAP
-        if arcs > cap:
-            raise GuardExceeded(f"arc count {copies}*(1+{b})^{depth - 1} exceeds cap {cap}")
-        self.b = b
-        self.tree = tree
-        self.nv = reserved + copies * _junctions(depth, b)
+        # the board grows with the depth, so the count stops at the first
+        # depth whose board passes the capacity
+        junctions, arcs, level = 0, copies, 1
+        while level < depth and width * (reserved + junctions) + arc_width * arcs <= CAPACITY:
+            junctions, arcs, level = copies + (b + 1) * junctions, (b + 1) * arcs, level + 1
+        _check_board_size(width * (reserved + junctions) + arc_width * arcs, exact=level == depth)
+        self.b, self.width, self.arc_width = b, width, arc_width
+        self.nv = reserved + junctions
         self.next_vertex = reserved
         self.arcs: list[tuple[int, int]] = []
 
-    def grow(self, depth: int, start: int, end: int) -> Optional[GtbNode]:
+    def vertex(self, v: int) -> int:
+        """The elements of vertex v."""
+        return ((1 << self.width) - 1) << (self.width * v)
+
+    def arc(self, j: int) -> int:
+        """The elements of arc j."""
+        return ((1 << self.arc_width) - 1) << (self.width * self.nv + self.arc_width * j)
+
+    def grow(self, depth: int, start: int, end: int) -> GtbNode:
         if depth == 1:
+            arc = self.arc(len(self.arcs))
             self.arcs.append((start, end))
-            if not self.tree:
-                return None
-            bit = 1 << (self.nv + len(self.arcs) - 1)
-            return GtbNode(start, None, bit, (), 0, bit)
+            return GtbNode(self.vertex(start), None, arc, (), 0, arc)
         mid = self.next_vertex
         self.next_vertex += 1
         children = [self.grow(depth - 1, start, mid)]
         children.extend(self.grow(depth - 1, mid, end) for _ in range(self.b))
-        if not self.tree:
-            return None
-        vertices = elements = 1 << mid
+        vertices = elements = self.vertex(mid)
         for c in children:
             vertices |= c.vertices
             elements |= c.elements
-        return GtbNode(start, mid, None, tuple(children), vertices, elements)
-
-
-def _gtb(t: int, b: int, tree: bool) -> tuple[RootedDigraph, Optional[GtbNode]]:
-    builder = _DigraphBuilder(2, 1, t, b, tree)
-    root = builder.grow(t, 0, 1)
-    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0, end=1), root
+        return GtbNode(
+            self.vertex(start), self.vertex(mid), None, tuple(children), vertices, elements
+        )
 
 
 def build_gtb_indexed(t: int, b: int) -> tuple[RootedDigraph, GtbNode]:
     """The branched digraph and its copy tree."""
-    return _gtb(t, b, tree=True)
+    builder = _DigraphBuilder(2, 1, t, b)
+    root = builder.grow(t, 0, 1)
+    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0, end=1), root
 
 
 def build_gtb(t: int, b: int) -> RootedDigraph:
     """Branched digraph with start vertex 0 and end vertex 1."""
-    return _gtb(t, b, tree=False)[0]
+    return build_gtb_indexed(t, b)[0]
 
 
-def _htb(t: int, b: int, tree: bool) -> tuple[RootedDigraph, Optional[tuple]]:
+def _hub_copies(
+    t: int, b: int, width: int = 1, arc_width: int = 1
+) -> tuple[_DigraphBuilder, tuple[tuple[GtbNode, ...], ...]]:
+    """The grown hub digraph and its copies, grouped by sink hub."""
     if t < 3:
         raise BoardError("the hub construction needs at least 3 rounds")
-    builder = _DigraphBuilder(b + 2, (b + 1) ** 2, t - 2, b, tree)
+    builder = _DigraphBuilder(b + 2, (b + 1) ** 2, t - 2, b, width, arc_width)
     groups = tuple(
         tuple(builder.grow(t - 2, 0, i) for _ in range(b + 1)) for i in range(1, b + 2)
     )
-    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0), groups if tree else None
+    return builder, groups
 
 
 def build_htb_indexed(
@@ -136,12 +141,13 @@ def build_htb_indexed(
 ) -> tuple[RootedDigraph, tuple[tuple[GtbNode, ...], ...]]:
     """The hub digraph and its copies: `groups[i-1]` holds the b+1 copies
     from hub 0 to hub i, and hub i is vertex i."""
-    return _htb(t, b, tree=True)
+    builder, groups = _hub_copies(t, b)
+    return RootedDigraph(builder.nv, tuple(builder.arcs), start=0), groups
 
 
 def build_htb(t: int, b: int) -> RootedDigraph:
     """Hub digraph: b+1 sinks, each fed by b+1 disjoint branched copies."""
-    return _htb(t, b, tree=False)[0]
+    return build_htb_indexed(t, b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +158,12 @@ def build_htb(t: int, b: int) -> RootedDigraph:
 class MbstInfo:
     """How an s-uniform board of `n` elements was built.
 
-    Flat form (s at most 3m, `inner` None): the board mirrors the hub
-    digraph `digraph` with copies `groups` (None on a board built without
-    its copy tree, as by `build_hmbst`).  Vertex x becomes the m elements of
-    `vertex_sets[x]`, which is also the board's associated-set family, and
-    arc j becomes the winning set `arc_edges[j]`: its two end vertices' sets
-    and s - 2m elements of its own.
+    Flat form (s at most 3m, `inner` None): the board is the hub digraph
+    with vertex x turned into the m elements from m*x on, which are also the
+    board's associated-set family, and arc j into the winning set of its two
+    end vertices' elements and the s - 2m elements of its own after all
+    vertices.  `groups` are the digraph's copies and `hubs` the hubs'
+    elements, all in the board's own elements.
 
     Nested form: `inner` describes the board for (s - m, t - 1).  The
     `shared` mask holds elements 0..m-1, b+1 copies of the inner board follow
@@ -166,9 +172,7 @@ class MbstInfo:
 
     n: int
     groups: Optional[tuple[tuple[GtbNode, ...], ...]] = None
-    digraph: Optional[RootedDigraph] = None
-    vertex_sets: Optional[tuple[int, ...]] = None
-    arc_edges: Optional[tuple[int, ...]] = None
+    hubs: tuple[int, ...] = ()
     shared: int = 0
     inner: Optional["MbstInfo"] = None
 
@@ -184,65 +188,44 @@ def _check_hmbst_params(m: int, b: int, s: int, t: int) -> None:
         raise BoardError(f"round count {t} must be at least ceil(s/m) = {ceil(s / m)}")
 
 
-def _hmbst(
-    m: int, b: int, s: int, t: int, tree: bool
-) -> tuple[Hypergraph, tuple[int, ...], MbstInfo]:
-    _check_hmbst_params(m, b, s, t)
-    if s <= 3 * m:
-        digraph, groups = _htb(t, b, tree)
-        vertex_sets = []
-        labels: list[str] = []
-        pos = 0
-        for x in range(digraph.nv):
-            vertex_sets.append(((1 << m) - 1) << pos)
-            labels.extend(f"v{x}.{k}" for k in range(m))
-            pos += m
-        extras = s - 2 * m
-        arc_edges = []
-        for j, (x, y) in enumerate(digraph.arcs):
-            extra_mask = ((1 << extras) - 1) << pos
-            labels.extend(f"arc{j}.e{k}" for k in range(extras))
-            pos += extras
-            arc_edges.append(vertex_sets[x] | vertex_sets[y] | extra_mask)
-        h = hypergraph_from_masks(pos, arc_edges, labels)
-        family = tuple(vertex_sets)
-        info = MbstInfo(
-            pos, groups=groups, digraph=digraph,
-            vertex_sets=family, arc_edges=tuple(arc_edges),
-        )
-        return h, family, info
-
-    shared = (1 << m) - 1
-    inner_h, inner_family, inner_info = _hmbst(m, b, s - m, t - 1, tree)
-    edges = []
-    family = [shared]
-    labels = [f"shared.{k}" for k in range(m)]
-    pos = m
-    for i in range(b + 1):
-        for em in inner_h.edges:
-            edges.append((em << pos) | shared)
-        for v in inner_family:
-            family.append(v << pos)
-        lab = inner_h.labels or tuple(str(j) for j in range(inner_h.n))
-        labels.extend(f"c{i}:{name}" for name in lab)
-        pos += inner_h.n
-    h = hypergraph_from_masks(pos, edges, labels)
-    return h, tuple(family), MbstInfo(pos, shared=shared, inner=inner_info)
-
-
 def build_hmbst_indexed(
     m: int, b: int, s: int, t: int
 ) -> tuple[Hypergraph, tuple[int, ...], MbstInfo]:
-    """The uniform board, its family, and how it was built, copy tree included."""
-    return _hmbst(m, b, s, t, tree=True)
+    """The uniform board, its family, and how it was built.
+
+    The flat board sits at the bottom of ceil(s/m) - 3 nested levels (none
+    when s is at most 3m), each of which passes the parameter checks when
+    (m, b, s, t) does; the levels are wrapped around it one by one, each
+    checked against the capacity before it is built."""
+    _check_hmbst_params(m, b, s, t)
+    levels = max(-(-s // m) - 3, 0)
+    s, t = s - levels * m, t - levels
+    builder, groups = _hub_copies(t, b, m, s - 2 * m)
+    family = tuple(builder.vertex(x) for x in range(builder.nv))
+    edges = [family[x] | family[y] | builder.arc(j) for j, (x, y) in enumerate(builder.arcs)]
+    labels = [f"v{x}.{k}" for x in range(builder.nv) for k in range(m)]
+    labels += [f"arc{j}.e{k}" for j in range(len(builder.arcs)) for k in range(s - 2 * m)]
+    h = hypergraph_from_masks(len(labels), edges, labels)
+    info = MbstInfo(h.n, groups=groups, hubs=family[: b + 2])
+    shared = (1 << m) - 1
+    for _ in range(levels):
+        n = m + (b + 1) * h.n
+        _check_board_size(n)
+        copies = range(m, n, h.n)
+        edges = [(e << off) | shared for off in copies for e in h.edges]
+        family = (shared,) + tuple(v << off for off in copies for v in family)
+        labels = [f"shared.{k}" for k in range(m)]
+        labels += [f"c{i}:{name}" for i in range(b + 1) for name in h.labels]
+        h = hypergraph_from_masks(n, edges, labels)
+        info = MbstInfo(n, shared=shared, inner=info)
+    return h, family, info
 
 
 def build_hmbst(m: int, b: int, s: int, t: int) -> tuple[Hypergraph, tuple[int, ...]]:
     """The s-uniform board on which the maker needs exactly t rounds, and its
     associated-set family: disjoint size-m vertex sets (masks), each inside
     or outside every edge."""
-    h, fam, _ = _hmbst(m, b, s, t, tree=False)
-    return h, fam
+    return build_hmbst_indexed(m, b, s, t)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +280,10 @@ def nonmonotone_blocks(blocked: set[int] | frozenset[int]) -> tuple[Hypergraph, 
     bs = sorted(blocked)
     if bs[0] < 1:
         raise BoardError("blocked biases must be positive")
-    top = bs[-1]
-    sizes = []
-    for i in range(1, top + 2):
-        sizes.append(min(v for v in bs if v >= i - 1))
+    # block sizes in order: bs[0] + 1 blocks of size bs[0], then v - u
+    # blocks of size v for each pair u < v adjacent in bs
+    _check_board_size(sum(v * (v - u) for u, v in zip([-1] + bs, bs)))
+    sizes = [min(v for v in bs if v >= i - 1) for i in range(1, bs[-1] + 2)]
     count = 1
     for size in sizes:
         count *= size
@@ -389,6 +372,7 @@ def build_ht_wc_indexed(t: int) -> tuple[Hypergraph, tuple[int, ...]]:
     if t < 3:
         raise BoardError("need at least 3 rounds")
     base = 2 * t - 6
+    _check_board_size(base + 8)
     if 4 * comb(base, t - 3) > WINNING_SET_CAP:
         raise GuardExceeded("edge count exceeds cap")
     labels = [f"m{k}" for k in range(base)]
@@ -421,4 +405,5 @@ def build_wc_gap_case1(s: int, t: int) -> Hypergraph:
     the claiming game takes s rounds, the offer game t rounds."""
     if s < t:
         raise BoardError("needs s >= t")
+    _check_board_size(2 * t + 2 + 2 * s)
     return disjoint_union(build_ht_wc(t), build_complete_uniform(2 * s, s))

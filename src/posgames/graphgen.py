@@ -7,21 +7,24 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .boards import Hypergraph, SimpleGraph, graph_new, hypergraph_new
+from .boards import Hypergraph, SimpleGraph, _check_board_size, graph_new, hypergraph_new
 from .errors import BoardError
 
 
 def path_graph(n: int) -> SimpleGraph:
+    _check_board_size(n)
     return graph_new(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> SimpleGraph:
     if n < 3:
         raise BoardError("cycles need at least 3 vertices")
+    _check_board_size(n)
     return graph_new(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(leaves: int) -> SimpleGraph:
+    _check_board_size(leaves + 1)
     return graph_new(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -29,6 +32,7 @@ def random_tree(n: int, rng: random.Random) -> SimpleGraph:
     """Uniform labelled tree by decoding a random Pruefer sequence."""
     if n <= 0:
         raise BoardError("a tree needs at least one vertex")
+    _check_board_size(n)
     if n == 1:
         return graph_new(1, [])
     if n == 2:
@@ -111,6 +115,7 @@ def random_graph(n: int, p: float, rng: random.Random) -> SimpleGraph:
     """Each of the n(n-1)/2 pairs is an edge with probability p."""
     if not 0 <= p <= 1:
         raise BoardError(f"edge probability must lie in [0, 1], got {p}")
+    _check_board_size(n)
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return graph_new(n, edges)
 

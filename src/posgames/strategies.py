@@ -295,14 +295,17 @@ def _new_vertex(nv: int, new: int) -> Optional[int]:
 
 
 def _gtb_step(node: GtbNode, maker: int, breaker: int) -> tuple[int, GtbNode]:
-    while node.mid is not None and maker & (1 << node.mid):
+    """The copy's elements to claim next and the copy they lie in: below
+    each junction the Maker owns, the first copy the Breaker has not
+    touched, down to an unowned junction or a single arc."""
+    while node.mid is not None and not node.mid & ~maker:
         untouched = next((c for c in node.children if not c.elements & breaker), None)
         if untouched is None:
             break
         node = untouched
     if node.mid is None:
         return node.arc, node
-    return 1 << node.mid, node
+    return node.mid, node
 
 
 def make_maker_gtb(t: int, b: int) -> Strategy:
@@ -391,18 +394,22 @@ class _HtbMakerMem:
 
 
 def _hub_step(
-    groups: tuple[tuple[GtbNode, ...], ...], maker: int, breaker: int, mem: _HtbMakerMem
+    hubs: tuple[int, ...], groups: tuple[tuple[GtbNode, ...], ...],
+    maker: int, breaker: int, mem: _HtbMakerMem,
 ) -> Optional[tuple[int, _HtbMakerMem]]:
-    """The hub script's next element of the hub digraph and its memory, or
-    None when it has no move: hub 0 first, then the hub of an untouched group
-    (its hub unclaimed, no Breaker element in its copies), then the branched
-    descent inside the group's first untouched copy."""
-    if not maker & 1:
-        return 1, mem
+    """The hub script's next elements to claim and its memory, or None when
+    it has no move: hub 0 first, then the hub of an untouched group (its hub
+    neither the Maker's nor touched by the Breaker, no Breaker element in
+    its copies), then the branched descent inside the group's first
+    untouched copy.  `hubs` and the copies are masks of the board's
+    elements, and the Maker owns a vertex once she holds all of it."""
+    if hubs[0] & ~maker:
+        return hubs[0], mem
     if mem.group is None:
         for i, group in enumerate(groups, start=1):
-            if not (maker | breaker) & (1 << i) and not any(c.elements & breaker for c in group):
-                return 1 << i, _HtbMakerMem(i, None)
+            if (hubs[i] & ~maker and not hubs[i] & breaker
+                    and not any(c.elements & breaker for c in group)):
+                return hubs[i], _HtbMakerMem(i, None)
         return None
     node = mem.node
     if node is None:
@@ -415,9 +422,10 @@ def _hub_step(
 
 def make_maker_htb(t: int, b: int) -> Strategy:
     groups = build_htb_indexed(t, b)[1]
+    hubs = tuple(1 << i for i in range(b + 2))
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbMakerMem):
-        step = _hub_step(groups, state.maker, state.breaker, mem)
+        step = _hub_step(hubs, groups, state.maker, state.breaker, mem)
         if step is None or not step[0] & free_mask(spec, state):
             return _fallback(spec, state), mem
         return step
@@ -443,7 +451,7 @@ def _block_in_copy(
     always counts as hers."""
     owned = copy.vertices & maker | 1 << sink
     if start_owned:
-        owned |= 1 << copy.start
+        owned |= copy.start
     return _block_arcs(board, free & copy.elements, indices_of(owned), new_v, threshold)
 
 
@@ -711,31 +719,16 @@ class _HmbstMem:
 
 
 def _hmbst_move(info: MbstInfo, maker: int, breaker: int, mem: _HmbstMem):
-    """Claim mask (un-padded) plus memory, recursing through nested levels."""
+    """Claim mask (un-padded) plus memory, recursing through nested levels.
+    The flat form is the hub script on the board's own sets: it reaches an
+    arc only once both end vertices are the Maker's, so the arc's own
+    elements are what is left of its winning set."""
     if info.inner is None:
-        digraph = info.digraph
-        nv = digraph.nv
-        aux_maker = 0
-        aux_breaker = 0
-        for x in range(nv):
-            vs = info.vertex_sets[x]
-            if vs & ~maker == 0:
-                aux_maker |= 1 << x
-            if vs & breaker:
-                aux_breaker |= 1 << x
-        for j, em in enumerate(info.arc_edges):
-            u, v = digraph.arcs[j]
-            extras = em & ~(info.vertex_sets[u] | info.vertex_sets[v])
-            if extras & breaker:
-                aux_breaker |= 1 << (nv + j)
         hub_mem = mem.inner or _HtbMakerMem(None, None)
-        step = _hub_step(info.groups, aux_maker, aux_breaker, hub_mem)
+        step = _hub_step(info.hubs, info.groups, maker, breaker, hub_mem)
         if step is None:
             return 0, mem
-        idx = step[0].bit_length() - 1
-        if idx < nv:
-            return info.vertex_sets[idx], _HmbstMem(None, step[1])
-        return info.arc_edges[idx - nv] & ~maker, _HmbstMem(None, step[1])
+        return step[0], _HmbstMem(None, step[1])
 
     # nested form
     if info.shared & ~maker:

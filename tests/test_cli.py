@@ -54,7 +54,7 @@ class TestGen:
         assert doc["n"] == 8
 
     def test_guard_exit_code(self, capsys):
-        code, doc = run_json(capsys, "gen", "gtb", "--t", "40", "--b", "3")
+        code, doc = run_json(capsys, "gen", "ht-wc", "--t", "20")
         assert code == 3
         assert doc["kind"] == "guard"
 
@@ -68,6 +68,42 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "gtb", "--t", "3"])  # missing --b
         assert exc.value.code == 2
+
+    # each generator's smallest board over the capacity; its last flag is
+    # the one that grows the board.  The gadget is a graph to check
+    # domination on, not a game board, and may pass the capacity.
+    OVER_CAPACITY = {
+        "gtb": "--b 1 --t 8",
+        "htb": "--b 1 --t 9",
+        "ht-wc": "--t 128",
+        "hmbst": "--m 1 --b 1 --s 3 --t 9",
+        "thm12": "--m 1 --b 1 --s 3 --s2 3 --t 3 --t2 8",
+        "thm14": "--m 1 --b 1 --r 2 --s 3 --s2 3 --t 3 --t2 8",
+        "thm15": "--m 1 --b 1 --s 3 --t 8",
+        "thm16": "--m 1 --b 1 --s 3 --s2 3 --t 3 --t2 8",
+        "complete-uniform": "--k 1 --n 257",
+        "wc-gap-case1": "--t 3 --s 125",
+        "cycle": "--n 257",
+        "path": "--n 257",
+        "nonmonotone": "--blocked 16",
+        "random-graph": "--n 257",
+        "random-tree": "--n 257",
+    }
+
+    def test_every_board_generator_has_an_over_capacity_case(self):
+        generators = subcommands(subcommands(build_parser())["gen"])
+        assert set(self.OVER_CAPACITY) | {"gadget"} == set(generators)
+
+    @pytest.mark.parametrize("generator", sorted(OVER_CAPACITY))
+    def test_over_capacity_board_is_a_usage_error(self, capsys, tmp_path, generator):
+        argv = ["gen", generator, *self.OVER_CAPACITY[generator].split()]
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["kind"] == "usage"
+        assert "exceeds capacity 256" in doc["message"]
+        # one less in the growing flag is no capacity refusal
+        argv[-1] = str(int(argv[-1]) - 1)
+        code, out = run_cli(capsys, *argv, "-o", str(tmp_path / "out.json"))
+        assert code in (0, 3), out
 
     @pytest.mark.parametrize("argv", [
         "gen cycle --n 5 --memo-cap 7",  # no search runs

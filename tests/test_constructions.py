@@ -2,7 +2,6 @@ import pytest
 
 from posgames.boards import hypergraph_new
 from posgames.constructions import (
-    COPY_TREE_ARC_CAP,
     build_complete_uniform,
     build_gadget,
     build_gtb,
@@ -44,15 +43,17 @@ def check_copy_masks(d, node):
     """Every copy below `node` is its junction plus the disjoint union of its
     children, down to single arcs, whose bit is the arc from the copy's start."""
     for c in all_copies(node):
+        assert c.start.bit_count() == 1
         if c.mid is None:
             assert c.vertices == 0 and c.elements == c.arc
             j = c.arc.bit_length() - 1 - d.nv
             assert c.arc.bit_count() == 1 and 0 <= j < len(d.arcs)
-            assert d.arcs[j][0] == c.start
+            assert 1 << d.arcs[j][0] == c.start
             continue
+        assert c.mid.bit_count() == 1 and c.mid < 1 << d.nv
         assert c.children[0].start == c.start
         assert all(child.start == c.mid for child in c.children[1:])
-        vertices = elements = 1 << c.mid
+        vertices = elements = c.mid
         for child in c.children:
             assert not child.elements & elements
             vertices |= child.vertices
@@ -96,18 +97,16 @@ class TestBranchedDigraph:
                     assert dist[v][u] is None  # antisymmetric: no cycles
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(BoardError):
             build_gtb(40, 3)
 
-    def test_copy_tree_guard(self):
-        # the masks of a copy tree grow with the square of the arc count,
-        # so the tree stops at a smaller board than the digraph alone
-        assert len(build_gtb_indexed(13, 1)[0].arcs) == COPY_TREE_ARC_CAP
-        assert len(build_gtb(14, 1).arcs) == 2 * COPY_TREE_ARC_CAP
-        with pytest.raises(GuardExceeded):
-            build_gtb_indexed(14, 1)
-        with pytest.raises(GuardExceeded):
-            build_htb_indexed(14, 1)
+    def test_capacity_edge(self):
+        assert build_gtb(7, 1).n_elements == 129
+        with pytest.raises(BoardError, match="board size 257 exceeds capacity 256"):
+            build_gtb(8, 1)
+        assert build_htb(8, 1).n_elements == 255
+        with pytest.raises(BoardError, match="board size 511 exceeds capacity 256"):
+            build_htb(9, 1)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("b", [1, 2, 3])
@@ -119,7 +118,7 @@ class TestBranchedDigraph:
         # count given to the board is the count of vertices numbered
         assert root.elements == ((1 << d.n_elements) - 1) & ~ends
         assert root.vertices | ends == (1 << d.nv) - 1
-        assert root.start == d.start
+        assert root.start == 1 << d.start
         check_copy_masks(d, root)
 
 
@@ -146,7 +145,7 @@ class TestHubDigraph:
                 seen |= copy.elements & arcs
         assert seen == arcs
 
-    @pytest.mark.parametrize("t,b", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 3)])
+    @pytest.mark.parametrize("t,b", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (4, 3)])
     def test_copies_partition_the_non_hub_elements(self, t, b):
         d, groups = build_htb_indexed(t, b)
         assert d == build_htb(t, b)
@@ -156,7 +155,7 @@ class TestHubDigraph:
         for sink, group in enumerate(groups, start=1):
             assert len(group) == b + 1
             for copy in group:
-                assert copy.start == 0
+                assert copy.start == 1
                 assert not copy.elements & (seen | hubs)
                 seen |= copy.elements
                 check_copy_masks(d, copy)
@@ -210,6 +209,28 @@ class TestUniformBoards:
         h, fam, _info = build_hmbst_indexed(m, b, s, t)
         assert (h, fam) == build_hmbst(m, b, s, t)
 
+    @pytest.mark.parametrize("m,b,s,t", [(1, 1, 3, 3), (1, 2, 3, 3), (2, 2, 5, 3)])
+    def test_flat_copies_partition_the_non_hub_elements(self, m, b, s, t):
+        h, fam, info = build_hmbst_indexed(m, b, s, t)
+        assert info.inner is None and info.hubs == fam[: b + 2]
+        hubs = sum(info.hubs)
+        seen = 0
+        for group in info.groups:
+            for copy in group:
+                assert copy.start == fam[0]
+                assert not copy.elements & (seen | hubs)
+                seen |= copy.elements
+                for c in all_copies(copy):
+                    assert c.start in fam
+                    if c.mid is not None:
+                        assert c.mid in fam
+                    else:  # a winning set: the arc's own elements and two vertices
+                        assert c.arc.bit_count() == s - 2 * m
+                        edge = next(e for e in h.edges if e & c.arc)
+                        assert edge & (c.start | c.arc) == c.start | c.arc
+                        assert edge & ~(c.start | c.arc) in fam
+        assert seen == h.full_mask & ~hubs
+
 
 class TestGadget:
     def test_pinned_size(self):
@@ -258,6 +279,10 @@ class TestNonmonotone:
         for e in h.edges:
             for blk in blocks:
                 assert (e & blk).bit_count() == 1
+
+    def test_capacity_is_checked_before_the_blocks(self):
+        with pytest.raises(BoardError, match="board size 10000100000 exceeds"):
+            nonmonotone_blocks({10**5})
 
     def test_needs_positive_biases(self):
         with pytest.raises(BoardError):
@@ -326,6 +351,10 @@ class TestOfferGapBoards:
         h = build_ht_wc(4)
         assert h.n == 2 * 4 - 6 + 8
         assert all(e.bit_count() == 4 - 1 for e in h.edges)
+
+    def test_capacity_is_checked_before_the_edges(self):
+        with pytest.raises(BoardError, match="board size 200002 exceeds"):
+            build_ht_wc(10**5)
 
     def test_complete_uniform(self):
         assert len(build_complete_uniform(6, 3).edges) == 20

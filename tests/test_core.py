@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -30,7 +32,14 @@ from posgames.errors import (
     FormatError,
     GuardExceeded,
 )
-from posgames.graphgen import all_trees
+from posgames.graphgen import (
+    all_trees,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    random_tree,
+    star_graph,
+)
 
 
 def edge_sets(h):
@@ -242,6 +251,23 @@ class TestGraphsAndDigraphs:
     def test_digraph_validates_endpoints(self):
         with pytest.raises(BoardError):
             digraph_new(2, [(0, 2)], start=0)
+
+    @pytest.mark.parametrize("make,n", [
+        (path_graph, 10**5),
+        (cycle_graph, 10**5),
+        (star_graph, 10**5),
+        (lambda n: random_tree(n, random.Random(0)), 10**5),
+        (lambda n: random_graph(n, 0.5, random.Random(0)), 1000),
+    ], ids=["path", "cycle", "star", "random-tree", "random-graph"])
+    def test_generators_check_the_size_first(self, make, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoardError, match="exceeds capacity"):
+                make(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_digraph_allows_parallel_arcs(self):
         d = digraph_new(2, [(0, 1), (0, 1)], start=0, end=1)
