@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import __version__
 from .bitset import indices_of, mask_from_indices
-from .boards import family_from_json, from_json, to_json
+from .boards import _check_board_size, family_from_json, from_json, to_json
 from .constructions import (
     build_complete_uniform,
     build_gadget,
@@ -50,6 +50,7 @@ from .constructions import (
     build_thm15,
     build_thm16,
     build_wc_gap_case1,
+    gadget_size,
 )
 from .domination import (
     domination_number,
@@ -203,6 +204,8 @@ def _cmd_gen(args, run: _Run) -> int:
         board = h
     elif name == "gadget":
         inner = run.read_board(args.input, "hypergraph")
+        # the dom commands read the graph back, so it must fit the capacity
+        _check_board_size(gadget_size(inner, args.a))
         board = build_gadget(inner, args.a)
     elif name == "nonmonotone":
         try:

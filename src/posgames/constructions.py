@@ -241,17 +241,29 @@ def vertex_covers(h: Hypergraph) -> list[int]:
     return [a for a in range(1 << h.n) if all(a & e for e in h.edges)]
 
 
-def build_gadget(h: Hypergraph, a: int) -> SimpleGraph:
-    """Graph whose domination game mirrors the claiming game on h.
-
-    The board becomes a clique; each vertex cover A gets a fresh pendant
-    class of 4a(n + #covers) vertices joined completely to A.
-    """
+def _gadget_layout(h: Hypergraph, a: int) -> tuple[list[int], int, int]:
+    """The vertex covers of h, the pendant-class size 4a(n + #covers) and
+    the gadget's vertex count."""
     if a < 1:
         raise BoardError("gadget bias must be at least 1")
     covers = vertex_covers(h)
     class_size = 4 * a * (h.n + len(covers))
-    total = h.n + len(covers) * class_size
+    return covers, class_size, h.n + len(covers) * class_size
+
+
+def gadget_size(h: Hypergraph, a: int) -> int:
+    """Vertex count of `build_gadget(h, a)`, counted without building it."""
+    return _gadget_layout(h, a)[2]
+
+
+def build_gadget(h: Hypergraph, a: int) -> SimpleGraph:
+    """Graph whose domination game mirrors the claiming game on h.
+
+    The board becomes a clique; each vertex cover A gets a fresh pendant
+    class of 4a(n + #covers) vertices joined completely to A.  The graph may
+    pass the board capacity (`gadget_size` tells beforehand).
+    """
+    covers, class_size, total = _gadget_layout(h, a)
     if total > GADGET_VERTEX_CAP:
         raise GuardExceeded(f"gadget would have {total} vertices, cap {GADGET_VERTEX_CAP}")
     edges = [(u, v) for u in range(h.n) for v in range(u + 1, h.n)]

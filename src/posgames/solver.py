@@ -11,11 +11,11 @@ menu cut to vertices (a led-set menu, below): she may claim an arc only
 once she owns both endpoints, and that claim finishes a set.  `run` does
 four things in order:
 
-  1. leaf test: scan the winning sets the opponent has not hit.  A
-     completed set is a win.  The others that can still be finished within
-     the budget are the live sets, their missing elements the live needs,
-     and the union of the needs the useful elements.  The node is lost
-     when no set is live;
+  1. leaf test: scan the winning sets (at a child, the parent's live
+     needs) the opponent has not hit.  A completed set is a win.  The
+     others that can still be finished within the budget are the live sets,
+     their missing elements the live needs, and the union of the needs the
+     useful elements.  The node is lost when no set is live;
   2. memo probe on the node's residual key;
   3. expansion (per game): try the mover's options, best first, and stop at
      the first one that decides the node;
@@ -65,9 +65,32 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     is lost.  Restricting Phi to the live needs is sound: a set the budget
     filter dropped stays hopeless whatever the Client keeps.  The budget
     filter at m = 1 leaves every need at most the budget, so the test
-    sum(2^(budget - |need|)) < 2^budget is exact in integers.  No
-    Maker-Breaker analogue is used: Beck's (1:b) criterion cut few nodes
-    there on top of the budget filter and cost more than it saved.
+    sum(2^(budget - |need|)) < 2^budget is exact in integers.
+  * Breaker certificate (m = 1; Erdős & Selfridge, JCTA 1973; Beck,
+    "Remarks on positional games I", 1982).  Let Psi be the sum of
+    (b+1)^-|need| over the live needs and Psi_x the sum over those that
+    contain x.  The node is lost when Psi < 1 with the Breaker to move, or
+    Psi < 1/(b+1) with the Maker to move.  Pair each Breaker move with the
+    Maker move after it.  The Breaker claims his b elements one at a time,
+    each the free element of largest Psi_x at that moment.  Let x be the
+    element the Maker claims next.  His claims only remove needs, so Psi_x
+    never rises during his move, and each of his picks, weighing at least
+    x's weight at that moment, removes at least x's final weight Psi_x.
+    So his move lowers Psi by at least b Psi_x.  Her claim of x multiplies
+    the weight of each need that contains x by b+1, so it raises Psi by
+    exactly b Psi_x.  Psi therefore never rises over a pair (if he runs out
+    of free elements, she has no move left), so Psi < 1 holds after each of
+    her moves.  A completed need alone weighs (b+1)^0 = 1, so she never
+    completes a set.  With the Maker to move, her claim raises Psi by b Psi_x <=
+    b Psi, so Psi < 1/(b+1) before it gives Psi < 1 after it, with the
+    Breaker to move.  The argument bounds every Maker play, so it holds for
+    every menu of the claiming search (free, led-set and directed-edge), all
+    of which claim one element a move at m = 1.  Restricting Psi to the
+    live needs is sound as for the offer potential: a set the budget filter
+    dropped stays hopeless whatever is claimed.  Every live need fits the
+    budget at m = 1, so the test sum((b+1)^(budget - |need|)) < (b+1)^budget
+    is exact in integers, with the left side times b+1 at a Maker node.
+    The offer game keeps its own potential and has no Breaker node.
   * Led-set menu.  A search may cut the Maker's claims to the sets of a
     `lead` table, which maps the lowest element of each set to the set.  Her
     menu is then the sets whose lowest element is useful, in `_order`'s
@@ -133,6 +156,13 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     The split is wrong at m >= 2, where one claim can advance two
     components at once: two disjoint triples at (2:1) are a Maker win
     together, and neither triple is one alone.
+  * Child scan.  A child scans its parent's live needs instead of every
+    winning set.  A set missing from the parent's list cannot come back:
+    the Breaker (the Client) has hit it and keeps it, or the budget filter
+    dropped it and it stays hopeless (above), or it was completed and the
+    parent returned before expanding.  A need the move did not touch stays
+    the same int, so the memo keys keep sharing it.  Root calls scan
+    `edges`, which `_values` filters per (rounds, size) question.
 
 The memo-free mode (`SolverSettings(use_memo=False)`) exists for
 cross-checking.
@@ -257,11 +287,16 @@ class _Search:
         self._cap = settings.memo_cap
         self._use_memo = settings.use_memo
 
-    def run(self, maker: int, breaker: int, maker_to_move: bool, budget: int) -> bool:
+    def run(
+        self, maker: int, breaker: int, maker_to_move: bool, budget: int,
+        needs: Optional[Sequence[int]] = None,
+    ) -> bool:
+        """Value of the node; `needs`, the parent's live needs, stands in for
+        the winning sets in the scan (the Child scan bullet)."""
         reach = budget * self.m
         live = []
         useful = 0
-        for e in self.edges:
+        for e in self.edges if needs is None else needs:
             if e & breaker:
                 continue
             # an untouched set is its own need: memo keys share the edge's int
@@ -296,10 +331,13 @@ class _Search:
         if any(need.bit_count() <= self.m for need in live):
             return True  # finish a winning set this move
         if self.m == 1:
+            if self._breaker_certified(live, budget, self.b + 1):
+                return False
             parts = _components(live)
             if len(parts) > 1:  # the component split
                 return any(
-                    self.run(maker, breaker | (useful & ~part), True, budget) for part in parts
+                    self.run(maker, breaker | (useful & ~part), True, budget, live)
+                    for part in parts
                 )
         lead = self.lead
         if lead is None:
@@ -307,15 +345,23 @@ class _Search:
         else:
             menu = [lead[bit] for bit in self._order(useful & self.leads, live)]
         for mv in menu:
-            if self.run(maker | mv, breaker, False, budget - 1):
+            if self.run(maker | mv, breaker, False, budget - 1, live):
                 return True
         return False
 
     def _breaker_node(self, maker, breaker, budget, live, free, useful) -> bool:
+        if self.m == 1 and self._breaker_certified(live, budget, 1):
+            return False
         for mv in self._claims(self.b, live, free, useful):
-            if not self.run(maker, breaker | mv, True, budget):
+            if not self.run(maker, breaker | mv, True, budget, live):
                 return False
         return True
+
+    def _breaker_certified(self, live, budget, scale) -> bool:
+        """The Breaker certificate at m = 1: scale * Psi < 1 in integers,
+        exact because every live need fits the budget."""
+        q = self.b + 1
+        return scale * sum(q ** (budget - need.bit_count()) for need in live) < q ** budget
 
     def _claims(self, bias, live, free, useful):
         """The claims of min(bias, free) elements worth trying, best first.
@@ -369,8 +415,8 @@ class _WCSearch(_Search):
             return False
         run = self.run
         for x, y in combinations(self._order(useful, live), 2):
-            if run(waiter | x, client | y, True, budget - 1) and run(
-                waiter | y, client | x, True, budget - 1
+            if run(waiter | x, client | y, True, budget - 1, live) and run(
+                waiter | y, client | x, True, budget - 1, live
             ):
                 return True
         return False

@@ -11,15 +11,19 @@ import random
 import time
 from typing import Optional
 
-from .boards import Hypergraph, induced_subgraph, minimalize
+from .bitset import CAPACITY
+from .boards import Hypergraph, hypergraph_from_masks, induced_subgraph, minimalize
 from .constructions import (
     build_gadget,
     build_gtb,
     build_hmbst,
     build_htb,
     build_nonmonotone,
+    build_thm12,
+    build_thm14,
     build_thm16,
     build_wc_gap_case1,
+    gadget_size,
 )
 from .domination import (
     dom_game_values,
@@ -150,6 +154,29 @@ def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) ->
     return suite.report()
 
 
+def suite_thm12(settings: Optional[SolverSettings] = None) -> dict:
+    """First-mover flip (Theorems 1.2 and 1.4): on each composite board the
+    first player gets exactly (t, s) and the second exactly (t2, s2), as
+    (rounds, size) frontiers."""
+    suite = _Suite("thm1.2")
+    for build, params in [
+        (build_thm12, (1, 1, 3, 3, 3, 4)),
+        (build_thm12, (1, 1, 3, 4, 3, 5)),
+        (build_thm12, (1, 2, 3, 3, 3, 4)),
+        (build_thm14, (1, 1, 2, 3, 3, 3, 4)),
+    ]:
+        m, b, *_r, s, s2, t, t2 = params
+        board = f"{build.__name__[len('build_'):]}({','.join(map(str, params))})"
+        h = build(*params)
+        for first, want in ((Player.MAKER, (t, s)), (Player.BREAKER, (t2, s2))):
+            values = game_values(h, m, b, first, settings)
+            row = suite.row(board=board, first=first.value,
+                            frontier=[list(p) for p in values.frontier])
+            suite.check(f"{board} {first.value} first gets exactly {want}",
+                        values.frontier == (want,), row)
+    return suite.report()
+
+
 def suite_thm16(settings: Optional[SolverSettings] = None) -> dict:
     """Composite board H(1,1,4,4) + H(1,1,3,5): the fastest win takes a set
     of size 4 within 4 rounds, a set of size 3 takes 5, so the frontier has
@@ -248,7 +275,13 @@ def suite_gadget(
 ) -> dict:
     """Gadget structure: edges dominate, the domination number equals the
     smallest edge, core dominating sets contain edges, and the game values
-    transfer on the two-element example."""
+    transfer.
+
+    Transfer is checked at (1:1) with either player first, on the pinned
+    two-element example and on every Sperner board on 2 to 4 elements that
+    uses every element and whose gadget fits the board capacity: 40 of the
+    125 such boards (12 of their 27 classes up to relabelling).
+    """
     if count < 1:
         raise PosgamesError(f"gadget needs count >= 1 random hypergraphs, got {count}")
     suite = _Suite("gadget")
@@ -280,7 +313,41 @@ def suite_gadget(
     ok = values.min_rounds == 1 and values.min_size == 1 and direct
     row = suite.row(instance="pinned", rounds=values.min_rounds, size=values.min_size)
     suite.check("pinned example transfers (1,1)", ok, row)
+
+    boards = [hypergraph_from_masks(n, edges) for n in (2, 3, 4) for edges in _sperner(n)]
+    small = [h for h in boards if gadget_size(h, 1) <= CAPACITY]
+    suite.check("40 of 125 Sperner boards have a gadget within capacity",
+                (len(small), len(boards)) == (40, 125),
+                {"within": len(small), "boards": len(boards)})
+    for h in small:
+        g = build_gadget(h, 1)
+        for first in Player:
+            dom, claiming = (
+                [v.maker_wins, v.min_rounds, v.min_size]
+                for v in (dom_game_values(g, 1, 1, first, settings),
+                          game_values(h, 1, 1, first, settings))
+            )
+            row = suite.row(instance=h.edge_indices(), first=first.value, vertices=g.n,
+                            dom=dom, claiming=claiming)
+            suite.check(f"{h.edge_indices()} {first.value} first transfers", dom == claiming, row)
     return suite.report()
+
+
+def _sperner(n: int) -> list[list[int]]:
+    """Every Sperner family of non-empty sets (masks) on n elements that
+    uses every element."""
+    full = (1 << n) - 1
+    found = []
+
+    def grow(family, start, union):
+        if union == full:
+            found.append(family)
+        for e in range(start, full + 1):
+            if all(e & f not in (e, f) for f in family):  # neither contains the other
+                grow(family + [e], e + 1, union | e)
+
+    grow([], 1, 0)
+    return found
 
 
 def suite_thm19c1(settings: Optional[SolverSettings] = None) -> dict:
@@ -453,6 +520,7 @@ SUITES = {
     "lemma3.6": suite_lemma36,
     "lemma3.9": suite_lemma39,
     "thm1.1": suite_thm11,
+    "thm1.2": suite_thm12,
     "thm1.6": suite_thm16,
     "thm1.7": suite_thm17,
     "thm1.8": suite_thm18,

@@ -22,6 +22,7 @@ CASES = [
     ("lemma3.6", {}, 300),
     ("lemma3.9", {}, 600),
     ("thm1.1", {"max_bias": 4}, 600),
+    ("thm1.2", {}, 60),
     ("thm1.6", {}, 300),
     ("thm1.8", {"max_n": 12}, 600),
     ("thm1.7", {}, 1800),

@@ -70,8 +70,8 @@ class TestGen:
         assert exc.value.code == 2
 
     # each generator's smallest board over the capacity; its last flag is
-    # the one that grows the board.  The gadget is a graph to check
-    # domination on, not a game board, and may pass the capacity.
+    # the one that grows the board.  The gadget reads its board from a file
+    # and has its own test below.
     OVER_CAPACITY = {
         "gtb": "--b 1 --t 8",
         "htb": "--b 1 --t 9",
@@ -104,6 +104,18 @@ class TestGen:
         argv[-1] = str(int(argv[-1]) - 1)
         code, out = run_cli(capsys, *argv, "-o", str(tmp_path / "out.json"))
         assert code in (0, 3), out
+
+    def test_over_capacity_gadget_is_a_usage_error(self, capsys, tmp_path):
+        # a one-element board has one vertex cover, so its gadget has 1 + 8a
+        # vertices; the dom commands could not read back one over 256
+        board = tmp_path / "one.json"
+        board.write_text(json.dumps({"type": "hypergraph", "n": 1, "edges": [[0]]}))
+        out = tmp_path / "gadget.json"
+        code, _ = run_cli(capsys, "gen", "gadget", "-i", str(board), "--a", "31", "-o", str(out))
+        assert code == 0 and json.loads(out.read_text())["n"] == 249
+        code, doc = run_json(capsys, "gen", "gadget", "-i", str(board), "--a", "32")
+        assert code == 2 and doc["kind"] == "usage"
+        assert "board size 257 exceeds capacity 256" in doc["message"]
 
     @pytest.mark.parametrize("argv", [
         "gen cycle --n 5 --memo-cap 7",  # no search runs
@@ -552,7 +564,7 @@ class TestVerify:
         want["all"] = set().union(*suites.values()) | {"--memo-cap"}
         want.update({name: flags(e.smallest) | {"--max-nodes"} for name, e in CATALOG.items()})
         targets = subcommands(subcommands(build_parser())["verify"])
-        assert len(targets) == 27 and set(targets) == set(want)
+        assert len(targets) == 28 and set(targets) == set(want)
         for name, parser in targets.items():
             got = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
             assert got == want[name] | {"--manifest", "-o", "--output"}, name

@@ -6,8 +6,15 @@ from hypothesis import strategies as st
 
 from conftest import naive_decide, random_hypergraph_masks
 from posgames.boards import digraph_new, hypergraph_from_masks, hypergraph_new
-from posgames.constructions import build_gtb, build_hmbst, build_ht_wc, build_htb, build_thm16
-from posgames.domination import minimal_dominating_sets
+from posgames.constructions import (
+    build_gadget,
+    build_gtb,
+    build_hmbst,
+    build_ht_wc,
+    build_htb,
+    build_thm16,
+)
+from posgames.domination import dom_game_values, minimal_dominating_sets
 from posgames.engine import GameKind, GameSpec, Player
 from posgames.errors import GuardExceeded, PosgamesError, RestrictionError
 from posgames.graphgen import cycle_graph
@@ -282,6 +289,26 @@ class TestHypothesisAgainstNaive:
         assert not naive_decide(GameSpec(GameKind.WAITER_CLIENT, h), t)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        hypergraphs(7),
+        st.integers(1, 2),
+        st.sampled_from((Player.MAKER, Player.BREAKER)),
+        st.integers(1, 4),
+    )
+    def test_breaker_potential_is_a_breaker_win(self, board, b, first, t):
+        # the Breaker certificate's theorem at m = 1, checked by the oracle
+        # alone: with Psi = sum (b+1)^-|e| over the edges the Maker can
+        # finish in t rounds, the Breaker wins when Psi < 1 and he moves
+        # first, and when Psi < 1/(b+1) and the Maker moves first
+        h, _core = board
+        q = b + 1
+        scale = q if first is Player.MAKER else 1
+        psi = sum(q ** (t - e.bit_count()) for e in h.edges if e.bit_count() <= t)
+        assume(scale * psi < q ** t)
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=1, breaker_bias=b, first=first)
+        assert not naive_decide(spec, t)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(2, 4), st.integers(1, 2), round_budgets, st.booleans(), st.data())
     def test_directed_edge_game(self, nv, b, t, premove, data):
         vertex = st.integers(0, nv - 1)
@@ -514,7 +541,10 @@ class TestSolverInvariants:
         # the `run` calls of one question per menu (free and associated-set
         # claims, the vertex table of the directed-edge game with and without
         # the pre-move, offers): a change in pruning or in a menu's order
-        # shows as a change in these counts
+        # shows as a change in these counts.  The gadget of {01, 12} with the
+        # Breaker first keeps sets of 33 to 160 elements live under its
+        # 163-round budget; without the Breaker certificate it takes over a
+        # minute, with it one call
         calls = [0]
         run = _Search.run
 
@@ -533,6 +563,7 @@ class TestSolverInvariants:
         composite = build_thm16(1, 1, 3, 4, 4, 5)
         hub = build_htb(5, 1)
         c10 = minimal_dominating_sets(cycle_graph(10))
+        gadget = build_gadget(hypergraph_new(3, [[0, 1], [1, 2]]), 1)
         assert {
             "associated sets": work(lambda: decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), fam)),
             "free claims": work(lambda: game_values(composite, 1, 1)),
@@ -541,12 +572,16 @@ class TestSolverInvariants:
                 lambda: solve_aux_game(hub, 1, 0, breaker_premove=True)
             ),
             "offers": work(lambda: wc_game_values(c10)),
+            "free claims on a gadget, Breaker first": work(
+                lambda: dom_game_values(gadget, 1, 1, Player.BREAKER)
+            ),
         } == {
-            "associated sets": 3_175,
-            "free claims": 5_522,
-            "vertices": 849,
-            "vertices after a pre-move": 339,
+            "associated sets": 2_891,
+            "free claims": 2_835,
+            "vertices": 629,
+            "vertices after a pre-move": 53,
             "offers": 18_827,
+            "free claims on a gadget, Breaker first": 1,
         }
 
     def test_memo_cap_guard_is_loud(self):
