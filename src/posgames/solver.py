@@ -64,8 +64,9 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     node with Phi < 1 the Waiter never completes a live set, and the node
     is lost.  Restricting Phi to the live needs is sound: a set the budget
     filter dropped stays hopeless whatever the Client keeps.  The budget
-    filter at m = 1 leaves every need at most the budget, so the test
-    sum(2^(budget - |need|)) < 2^budget is exact in integers.
+    filter at m = 1 leaves every need at most the budget, so the test is
+    the Breaker certificate's (below) at b = 1 with the Breaker to move,
+    exact in integers.
   * Breaker certificate (m = 1; Erdős & Selfridge, JCTA 1973; Beck,
     "Remarks on positional games I", 1982).  Let Psi be the sum of
     (b+1)^-|need| over the live needs and Psi_x the sum over those that
@@ -90,7 +91,6 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     dropped stays hopeless whatever is claimed.  Every live need fits the
     budget at m = 1, so the test sum((b+1)^(budget - |need|)) < (b+1)^budget
     is exact in integers, with the left side times b+1 at a Maker node.
-    The offer game keeps its own potential and has no Breaker node.
   * Led-set menu.  A search may cut the Maker's claims to the sets of a
     `lead` table, which maps the lowest element of each set to the set.  Her
     menu is then the sets whose lowest element is useful, in `_order`'s
@@ -173,7 +173,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from math import ceil
 from operator import or_
 from typing import Optional, Sequence
 
@@ -379,6 +378,12 @@ class _Search:
     @staticmethod
     def _order(useful, live) -> list[int]:
         """Useful elements, those of the smallest live needs first."""
+        # The claiming menus need this order: with plain index order,
+        # relabelled thm16(1,1,3,4,4,5), H(1,2,3,4) and htb boards (led-set
+        # menu) exceed the default memo cap, and so does ordering by the
+        # smallest need alone.  The Waiter's offers use index order: there
+        # this order pairs two elements of one small need, of which the
+        # Client keeps one, and doubled the offer search's calls on C10.
         scores: dict[int, int] = {}
         for need in live:
             w = _W >> (3 * need.bit_count())
@@ -410,11 +415,10 @@ class _WCSearch(_Search):
         super().__init__(n, edges, 1, 1, settings)
 
     def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
-        # the offer potential: exact in integers, as every need fits the budget
-        if sum(1 << (budget - need.bit_count()) for need in live) < 1 << budget:
+        if self._breaker_certified(live, budget, 1):  # the offer potential
             return False
         run = self.run
-        for x, y in combinations(self._order(useful, live), 2):
+        for x, y in combinations(iter_bits(useful), 2):
             if run(waiter | x, client | y, True, budget - 1, live) and run(
                 waiter | y, client | x, True, budget - 1, live
             ):
@@ -422,10 +426,12 @@ class _WCSearch(_Search):
         return False
 
 
-def _mb_budget(h: Hypergraph, m: int, objective: Objective) -> int:
+def _budget(n: int, per_round: int, objective: Objective) -> int:
+    """The objective's rounds, else enough rounds to claim all n elements
+    at `per_round` elements a round."""
     if objective.max_rounds is not None:
         return objective.max_rounds
-    return ceil(h.n / m) if h.n else 0
+    return -(-n // per_round)
 
 
 def _filter_edges(h: Hypergraph, objective: Objective) -> list[int]:
@@ -459,7 +465,7 @@ def decide_mb(
         validate_restriction(h, m, b, restriction)
         lead = {v & -v: v for v in restriction}  # each set under its lowest element
     search = _Search(h.n, edges, m, b, settings, lead)
-    return search.run(0, 0, first is Player.MAKER, _mb_budget(h, m, objective))
+    return search.run(0, 0, first is Player.MAKER, _budget(h.n, m, objective))
 
 
 def decide_wc(
@@ -470,13 +476,8 @@ def decide_wc(
     """Can the Waiter claim a winning set within the objective?"""
     settings = settings or SolverSettings()
     edges = _filter_edges(h, objective)
-    budget = (
-        objective.max_rounds
-        if objective.max_rounds is not None
-        else (h.n + 1) // 2
-    )
     search = _WCSearch(h.n, edges, settings)
-    return search.run(0, 0, True, budget)
+    return search.run(0, 0, True, _budget(h.n, 2, objective))
 
 
 def solve_aux_game(
@@ -500,11 +501,7 @@ def solve_aux_game(
     if preclaimed & ~vmask:
         raise PosgamesError("preclaimed elements must be vertices")
     settings = settings or SolverSettings()
-    budget = (
-        objective.max_rounds
-        if objective.max_rounds is not None
-        else board.n_elements
-    )
+    budget = _budget(board.n_elements, 1, objective)
     arc_sets = [
         (1 << (board.nv + j)) | (1 << u) | (1 << v) for j, (u, v) in enumerate(board.arcs)
     ]
@@ -557,9 +554,9 @@ def game_values(
     if m < 1 or b < 1:
         raise PosgamesError("biases must be at least 1")
     search = _Search(h.n, h.edges, m, b, settings or SolverSettings())
-    return _values(search, h, first is Player.MAKER, _mb_budget(h, m, Objective()))
+    return _values(search, h, first is Player.MAKER, _budget(h.n, m, Objective()))
 
 
 def wc_game_values(h: Hypergraph, settings: Optional[SolverSettings] = None) -> SolveResult:
     search = _WCSearch(h.n, h.edges, settings or SolverSettings())
-    return _values(search, h, True, (h.n + 1) // 2)
+    return _values(search, h, True, _budget(h.n, 2, Objective()))

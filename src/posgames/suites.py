@@ -192,7 +192,7 @@ def suite_thm16(settings: Optional[SolverSettings] = None) -> dict:
     return suite.report()
 
 
-def suite_thm18(max_n: int = 12, settings: Optional[SolverSettings] = None) -> dict:
+def suite_thm18(max_n: int = 13, settings: Optional[SolverSettings] = None) -> dict:
     """Cycle offer-domination values equal floor(n/2), rounds and size."""
     suite = _Suite("thm1.8")
     for n in range(3, max_n + 1):

@@ -24,7 +24,7 @@ CASES = [
     ("thm1.1", {"max_bias": 4}, 600),
     ("thm1.2", {}, 60),
     ("thm1.6", {}, 300),
-    ("thm1.8", {"max_n": 12}, 600),
+    ("thm1.8", {"max_n": 13}, 600),
     ("thm1.7", {}, 1800),
     ("residue", {"count": 50, "seed": 7}, 1800),
     ("gadget", {"count": 20, "seed": 8}, 300),

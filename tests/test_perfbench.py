@@ -1,9 +1,10 @@
 """The benchmark's workloads run against the package as it stands.
 
 perfbench/ reaches the package by name: its tracer wraps functions it looks
-up by attribute, its script-verify cases pin the verifier's node counts, and
-its composite-frontier cases pin the claiming search's answers.  Building
-every workload under the tracer and checking the answers of those two here
+up by attribute, its script-verify cases pin the verifier's node counts, its
+composite-frontier cases pin the claiming search's answers and its
+tree-offer cases the offer search's values on 248 trees.  Building every
+workload under the tracer and checking the answers of those three here
 makes a renamed traced function, a drifted node count or a wrong value fail
 the tests rather than a later benchmark run.
 """
@@ -28,7 +29,7 @@ def test_workloads_build_under_the_tracer_and_scripts_pass(monkeypatch):
     assert all(built.values())
     # the constructions the workloads build went through traced names
     assert any(span[tracing.NAME] == "constructions.build" for span in tracer.spans)
-    for name, count in (("script-verify", 15), ("composite-frontier", 4)):
+    for name, count in (("script-verify", 15), ("composite-frontier", 4), ("tree-offer", 248)):
         instances = built[name]
         assert len(instances) == count
         answers = [(inst.label, inst.check(inst.call())) for inst in instances]

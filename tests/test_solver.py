@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_decide, random_hypergraph_masks
-from posgames.boards import digraph_new, hypergraph_from_masks, hypergraph_new
+from posgames.boards import digraph_new, graph_new, hypergraph_from_masks, hypergraph_new
 from posgames.constructions import (
     build_gadget,
     build_gtb,
@@ -541,10 +541,12 @@ class TestSolverInvariants:
         # the `run` calls of one question per menu (free and associated-set
         # claims, the vertex table of the directed-edge game with and without
         # the pre-move, offers): a change in pruning or in a menu's order
-        # shows as a change in these counts.  The gadget of {01, 12} with the
-        # Breaker first keeps sets of 33 to 160 elements live under its
-        # 163-round budget; without the Breaker certificate it takes over a
-        # minute, with it one call
+        # shows as a change in these counts.  The offers are also counted on
+        # C10 with its vertices shuffled (perm is random.Random(0).shuffle of
+        # range(10)), a board whose labels do not follow its structure.  The
+        # gadget of {01, 12} with the Breaker first keeps sets of 33 to 160
+        # elements live under its 163-round budget; without the Breaker
+        # certificate it takes over a minute, with it one call
         calls = [0]
         run = _Search.run
 
@@ -563,6 +565,10 @@ class TestSolverInvariants:
         composite = build_thm16(1, 1, 3, 4, 4, 5)
         hub = build_htb(5, 1)
         c10 = minimal_dominating_sets(cycle_graph(10))
+        perm = [7, 8, 1, 5, 3, 4, 2, 0, 9, 6]
+        shuffled = minimal_dominating_sets(
+            graph_new(10, [(perm[u], perm[v]) for u, v in cycle_graph(10).edges])
+        )
         gadget = build_gadget(hypergraph_new(3, [[0, 1], [1, 2]]), 1)
         assert {
             "associated sets": work(lambda: decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), fam)),
@@ -572,6 +578,7 @@ class TestSolverInvariants:
                 lambda: solve_aux_game(hub, 1, 0, breaker_premove=True)
             ),
             "offers": work(lambda: wc_game_values(c10)),
+            "offers, vertices shuffled": work(lambda: wc_game_values(shuffled)),
             "free claims on a gadget, Breaker first": work(
                 lambda: dom_game_values(gadget, 1, 1, Player.BREAKER)
             ),
@@ -580,7 +587,8 @@ class TestSolverInvariants:
             "free claims": 2_835,
             "vertices": 629,
             "vertices after a pre-move": 53,
-            "offers": 18_827,
+            "offers": 9_640,
+            "offers, vertices shuffled": 10_531,
             "free claims on a gadget, Breaker first": 1,
         }
 
