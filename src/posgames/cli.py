@@ -10,8 +10,8 @@ payloads.
 The parser is the one place that says which flags a command reads.  Every
 leaf command has its own subparser, and `set_defaults(handler=...)` on it or
 on its group names the function that runs it.  Each verify target (a suite,
-`all` or a catalog script) is a subparser made from the suite's signature or
-the script's catalog parameters through `_VERIFY_FLAGS`; each closed-form
+`all` or a catalog script) is a subparser made from the signature of the
+suite or of the script's builder through `_VERIFY_FLAGS`; each closed-form
 shape is one too, as is each game of `frontier` and `dom solve`, which
 `_add_value_games` builds for both.  So a flag the command does not read is an
 argparse usage error (exit 2) before anything runs, and so is a flag
@@ -323,8 +323,8 @@ def _cmd_verify_all(args, run: _Run) -> int:
 
 
 def _cmd_verify_script(args, run: _Run) -> int:
-    # flags not given take the smallest-instance values
-    given = _given(args, CATALOG[args.target].smallest)
+    # flags not given take the builder's defaults, the smallest instance
+    given = _given(args, inspect.signature(CATALOG[args.target]).parameters)
     if "tree" in given:
         given["tree"] = run.read_board(given["tree"], "graph")
     spec, strat, guarantee = instance(args.target, **given)
@@ -499,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     union = dict.fromkeys(par for params in suite_params.values() for par in params)
     p = _add_target(vsub, "all", union, _cmd_verify_all, "every claim suite")
     _add_common(p, search=True)
-    for name, entry in CATALOG.items():
-        p = _add_target(vsub, name, entry.smallest, _cmd_verify_script, "strategy script")
+    for name, build in CATALOG.items():
+        params = inspect.signature(build).parameters
+        p = _add_target(vsub, name, params, _cmd_verify_script, "strategy script")
         p.add_argument("--max-nodes", type=int,
                        help="most positions the verifier may expand (default: its own "
                             "bound); subtrees it finds in its table do not count")

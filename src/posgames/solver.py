@@ -161,8 +161,9 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     the Breaker (the Client) has hit it and keeps it, or the budget filter
     dropped it and it stays hopeless (above), or it was completed and the
     parent returned before expanding.  A need the move did not touch stays
-    the same int, so the memo keys keep sharing it.  Root calls scan
-    `edges`, which `_values` filters per (rounds, size) question.
+    the same int, so the memo keys keep sharing it.  A root call is passed
+    the winning sets it scans, which `_values` filters per (rounds, size)
+    question.
 
 The memo-free mode (`SolverSettings(use_memo=False)`) exists for
 cross-checking.
@@ -273,11 +274,10 @@ class _Search:
     """
 
     def __init__(
-        self, n: int, edges: Sequence[int], m: int, b: int, settings: SolverSettings,
+        self, n: int, m: int, b: int, settings: SolverSettings,
         lead: Optional[dict[int, int]] = None,
     ):
         self.full = (1 << n) - 1
-        self.edges = tuple(edges)
         self.m = m
         self.b = b
         self.lead = lead
@@ -288,14 +288,14 @@ class _Search:
 
     def run(
         self, maker: int, breaker: int, maker_to_move: bool, budget: int,
-        needs: Optional[Sequence[int]] = None,
+        sets: Sequence[int],
     ) -> bool:
-        """Value of the node; `needs`, the parent's live needs, stands in for
-        the winning sets in the scan (the Child scan bullet)."""
+        """Value of the node, which scans `sets`: the winning sets at a root,
+        the parent's live needs below it (the Child scan bullet)."""
         reach = budget * self.m
         live = []
         useful = 0
-        for e in self.edges if needs is None else needs:
+        for e in sets:
             if e & breaker:
                 continue
             # an untouched set is its own need: memo keys share the edge's int
@@ -411,8 +411,8 @@ def _components(live) -> list[int]:
 class _WCSearch(_Search):
     """Unbiased offer game; a round is offer + keep, folded into one node."""
 
-    def __init__(self, n: int, edges: Sequence[int], settings: SolverSettings):
-        super().__init__(n, edges, 1, 1, settings)
+    def __init__(self, n: int, settings: SolverSettings):
+        super().__init__(n, 1, 1, settings)
 
     def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
         if self._breaker_certified(live, budget, 1):  # the offer potential
@@ -459,13 +459,14 @@ def decide_mb(
     if m < 1 or b < 1:
         raise PosgamesError("biases must be at least 1")
     settings = settings or SolverSettings()
-    edges = _filter_edges(h, objective)
     lead = None
     if restriction is not None:
         validate_restriction(h, m, b, restriction)
         lead = {v & -v: v for v in restriction}  # each set under its lowest element
-    search = _Search(h.n, edges, m, b, settings, lead)
-    return search.run(0, 0, first is Player.MAKER, _budget(h.n, m, objective))
+    search = _Search(h.n, m, b, settings, lead)
+    return search.run(
+        0, 0, first is Player.MAKER, _budget(h.n, m, objective), _filter_edges(h, objective)
+    )
 
 
 def decide_wc(
@@ -474,10 +475,8 @@ def decide_wc(
     settings: Optional[SolverSettings] = None,
 ) -> bool:
     """Can the Waiter claim a winning set within the objective?"""
-    settings = settings or SolverSettings()
-    edges = _filter_edges(h, objective)
-    search = _WCSearch(h.n, edges, settings)
-    return search.run(0, 0, True, _budget(h.n, 2, objective))
+    search = _WCSearch(h.n, settings or SolverSettings())
+    return search.run(0, 0, True, _budget(h.n, 2, objective), _filter_edges(h, objective))
 
 
 def solve_aux_game(
@@ -506,13 +505,16 @@ def solve_aux_game(
         (1 << (board.nv + j)) | (1 << u) | (1 << v) for j, (u, v) in enumerate(board.arcs)
     ]
     vertices = {1 << v: 1 << v for v in range(board.nv)}
-    search = _Search(board.n_elements, arc_sets, 1, b, settings, vertices)
-    # the pre-move takes a free element of an arc set (any other is dead);
-    # with none to take, play starts without it
-    openings = list(iter_bits(reduce(or_, arc_sets, 0) & ~preclaimed)) if breaker_premove else ()
+    search = _Search(board.n_elements, 1, b, settings, vertices)
+    # the pre-move takes a free element of an arc set (any other is dead), in
+    # the claiming menus' order; with none to take, play starts without it
+    needs = [e & ~preclaimed for e in arc_sets]
+    openings = search._order(reduce(or_, needs, 0), needs) if breaker_premove else ()
     if openings:
-        return all(search.run(preclaimed, opening, True, budget) for opening in openings)
-    return search.run(preclaimed, 0, True, budget)
+        return all(
+            search.run(preclaimed, opening, True, budget, arc_sets) for opening in openings
+        )
+    return search.run(preclaimed, 0, True, budget, arc_sets)
 
 
 def _values(search: _Search, h: Hypergraph, maker_first: bool, round_cap: int) -> SolveResult:
@@ -522,8 +524,7 @@ def _values(search: _Search, h: Hypergraph, maker_first: bool, round_cap: int) -
     sizes = sorted({e.bit_count() for e in h.edges})
 
     def wins(t, s):
-        search.edges = _filter_edges(h, Objective(t, s))
-        return search.run(0, 0, maker_first, t or round_cap)
+        return search.run(0, 0, maker_first, t or round_cap, _filter_edges(h, Objective(t, s)))
 
     if not wins(None, None):
         return SolveResult(False, None, None, ())
@@ -553,10 +554,10 @@ def game_values(
     """Win flag, round value, size value and the (rounds, size) frontier."""
     if m < 1 or b < 1:
         raise PosgamesError("biases must be at least 1")
-    search = _Search(h.n, h.edges, m, b, settings or SolverSettings())
+    search = _Search(h.n, m, b, settings or SolverSettings())
     return _values(search, h, first is Player.MAKER, _budget(h.n, m, Objective()))
 
 
 def wc_game_values(h: Hypergraph, settings: Optional[SolverSettings] = None) -> SolveResult:
-    search = _WCSearch(h.n, h.edges, settings or SolverSettings())
+    search = _WCSearch(h.n, settings or SolverSettings())
     return _values(search, h, True, _budget(h.n, 2, Objective()))

@@ -46,8 +46,10 @@ table, and its answers are those of the plain walk:
   position.
 
 `CATALOG` maps each script name to the one function that builds the game it
-is verified on, the script and the guarantee; `instance` fills the parameters
-not given from the entry's smallest instance.
+is verified on, the script and the guarantee.  The builder's keyword defaults
+are the script's smallest instance, so `instance` passes on only the
+parameters given, and the CLI reads a script's flags from the builder's
+signature as it reads a suite's.
 
 Where a script says "claim arbitrary elements" the lowest-index free element
 is taken, and every claim is padded to the exact bias so the move is always
@@ -57,6 +59,7 @@ engine-legal.
 from __future__ import annotations
 
 import functools
+import inspect
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -635,13 +638,12 @@ def make_waiter_cycle(n: int) -> Strategy:
 class _ClientCycleMem:
     case: Optional[str]
     origin: int
-    direction: int
 
     def canon(self, v: int, n: int) -> int:
-        return (self.direction * (v - self.origin)) % n
+        return (v - self.origin) % n
 
     def actual(self, c: int, n: int) -> int:
-        return (self.origin + self.direction * c) % n
+        return (self.origin + c) % n
 
 
 def make_client_cycle(n: int) -> Strategy:
@@ -659,11 +661,11 @@ def make_client_cycle(n: int) -> Strategy:
             d = min((a - c) % n, (c - a) % n)
             if d == 1:
                 origin = a if (c - a) % n == 1 else c
-                mem = _ClientCycleMem("adjacent", origin, 1)
+                mem = _ClientCycleMem("adjacent", origin)
                 # keep the second vertex of the adjacent pair
                 return 1 << mem.actual(1, n), mem
             origin = a if (c - a) % n <= half else c
-            mem = _ClientCycleMem("nonadjacent", origin, 1)
+            mem = _ClientCycleMem("nonadjacent", origin)
             return 1 << origin, mem
         if len(pair) < 2:
             return offer & -offer, mem
@@ -683,7 +685,7 @@ def make_client_cycle(n: int) -> Strategy:
                 return 1 << mem.actual(c, n), mem
         return 1 << mem.actual(canon[0], n), mem
 
-    return Strategy("client-cycle", Player.BREAKER, next_move, _ClientCycleMem(None, 0, 1))
+    return Strategy("client-cycle", Player.BREAKER, next_move, _ClientCycleMem(None, 0))
 
 
 def make_waiter_tree(tree) -> Strategy:
@@ -820,11 +822,11 @@ def _offer_spec(graph: SimpleGraph) -> GameSpec:
     return GameSpec(GameKind.WAITER_CLIENT, minimal_dominating_sets(graph))
 
 
-def _maker_gtb(t, b):
+def _maker_gtb(t=2, b=1):
     return _gtb_ends_spec(t, b), make_maker_gtb(t, b), win_within(t)
 
 
-def _breaker_gtb_block(t, b, seed_vertex):
+def _breaker_gtb_block(t=2, b=1, seed_vertex=None):
     """A single pre-owned vertex, the start unless `seed_vertex` is given."""
     board = build_gtb(t, b)
     seed = board.start if seed_vertex is None else seed_vertex
@@ -833,7 +835,7 @@ def _breaker_gtb_block(t, b, seed_vertex):
     return _aux_spec(board, b, 1 << seed), make_breaker_gtb_block(b), never_loses()
 
 
-def _breaker_gtb_slow(t, b):
+def _breaker_gtb_slow(t=2, b=1):
     if t < 2:
         # the guarantee would be "no opposing win within 0 rounds", which
         # holds before the first move and so checks nothing
@@ -841,55 +843,55 @@ def _breaker_gtb_slow(t, b):
     return _gtb_ends_spec(t, b), make_breaker_gtb_slow(t, b), opponent_not_within(t - 1)
 
 
-def _maker_htb(t, b):
+def _maker_htb(t=3, b=1):
     board = build_htb(t, b)
     return _aux_spec(board, b, 0), make_maker_htb(t, b), win_within(t)
 
 
-def _breaker_htb_premove(t, b):
+def _breaker_htb_premove(t=3, b=1):
     board = build_htb(t, b)
     return _aux_spec(board, b, 0, premove=True), make_breaker_htb_premove(t, b), never_loses()
 
 
-def _breaker_htb_slow(t, b):
+def _breaker_htb_slow(t=3, b=1):
     board = build_htb(t, b)
     return _aux_spec(board, b, 0), make_breaker_htb_slow(t, b), opponent_not_within(t - 1)
 
 
-def _maker_nonmonotone(blocked, bias):
+def _maker_nonmonotone(blocked=frozenset({1}), bias=2):
     spec = _fair_spec(nonmonotone_blocks(blocked)[0], bias)
     return spec, make_maker_nonmonotone(blocked), win_within(1)
 
 
-def _breaker_nonmonotone(blocked, bias):
+def _breaker_nonmonotone(blocked=frozenset({1}), bias=1):
     spec = _fair_spec(nonmonotone_blocks(blocked)[0], bias)
     return spec, make_breaker_nonmonotone(blocked), never_loses()
 
 
-def _breaker_pairing(t):
+def _breaker_pairing(t=3):
     h, pairs = build_ht_wc_indexed(t)
     return GameSpec(GameKind.MAKER_BREAKER, h), make_breaker_pairing(pairs), never_loses()
 
 
-def _waiter_cycle(n):
+def _waiter_cycle(n=3):
     return _offer_spec(cycle_graph(n)), make_waiter_cycle(n), win_within(n // 2)
 
 
-def _client_cycle(n):
+def _client_cycle(n=6):
     return _offer_spec(cycle_graph(n)), make_client_cycle(n), opponent_not_within(n // 2 - 1)
 
 
-def _waiter_tree(tree):
+def _waiter_tree(tree=path_graph(2)):
     return _offer_spec(tree), make_waiter_tree(tree), win_within(tree.n // 2)
 
 
-def _maker_hmbst(m, b, s, t):
+def _maker_hmbst(m=1, b=1, s=3, t=3):
     h = build_hmbst(m, b, s, t)[0]
     spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b)
     return spec, make_maker_hmbst(m, b, s, t), win_within(t)
 
 
-def _dominator_lift(blocked, bias):
+def _dominator_lift(blocked=frozenset({1}), bias=2):
     """The fair-bias maker script played inside the gadget of its board."""
     inner_spec, inner, _ = _maker_nonmonotone(blocked, bias)
     gadget = build_gadget(inner_spec.board, bias)
@@ -897,51 +899,37 @@ def _dominator_lift(blocked, bias):
     return spec, make_dominator_lift(inner, inner_spec), win_within(1)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """`build(**params)` gives the (game, script, guarantee) to verify;
-    `smallest` names every parameter with its smallest-instance value."""
-
-    build: Callable[..., tuple[GameSpec, Strategy, Guarantee]]
-    smallest: dict[str, Any]
-
-
-CATALOG: dict[str, CatalogEntry] = {
-    "maker-gtb": CatalogEntry(_maker_gtb, {"t": 2, "b": 1}),
-    "breaker-gtb-block": CatalogEntry(
-        _breaker_gtb_block, {"t": 2, "b": 1, "seed_vertex": None}
-    ),
-    "breaker-gtb-slow": CatalogEntry(_breaker_gtb_slow, {"t": 2, "b": 1}),
-    "maker-htb": CatalogEntry(_maker_htb, {"t": 3, "b": 1}),
-    "breaker-htb-premove": CatalogEntry(_breaker_htb_premove, {"t": 3, "b": 1}),
-    "breaker-htb-slow": CatalogEntry(_breaker_htb_slow, {"t": 3, "b": 1}),
-    "maker-nonmonotone": CatalogEntry(
-        _maker_nonmonotone, {"blocked": frozenset({1}), "bias": 2}
-    ),
-    "breaker-nonmonotone": CatalogEntry(
-        _breaker_nonmonotone, {"blocked": frozenset({1}), "bias": 1}
-    ),
-    "breaker-pairing": CatalogEntry(_breaker_pairing, {"t": 3}),
-    "waiter-cycle": CatalogEntry(_waiter_cycle, {"n": 3}),
-    "client-cycle": CatalogEntry(_client_cycle, {"n": 6}),
-    "waiter-tree": CatalogEntry(_waiter_tree, {"tree": path_graph(2)}),
-    "maker-hmbst": CatalogEntry(_maker_hmbst, {"m": 1, "b": 1, "s": 3, "t": 3}),
-    "dominator-lift": CatalogEntry(_dominator_lift, {"blocked": frozenset({1}), "bias": 2}),
+# Each script's builder: `build(**params)` gives the (game, script,
+# guarantee) to verify, and its keyword defaults are the smallest instance.
+CATALOG: dict[str, Callable[..., tuple[GameSpec, Strategy, Guarantee]]] = {
+    "maker-gtb": _maker_gtb,
+    "breaker-gtb-block": _breaker_gtb_block,
+    "breaker-gtb-slow": _breaker_gtb_slow,
+    "maker-htb": _maker_htb,
+    "breaker-htb-premove": _breaker_htb_premove,
+    "breaker-htb-slow": _breaker_htb_slow,
+    "maker-nonmonotone": _maker_nonmonotone,
+    "breaker-nonmonotone": _breaker_nonmonotone,
+    "breaker-pairing": _breaker_pairing,
+    "waiter-cycle": _waiter_cycle,
+    "client-cycle": _client_cycle,
+    "waiter-tree": _waiter_tree,
+    "maker-hmbst": _maker_hmbst,
+    "dominator-lift": _dominator_lift,
 }
 
 
 def instance(name: str, **params) -> tuple[GameSpec, Strategy, Guarantee]:
     """The (game, script, guarantee) of catalog entry `name`; parameters not
-    given take their smallest-instance values."""
-    entry = CATALOG.get(name)
-    if entry is None:
+    given keep the builder's defaults, the smallest instance."""
+    build = CATALOG.get(name)
+    if build is None:
         raise PosgamesError(f"unknown strategy {name!r}")
-    extra = sorted(set(params) - set(entry.smallest))
+    names = tuple(inspect.signature(build).parameters)
+    extra = sorted(set(params) - set(names))
     if extra:
-        raise PosgamesError(
-            f"strategy {name!r} takes parameters {tuple(entry.smallest)}, unexpected {extra}"
-        )
-    return entry.build(**{**entry.smallest, **params})
+        raise PosgamesError(f"strategy {name!r} takes parameters {names}, unexpected {extra}")
+    return build(**params)
 
 
 def smallest_instance(name: str) -> tuple[GameSpec, Strategy, Guarantee]:

@@ -562,7 +562,8 @@ class TestVerify:
         suites = {name: flags(inspect.signature(fn).parameters) for name, fn in SUITES.items()}
         want = {name: own | {"--memo-cap", "--format"} for name, own in suites.items()}
         want["all"] = set().union(*suites.values()) | {"--memo-cap"}
-        want.update({name: flags(e.smallest) | {"--max-nodes"} for name, e in CATALOG.items()})
+        want.update({name: flags(inspect.signature(build).parameters) | {"--max-nodes"}
+                     for name, build in CATALOG.items()})
         targets = subcommands(subcommands(build_parser())["verify"])
         assert len(targets) == 28 and set(targets) == set(want)
         for name, parser in targets.items():

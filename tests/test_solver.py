@@ -529,13 +529,13 @@ class TestSolverInvariants:
         # every edge fits both budgets, so the second call on the same search
         # object meets the same live family at the root, one round shorter
         h, _fam = build_hmbst(1, 1, 3, 4)
-        claiming = _Search(h.n, h.edges, 1, 1, SolverSettings())
-        assert claiming.run(0, 0, True, 4)
-        assert not claiming.run(0, 0, True, 3)
+        claiming = _Search(h.n, 1, 1, SolverSettings())
+        assert claiming.run(0, 0, True, 4, h.edges)
+        assert not claiming.run(0, 0, True, 3, h.edges)
         h = build_ht_wc(3)
-        offer = _WCSearch(h.n, h.edges, SolverSettings())
-        assert offer.run(0, 0, True, 3)
-        assert not offer.run(0, 0, True, 2)
+        offer = _WCSearch(h.n, SolverSettings())
+        assert offer.run(0, 0, True, 3, h.edges)
+        assert not offer.run(0, 0, True, 2, h.edges)
 
     def test_search_work_is_pinned(self, monkeypatch):
         # the `run` calls of one question per menu (free and associated-set
@@ -543,10 +543,13 @@ class TestSolverInvariants:
         # the pre-move, offers): a change in pruning or in a menu's order
         # shows as a change in these counts.  The offers are also counted on
         # C10 with its vertices shuffled (perm is random.Random(0).shuffle of
-        # range(10)), a board whose labels do not follow its structure.  The
-        # gadget of {01, 12} with the Breaker first keeps sets of 33 to 160
-        # elements live under its 163-round budget; without the Breaker
-        # certificate it takes over a minute, with it one call
+        # range(10)), a board whose labels do not follow its structure.  So is
+        # the pre-move on htb(5,1) with its vertices shuffled (hub_perm is
+        # random.Random(0).shuffle of range(15)), whose openings follow the
+        # claiming menus' order, not the labels.  The gadget of {01, 12} with
+        # the Breaker first keeps sets of 33 to 160 elements live under its
+        # 163-round budget; without the Breaker certificate it takes over a
+        # minute, with it one call
         calls = [0]
         run = _Search.run
 
@@ -564,6 +567,10 @@ class TestSolverInvariants:
         h, fam = build_hmbst(1, 2, 3, 4)
         composite = build_thm16(1, 1, 3, 4, 4, 5)
         hub = build_htb(5, 1)
+        hub_perm = [1, 10, 9, 5, 11, 2, 3, 7, 8, 4, 0, 14, 12, 6, 13]
+        hub_shuffled = digraph_new(
+            hub.nv, [(hub_perm[u], hub_perm[v]) for u, v in hub.arcs], start=hub_perm[hub.start]
+        )
         c10 = minimal_dominating_sets(cycle_graph(10))
         perm = [7, 8, 1, 5, 3, 4, 2, 0, 9, 6]
         shuffled = minimal_dominating_sets(
@@ -577,6 +584,9 @@ class TestSolverInvariants:
             "vertices after a pre-move": work(
                 lambda: solve_aux_game(hub, 1, 0, breaker_premove=True)
             ),
+            "vertices after a pre-move, vertices shuffled": work(
+                lambda: solve_aux_game(hub_shuffled, 1, 0, breaker_premove=True)
+            ),
             "offers": work(lambda: wc_game_values(c10)),
             "offers, vertices shuffled": work(lambda: wc_game_values(shuffled)),
             "free claims on a gadget, Breaker first": work(
@@ -587,6 +597,7 @@ class TestSolverInvariants:
             "free claims": 2_835,
             "vertices": 629,
             "vertices after a pre-move": 53,
+            "vertices after a pre-move, vertices shuffled": 71,
             "offers": 9_640,
             "offers, vertices shuffled": 10_531,
             "free claims on a gadget, Breaker first": 1,
