@@ -66,7 +66,10 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     filter dropped stays hopeless whatever the Client keeps.  The budget
     filter at m = 1 leaves every need at most the budget, so the test is
     the Breaker certificate's (below) at b = 1 with the Breaker to move,
-    exact in integers.
+    exact in integers.  Keep order: keeping x rather than y lowers Phi by
+    2(Phi_x - Phi_y) more, so the search first tries the child where the
+    Client keeps the heavier element (y on a tie).  The offer's value is the
+    `and` of both children, so the order changes its cost only.
   * Breaker certificate (m = 1; Erdős & Selfridge, JCTA 1973; Beck,
     "Remarks on positional games I", 1982).  Let Psi be the sum of
     (b+1)^-|need| over the live needs and Psi_x the sum over those that
@@ -417,8 +420,15 @@ class _WCSearch(_Search):
     def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
         if self._breaker_certified(live, budget, 1):  # the offer potential
             return False
+        weight: dict[int, int] = {}  # Phi_x scaled by 2^budget (keep order)
+        for need in live:
+            w = 1 << (budget - need.bit_count())
+            for bit in iter_bits(need):
+                weight[bit] = weight.get(bit, 0) + w
         run = self.run
         for x, y in combinations(iter_bits(useful), 2):
+            if weight[x] > weight[y]:
+                x, y = y, x  # the Client keeps the heavier element first
             if run(waiter | x, client | y, True, budget - 1, live) and run(
                 waiter | y, client | x, True, budget - 1, live
             ):

@@ -204,10 +204,10 @@ def suite_thm18(max_n: int = 13, settings: Optional[SolverSettings] = None) -> d
     return suite.report()
 
 
-def suite_thm17(max_exhaustive: int = 12, settings: Optional[SolverSettings] = None) -> dict:
+def suite_thm17(max_exhaustive: int = 13, settings: Optional[SolverSettings] = None) -> dict:
     """Tree offer-domination: n/2 with a perfect matching, no win otherwise.
 
-    Checks every tree on 1 to `max_exhaustive` vertices (987 trees at 12).
+    Checks every tree on 1 to `max_exhaustive` vertices (2,288 trees at 13).
     """
     suite = _Suite("thm1.7")
     for n in range(1, max_exhaustive + 1):

@@ -17,7 +17,7 @@ from posgames.constructions import (
 from posgames.domination import dom_game_values, minimal_dominating_sets
 from posgames.engine import GameKind, GameSpec, Player
 from posgames.errors import GuardExceeded, PosgamesError, RestrictionError
-from posgames.graphgen import cycle_graph
+from posgames.graphgen import cycle_graph, path_graph
 from posgames.solver import (
     Objective,
     SolverSettings,
@@ -272,6 +272,16 @@ class TestHypothesisAgainstNaive:
     def test_offer_game_with_dead_elements(self, board, t, data):
         # the padding varies the count of free dead elements, which the
         # Waiter never offers and the offer game's key does not hold
+        h, core = board
+        s = data.draw(st.one_of(st.none(), st.integers(1, core)))
+        spec = GameSpec(GameKind.WAITER_CLIENT, h)
+        assert decide_wc(h, Objective(t, s)) == naive_decide(spec, t, s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hypergraphs(7), round_budgets, st.data())
+    def test_offer_game_on_wider_boards(self, board, t, data):
+        # up to seven core elements, so the Client's keeps differ in weight
+        # and the search tries the heavier one first (the keep order)
         h, core = board
         s = data.draw(st.one_of(st.none(), st.integers(1, core)))
         spec = GameSpec(GameKind.WAITER_CLIENT, h)
@@ -546,7 +556,9 @@ class TestSolverInvariants:
         # range(10)), a board whose labels do not follow its structure.  So is
         # the pre-move on htb(5,1) with its vertices shuffled (hub_perm is
         # random.Random(0).shuffle of range(15)), whose openings follow the
-        # claiming menus' order, not the labels.  The gadget of {01, 12} with
+        # claiming menus' order, not the labels.  P11 has no perfect matching,
+        # so its offer question is a pure loss proof, where the order of the
+        # Client's keeps matters most.  The gadget of {01, 12} with
         # the Breaker first keeps sets of 33 to 160 elements live under its
         # 163-round budget; without the Breaker certificate it takes over a
         # minute, with it one call
@@ -589,6 +601,9 @@ class TestSolverInvariants:
             ),
             "offers": work(lambda: wc_game_values(c10)),
             "offers, vertices shuffled": work(lambda: wc_game_values(shuffled)),
+            "offers, a path with no perfect matching": work(
+                lambda: wc_game_values(minimal_dominating_sets(path_graph(11)))
+            ),
             "free claims on a gadget, Breaker first": work(
                 lambda: dom_game_values(gadget, 1, 1, Player.BREAKER)
             ),
@@ -598,8 +613,9 @@ class TestSolverInvariants:
             "vertices": 629,
             "vertices after a pre-move": 53,
             "vertices after a pre-move, vertices shuffled": 71,
-            "offers": 9_640,
-            "offers, vertices shuffled": 10_531,
+            "offers": 6_689,
+            "offers, vertices shuffled": 7_114,
+            "offers, a path with no perfect matching": 1_448,
             "free claims on a gadget, Breaker first": 1,
         }
 
