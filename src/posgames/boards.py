@@ -25,7 +25,6 @@ from typing import Iterable, Optional, Sequence
 from .bitset import CAPACITY, indices_of, is_subset, iter_bits, mask_from_indices
 from .errors import BoardError, DegenerateTransversalError, FormatError, GuardExceeded
 
-TRANSVERSAL_BOARD_LIMIT = 24
 SUBSET_COUNT_LIMIT = 10**6
 DEFAULT_FAMILY_CAP = 200_000
 
@@ -286,10 +285,6 @@ def minimal_transversals(
 def transversal_hypergraph(h: Hypergraph) -> Hypergraph:
     """Hypergraph of the inclusion-minimal transversals of h's edge family,
     under the default family cap."""
-    if h.n > TRANSVERSAL_BOARD_LIMIT:
-        raise GuardExceeded(
-            f"transversal enumeration limited to {TRANSVERSAL_BOARD_LIMIT} elements, got {h.n}"
-        )
     if not h.edges:
         raise DegenerateTransversalError(
             "empty edge family: the empty set is the unique minimal transversal"

@@ -66,10 +66,7 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     filter dropped stays hopeless whatever the Client keeps.  The budget
     filter at m = 1 leaves every need at most the budget, so the test is
     the Breaker certificate's (below) at b = 1 with the Breaker to move,
-    exact in integers.  Keep order: keeping x rather than y lowers Phi by
-    2(Phi_x - Phi_y) more, so the search first tries the child where the
-    Client keeps the heavier element (y on a tie).  The offer's value is the
-    `and` of both children, so the order changes its cost only.
+    exact in integers.
   * Breaker certificate (m = 1; Erdős & Selfridge, JCTA 1973; Beck,
     "Remarks on positional games I", 1982).  Let Psi be the sum of
     (b+1)^-|need| over the live needs and Psi_x the sum over those that
@@ -94,9 +91,22 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     dropped stays hopeless whatever is claimed.  Every live need fits the
     budget at m = 1, so the test sum((b+1)^(budget - |need|)) < (b+1)^budget
     is exact in integers, with the left side times b+1 at a Maker node.
+  * Move order.  Every menu but the Waiter's tries the elements of larger
+    share first: x's share is the sum of (b+1)^(top - |need|) over the live
+    needs that contain x, with top = budget * m, which every live need fits.
+    At m = 1 it is the certificate's Psi_x scaled by (b+1)^budget, so the
+    Breaker first claims the b elements of largest Psi_x; at b = 1 it is the offer
+    potential's Phi_x, and the search first tries the child where the Client
+    keeps the heavier element (y on a tie), since keeping x rather than y
+    lowers Phi by 2(Phi_x - Phi_y) more.  The Waiter offers pairs in index
+    order: this order would pair two elements of one small need, of which
+    the Client keeps one.  A node's value is the `or` or the `and` of its
+    children's, so the order changes the cost of a search, never a value.
+    It pays: with index order, relabelled thm16(1,1,3,4,4,5), H(1,2,3,4) and
+    htb boards exceed the default memo cap.
   * Led-set menu.  A search may cut the Maker's claims to the sets of a
     `lead` table, which maps the lowest element of each set to the set.  Her
-    menu is then the sets whose lowest element is useful, in `_order`'s
+    menu is then the sets whose lowest element is useful, in the move
     order; a finishing claim (finish now) stays open.  Two tables exist:
       - a validated associated-set family (Lemma 3.9): she claims whole
         associated sets.  `validate_restriction` checks the hypotheses under
@@ -115,9 +125,9 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
         and an arc only once she owns both endpoints, when its need is the
         arc alone and the finish-now test takes it.
     The needs that meet a live set v are exactly those that contain v, so
-    every element of v has the same `_order` score, and ordering the lowest
-    elements alone gives the order of ordering all useful elements and then
-    keeping the lowest ones (`sorted` is stable and the key is the same).
+    every element of v has the same share, and ordering the lowest elements
+    alone gives the order of ordering all useful elements and then keeping
+    the lowest ones (`sorted` is stable and the key is the same).
   * Residual key.  Once the filter has run, the rest of play is decided by
     the live needs, the mover and the budget: nothing else of the two
     players' sets can matter, and neither can the number of free dead
@@ -191,9 +201,6 @@ from .errors import GuardExceeded, PosgamesError, RestrictionError
 # so 2^22 entries take about 1.5-2.3 GB: the guard trips before an 8 GB
 # machine runs out of memory, with room for boards of twice as many live sets.
 DEFAULT_MEMO_CAP = 1 << 22
-
-# Move-ordering weight: elements of nearly-complete winning sets first.
-_W = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -343,9 +350,9 @@ class _Search:
                 )
         lead = self.lead
         if lead is None:
-            menu = self._claims(self.m, live, free, useful)
+            menu = self._claims(self.m, live, free, useful, budget)
         else:
-            menu = [lead[bit] for bit in self._order(useful & self.leads, live)]
+            menu = [lead[bit] for bit in self._order(useful & self.leads, live, budget)]
         for mv in menu:
             if self.run(maker | mv, breaker, False, budget - 1, live):
                 return True
@@ -354,7 +361,7 @@ class _Search:
     def _breaker_node(self, maker, breaker, budget, live, free, useful) -> bool:
         if self.m == 1 and self._breaker_certified(live, budget, 1):
             return False
-        for mv in self._claims(self.b, live, free, useful):
+        for mv in self._claims(self.b, live, free, useful, budget):
             if not self.run(maker, breaker | mv, True, budget, live):
                 return False
         return True
@@ -365,7 +372,7 @@ class _Search:
         q = self.b + 1
         return scale * sum(q ** (budget - need.bit_count()) for need in live) < q ** budget
 
-    def _claims(self, bias, live, free, useful):
+    def _claims(self, bias, live, free, useful, budget):
         """The claims of min(bias, free) elements worth trying, best first.
 
         All useful elements padded with the lowest dead ones when they fit,
@@ -376,23 +383,25 @@ class _Search:
         if ucount <= size:
             return (useful | low_bits(free & ~useful, size - ucount),)
         # the bits are distinct, so a combination's sum is its union
-        return map(sum, combinations(self._order(useful, live), size))
+        return map(sum, combinations(self._order(useful, live, budget), size))
 
-    @staticmethod
-    def _order(useful, live) -> list[int]:
-        """Useful elements, those of the smallest live needs first."""
-        # The claiming menus need this order: with plain index order,
-        # relabelled thm16(1,1,3,4,4,5), H(1,2,3,4) and htb boards (led-set
-        # menu) exceed the default memo cap, and so does ordering by the
-        # smallest need alone.  The Waiter's offers use index order: there
-        # this order pairs two elements of one small need, of which the
-        # Client keeps one, and doubled the offer search's calls on C10.
-        scores: dict[int, int] = {}
-        for need in live:
-            w = _W >> (3 * need.bit_count())
-            for bit in iter_bits(need):
-                scores[bit] = scores.get(bit, 0) + w
-        return sorted(iter_bits(useful), key=scores.__getitem__, reverse=True)
+    def _order(self, useful, live, budget) -> list[int]:
+        """Useful elements, largest share of the potential first (the Move
+        order bullet)."""
+        shares = _shares(live, self.b + 1, budget * self.m)
+        return sorted(iter_bits(useful), key=shares.__getitem__, reverse=True)
+
+
+def _shares(live, q: int, top: int) -> dict[int, int]:
+    """Each element's share of the potential sum(q^-|need|) over the live
+    needs, scaled by q^top: the sum of q^(top - |need|) over the needs that
+    contain it.  Every need must have at most `top` elements."""
+    shares: dict[int, int] = {}
+    for need in live:
+        w = q ** (top - need.bit_count())
+        for bit in iter_bits(need):
+            shares[bit] = shares.get(bit, 0) + w
+    return shares
 
 
 def _components(live) -> list[int]:
@@ -420,11 +429,7 @@ class _WCSearch(_Search):
     def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
         if self._breaker_certified(live, budget, 1):  # the offer potential
             return False
-        weight: dict[int, int] = {}  # Phi_x scaled by 2^budget (keep order)
-        for need in live:
-            w = 1 << (budget - need.bit_count())
-            for bit in iter_bits(need):
-                weight[bit] = weight.get(bit, 0) + w
+        weight = _shares(live, 2, budget)  # Phi_x (the Move order bullet)
         run = self.run
         for x, y in combinations(iter_bits(useful), 2):
             if weight[x] > weight[y]:
@@ -516,10 +521,10 @@ def solve_aux_game(
     ]
     vertices = {1 << v: 1 << v for v in range(board.nv)}
     search = _Search(board.n_elements, 1, b, settings, vertices)
-    # the pre-move takes a free element of an arc set (any other is dead), in
-    # the claiming menus' order; with none to take, play starts without it
-    needs = [e & ~preclaimed for e in arc_sets]
-    openings = search._order(reduce(or_, needs, 0), needs) if breaker_premove else ()
+    # the pre-move takes a useful element (any other is dead), in the claiming
+    # menus' order; with none to take, play starts without it
+    needs = [need for e in arc_sets if (need := e & ~preclaimed).bit_count() <= budget]
+    openings = search._order(reduce(or_, needs, 0), needs, budget) if breaker_premove else ()
     if openings:
         return all(
             search.run(preclaimed, opening, True, budget, arc_sets) for opening in openings

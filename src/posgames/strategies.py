@@ -481,8 +481,8 @@ def make_breaker_htb_premove(t: int, b: int) -> Strategy:
 @dataclass(frozen=True)
 class _HtbSlowMem:
     prev_maker: int
-    mode: str  # start | blockall | wait2 | slowall | mixed
-    blocked_copy: int
+    mode: str  # start | blockall | wait2 | mixed
+    blocked_copy: int  # the copy blocked in full in mixed mode, -1 for none
     counts: tuple[int, ...]  # distance-gated responses so far, per copy id
 
 
@@ -508,14 +508,22 @@ def make_breaker_htb_slow(t: int, b: int) -> Strategy:
             if mode == "wait2":
                 mode, blocked = "mixed", cid
             threshold = None
-            if mode == "slowall" or (mode == "mixed" and cid != blocked):
+            if mode == "mixed" and cid != blocked:
                 counts = counts[:cid] + (counts[cid] + 1,) + counts[cid + 1:]
                 threshold = 2 ** max(t - 3 - counts[cid], 0)  # horizon t - 2
             want = _block_in_copy(
                 board, free, state.maker, *copies[cid], new_v, mode != "blockall", threshold
             )
         elif mode == "wait2" and new_v in range(b + 2):  # a hub
-            mode = "slowall"  # second skip, then distance-gated blocking all over
+            # second skip, then distance-gated blocking all over (blocked is
+            # still -1: no copy is blocked in full)
+            mode = "mixed"
+        elif mode == "mixed" and new_v in range(b + 2):
+            # a later hub: claim the free arcs whose two endpoints she owns
+            arcs = enumerate(board.arcs, start=board.nv)
+            want = free & sum(
+                1 << j for j, (u, v) in arcs if state.maker >> u & state.maker >> v & 1
+            )
         elif mode == "blockall":
             # hub 0 is the breaker's own opening claim here
             want = _block_arcs(board, free, _maker_vertices(board, state.maker), new_v)

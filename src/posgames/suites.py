@@ -395,12 +395,13 @@ _LARGER_SCRIPT_INSTANCES = [
     ("client-cycle", {"n": 10}),
     ("breaker-gtb-slow", {"t": 5, "b": 1}),
     ("breaker-pairing", {"t": 6}),
+    ("breaker-htb-slow", {"t": 5, "b": 1}),
 ]
 
 
 def suite_strategies(settings: Optional[SolverSettings] = None) -> dict:
     """Every catalog script passes its guarantee on its smallest instance, and
-    three on larger ones, and never certifies a round count the solver
+    four on larger ones, and never certifies a round count the solver
     beats."""
     suite = _Suite("strategies")
     for name, params in [(name, {}) for name in CATALOG] + _LARGER_SCRIPT_INSTANCES:

@@ -174,8 +174,10 @@ class TestTransversals:
             transversal_hypergraph(hypergraph_new(2, []))
 
     def test_board_size_guard(self):
-        with pytest.raises(GuardExceeded):
-            transversal_hypergraph(hypergraph_new(25, [[0]]))
+        # no element limit below the board capacity: the family cap is the
+        # guard (test_family_cap_bounds_the_output)
+        t = transversal_hypergraph(hypergraph_new(25, [list(range(13)), list(range(12, 25))]))
+        assert edge_sets(t) == {(12,)} | {(a, b) for a in range(12) for b in range(13, 25)}
 
     def test_against_brute_force(self, rng):
         from conftest import random_hypergraph_masks

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from posgames.constructions import (
     build_hmbst,
     build_ht_wc,
     build_htb,
+    build_thm12,
     build_thm16,
 )
 from posgames.domination import dom_game_values, minimal_dominating_sets
@@ -550,18 +552,21 @@ class TestSolverInvariants:
     def test_search_work_is_pinned(self, monkeypatch):
         # the `run` calls of one question per menu (free and associated-set
         # claims, the vertex table of the directed-edge game with and without
-        # the pre-move, offers): a change in pruning or in a menu's order
-        # shows as a change in these counts.  The offers are also counted on
-        # C10 with its vertices shuffled (perm is random.Random(0).shuffle of
-        # range(10)), a board whose labels do not follow its structure.  So is
-        # the pre-move on htb(5,1) with its vertices shuffled (hub_perm is
-        # random.Random(0).shuffle of range(15)), whose openings follow the
-        # claiming menus' order, not the labels.  P11 has no perfect matching,
-        # so its offer question is a pure loss proof, where the order of the
-        # Client's keeps matters most.  The gadget of {01, 12} with
-        # the Breaker first keeps sets of 33 to 160 elements live under its
-        # 163-round budget; without the Breaker certificate it takes over a
-        # minute, with it one call
+        # the pre-move, offers): a change in pruning or in a menu's order shows
+        # as a change in these counts.  The free claims are also counted on
+        # thm12(1,2,3,3,3,4) with the Breaker first and its elements shuffled
+        # by random.Random(1); its paper labels take 17,574 calls, so an order
+        # that leans on labels shows as a larger count.  The offers are also
+        # counted on C10 with its vertices shuffled (perm is
+        # random.Random(0).shuffle of range(10)), a board whose labels do not
+        # follow its structure.  So is the pre-move on htb(5,1) with its
+        # vertices shuffled (hub_perm is random.Random(0).shuffle of
+        # range(15)), whose openings follow the claiming menus' order, not the
+        # labels.  P11 has no perfect matching, so its offer question is a pure
+        # loss proof, where the order of the Client's keeps matters most.  The
+        # gadget of {01, 12} with the Breaker first keeps sets of 33 to 160
+        # elements live under its 163-round budget; without the Breaker
+        # certificate it takes over a minute, with it one call
         calls = [0]
         run = _Search.run
 
@@ -589,9 +594,18 @@ class TestSolverInvariants:
             graph_new(10, [(perm[u], perm[v]) for u, v in cycle_graph(10).edges])
         )
         gadget = build_gadget(hypergraph_new(3, [[0, 1], [1, 2]]), 1)
+        thm12 = build_thm12(1, 2, 3, 3, 3, 4)
+        relabel = list(range(thm12.n))
+        random.Random(1).shuffle(relabel)
+        thm12_shuffled = hypergraph_new(
+            thm12.n, [[relabel[i] for i in range(thm12.n) if e >> i & 1] for e in thm12.edges]
+        )
         assert {
             "associated sets": work(lambda: decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), fam)),
             "free claims": work(lambda: game_values(composite, 1, 1)),
+            "free claims, elements shuffled": work(
+                lambda: game_values(thm12_shuffled, 1, 2, Player.BREAKER)
+            ),
             "vertices": work(lambda: solve_aux_game(hub, 1, 0, Objective(max_rounds=5))),
             "vertices after a pre-move": work(
                 lambda: solve_aux_game(hub, 1, 0, breaker_premove=True)
@@ -608,8 +622,9 @@ class TestSolverInvariants:
                 lambda: dom_game_values(gadget, 1, 1, Player.BREAKER)
             ),
         } == {
-            "associated sets": 2_891,
-            "free claims": 2_835,
+            "associated sets": 2_882,
+            "free claims": 2_542,
+            "free claims, elements shuffled": 32_604,
             "vertices": 629,
             "vertices after a pre-move": 53,
             "vertices after a pre-move, vertices shuffled": 71,
