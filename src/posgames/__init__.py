@@ -44,10 +44,12 @@ from .solver import (
     Objective,
     SolveResult,
     SolverSettings,
+    decide,
     decide_mb,
     decide_wc,
     game_values,
     solve_aux_game,
+    values,
     wc_game_values,
 )
 

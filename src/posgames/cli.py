@@ -59,19 +59,10 @@ from .domination import (
     wc_cycle_value,
     wc_tree_value,
 )
-from .engine import Player
+from .engine import GameKind, GameSpec, Player
 from .errors import BoardError, FormatError, GuardExceeded, PosgamesError
 from .graphgen import cycle_graph, path_graph, random_graph, random_tree
-from .solver import (
-    DEFAULT_MEMO_CAP,
-    Objective,
-    SolverSettings,
-    decide_mb,
-    decide_wc,
-    game_values,
-    solve_aux_game,
-    wc_game_values,
-)
+from .solver import DEFAULT_MEMO_CAP, Objective, SolverSettings, decide, values
 from .strategies import CATALOG, instance, verify_strategy
 from . import suites as suites_mod
 
@@ -225,27 +216,28 @@ def _cmd_gen(args, run: _Run) -> int:
 # solve / frontier / dom
 
 
+def _spec(args, board) -> GameSpec:
+    """The game of a `solve`, `frontier` or `dom solve` subcommand on `board`,
+    from the subcommand's flags."""
+    if args.game == "wc":
+        return GameSpec(GameKind.WAITER_CLIENT, board)
+    if args.game == "mb":
+        return GameSpec(GameKind.MAKER_BREAKER, board, args.m, args.b, _player(args.first))
+    indices = args.seeds.split(",") if args.seeds else []
+    try:
+        seeds = mask_from_indices([int(i) for i in indices], board.nv)
+    except (ValueError, BoardError) as exc:
+        raise FormatError(f"--seeds: {exc}") from exc
+    return GameSpec(GameKind.AUX_EDGE, board, breaker_bias=args.b, preclaimed_maker=seeds,
+                    breaker_premove=args.breaker_premove)
+
+
 def _cmd_solve(args, run: _Run) -> int:
     settings = _settings(args)
     board = run.read_board(args.board, "digraph" if args.game == "aux" else "hypergraph")
-    if args.game == "mb":
-        restriction = run.read_family(args.family, board.n) if args.family else None
-        value = decide_mb(
-            board, args.m, args.b, _player(args.first), _objective(args),
-            restriction, settings,
-        )
-    elif args.game == "wc":
-        value = decide_wc(board, _objective(args), settings)
-    else:
-        indices = args.seeds.split(",") if args.seeds else []
-        try:
-            seeds = mask_from_indices([int(i) for i in indices], board.nv)
-        except (ValueError, BoardError) as exc:
-            raise FormatError(f"--seeds: {exc}") from exc
-        value = solve_aux_game(
-            board, args.b, seeds, _objective(args),
-            breaker_premove=args.breaker_premove, settings=settings,
-        )
+    family = getattr(args, "family", None)
+    restriction = run.read_family(family, board.n) if family else None
+    value = decide(_spec(args, board), _objective(args), restriction, settings)
     _emit(args, run, {"type": "decision", "maker_wins": value})
     return EXIT_OK
 
@@ -258,10 +250,7 @@ def _cmd_values(args, run: _Run) -> int:
         board = run.read_board(args.board, "hypergraph")
     else:
         board = minimal_dominating_sets(run.read_board(args.graph, "graph"))
-    if args.game == "mb":
-        result = game_values(board, args.m, args.b, _player(args.first), settings)
-    else:
-        result = wc_game_values(board, settings)
+    result = values(_spec(args, board), settings)
     _emit(args, run, result.to_json(), [{"t": t, "s": s} for t, s in result.frontier], ("t", "s"))
     return EXIT_OK
 

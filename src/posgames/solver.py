@@ -1,5 +1,12 @@
 """Exact game values by memoized AND/OR search.
 
+Two roots read the engine's `GameSpec`, the one description of a game:
+`decide(spec, objective)` answers one bounded or unbounded question and
+`values(spec)` gives the win flag, the round and size values and the
+(rounds, size) frontier.  `decide_mb`, `decide_wc`, `solve_aux_game`,
+`game_values` and `wc_game_values` build the spec from their arguments and
+call one of them.
+
 One skeleton, `_Search.run`, serves the three games: the (m:b) claiming
 game, the unbiased offer game and the (1:b) directed-edge game.  A position
 is (Maker's set, Breaker's set, mover, remaining round budget), the budget
@@ -141,9 +148,9 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     which holds it in about a quarter of a frozenset's memory), the mover
     and the budget.  A size cap only removes winning sets, and a set above
     the cap is dead just like one the budget filter drops, so the key does
-    not depend on the cap either: `game_values` and `wc_game_values` ask
-    all their (rounds, size) questions about a board of one search, and
-    each question reuses the entries of the others.
+    not depend on the cap either: `values` asks all its (rounds, size)
+    questions about a board of one search, and each question reuses the
+    entries of the others.
   * Component split (m = 1; Hefetz, Krivelevich, Stojaković, Szabó,
     Positional Games, 2014).  Join two live needs when they share an
     element.  With Maker to move and two or more connected components, the
@@ -175,7 +182,7 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     dropped it and it stays hopeless (above), or it was completed and the
     parent returned before expanding.  A need the move did not touch stays
     the same int, so the memo keys keep sharing it.  A root call is passed
-    the winning sets it scans, which `_values` filters per (rounds, size)
+    the winning sets it scans, which `values` filters per (rounds, size)
     question.
 
 The memo-free mode (`SolverSettings(use_memo=False)`) exists for
@@ -192,7 +199,7 @@ from typing import Optional, Sequence
 
 from .bitset import iter_bits, low_bits
 from .boards import Hypergraph, RootedDigraph
-from .engine import Player
+from .engine import GameKind, GameSpec, Player
 from .errors import GuardExceeded, PosgamesError, RestrictionError
 
 # A memo entry holds the live needs of its node, so its size grows with the
@@ -441,105 +448,94 @@ class _WCSearch(_Search):
         return False
 
 
-def _budget(n: int, per_round: int, objective: Objective) -> int:
-    """The objective's rounds, else enough rounds to claim all n elements
-    at `per_round` elements a round."""
+def _budget(spec: GameSpec, objective: Objective) -> int:
+    """The objective's rounds, else enough rounds to claim every element:
+    a round takes the Maker's bias of them, or two in the offer game."""
     if objective.max_rounds is not None:
         return objective.max_rounds
-    return -(-n // per_round)
+    per_round = 2 if spec.kind is GameKind.WAITER_CLIENT else spec.maker_bias
+    return -(-spec.n_elements // per_round)
 
 
-def _filter_edges(h: Hypergraph, objective: Objective) -> list[int]:
-    if objective.max_size is None:
-        return list(h.edges)
-    s = objective.max_size
-    return [e for e in h.edges if e.bit_count() <= s]
+def _sized(sets: list[int], max_size: Optional[int]) -> list[int]:
+    """The sets a size budget keeps: those of at most `max_size` elements."""
+    if max_size is None:
+        return sets
+    return [e for e in sets if e.bit_count() <= max_size]
 
 
-def decide_mb(
-    h: Hypergraph,
-    m: int,
-    b: int,
-    first: Player = Player.MAKER,
+def _game(
+    spec: GameSpec, restriction: Optional[Sequence[int]], settings: Optional[SolverSettings],
+) -> tuple[_Search, list[int]]:
+    """The search of the spec's game and the winning sets it scans.  The
+    directed-edge game scans the arc sets {tail, head, arc} with the vertex
+    led-set table; `restriction` is the associated-set table of the claiming
+    game."""
+    if restriction is not None and spec.kind is not GameKind.MAKER_BREAKER:
+        raise PosgamesError("an associated-set family restricts the claiming game only")
+    settings = settings or SolverSettings()
+    board = spec.board
+    if spec.kind is GameKind.WAITER_CLIENT:
+        return _WCSearch(board.n, settings), list(board.edges)
+    if spec.kind is GameKind.AUX_EDGE:
+        sets = [
+            (1 << (board.nv + j)) | (1 << u) | (1 << v) for j, (u, v) in enumerate(board.arcs)
+        ]
+        lead = {1 << v: 1 << v for v in range(board.nv)}
+    else:
+        sets = list(board.edges)
+        lead = None
+        if restriction is not None:
+            validate_restriction(board, spec.maker_bias, spec.breaker_bias, restriction)
+            lead = {v & -v: v for v in restriction}  # each set under its lowest element
+    search = _Search(spec.n_elements, spec.maker_bias, spec.breaker_bias, settings, lead)
+    return search, sets
+
+
+def _wins(search: _Search, spec: GameSpec, budget: int, sets: list[int]) -> bool:
+    """Value of the opening position: the Maker owns the preclaimed set, and
+    the first mover moves, unless the Breaker opens with his one-element
+    pre-move."""
+    pre = spec.preclaimed_maker
+    if not spec.breaker_premove:
+        return search.run(pre, 0, spec.first is Player.MAKER, budget, sets)
+    # the pre-move takes a useful element (any other is dead), in the claiming
+    # menus' order; with none to take no set is live, and the game is lost
+    needs = [need for e in sets if (need := e & ~pre).bit_count() <= budget]
+    openings = search._order(reduce(or_, needs, 0), needs, budget)
+    return bool(openings) and all(search.run(pre, x, True, budget, sets) for x in openings)
+
+
+def decide(
+    spec: GameSpec,
     objective: Objective = Objective(),
     restriction: Optional[Sequence[int]] = None,
     settings: Optional[SolverSettings] = None,
 ) -> bool:
-    """Can the Maker claim a winning set within the objective, playing perfectly?
+    """Can the Maker (the Waiter) claim a winning set within the objective,
+    playing perfectly?
 
-    `restriction`, an associated-set family (masks), cuts the Maker's menu
-    to whole sets of it once `validate_restriction` accepts it.  A round
-    budget of 0 is allowed and is trivially false.
+    `restriction`, an associated-set family (masks) of the claiming game,
+    cuts the Maker's menu to whole sets of it once `validate_restriction`
+    accepts it.  A size budget keeps the sets the search scans, in the
+    directed-edge game the arc sets {tail, head, arc}.  A round budget of 0
+    is allowed and is trivially false.
     """
-    if m < 1 or b < 1:
-        raise PosgamesError("biases must be at least 1")
-    settings = settings or SolverSettings()
-    lead = None
-    if restriction is not None:
-        validate_restriction(h, m, b, restriction)
-        lead = {v & -v: v for v in restriction}  # each set under its lowest element
-    search = _Search(h.n, m, b, settings, lead)
-    return search.run(
-        0, 0, first is Player.MAKER, _budget(h.n, m, objective), _filter_edges(h, objective)
-    )
+    search, sets = _game(spec, restriction, settings)
+    return _wins(search, spec, _budget(spec, objective), _sized(sets, objective.max_size))
 
 
-def decide_wc(
-    h: Hypergraph,
-    objective: Objective = Objective(),
-    settings: Optional[SolverSettings] = None,
-) -> bool:
-    """Can the Waiter claim a winning set within the objective?"""
-    search = _WCSearch(h.n, settings or SolverSettings())
-    return search.run(0, 0, True, _budget(h.n, 2, objective), _filter_edges(h, objective))
+def values(spec: GameSpec, settings: Optional[SolverSettings] = None) -> SolveResult:
+    """Win flag, round value, size value and the (rounds, size) frontier.
 
-
-def solve_aux_game(
-    board: RootedDigraph,
-    b: int,
-    preclaimed: int,
-    objective: Objective = Objective(),
-    breaker_premove: bool = False,
-    settings: Optional[SolverSettings] = None,
-) -> bool:
-    """Exact value of the directed-edge game with the given round budget.
-
-    `preclaimed` is a vertex mask the Maker owns from the start.  With
-    `breaker_premove`, the Breaker claims exactly one element before the
-    Maker's first move.  Size budgets do not bind (winning sets are single
-    arcs) and are ignored.
-    """
-    if b < 1:
-        raise PosgamesError("breaker bias must be at least 1")
-    vmask = (1 << board.nv) - 1
-    if preclaimed & ~vmask:
-        raise PosgamesError("preclaimed elements must be vertices")
-    settings = settings or SolverSettings()
-    budget = _budget(board.n_elements, 1, objective)
-    arc_sets = [
-        (1 << (board.nv + j)) | (1 << u) | (1 << v) for j, (u, v) in enumerate(board.arcs)
-    ]
-    vertices = {1 << v: 1 << v for v in range(board.nv)}
-    search = _Search(board.n_elements, 1, b, settings, vertices)
-    # the pre-move takes a useful element (any other is dead), in the claiming
-    # menus' order; with none to take, play starts without it
-    needs = [need for e in arc_sets if (need := e & ~preclaimed).bit_count() <= budget]
-    openings = search._order(reduce(or_, needs, 0), needs, budget) if breaker_premove else ()
-    if openings:
-        return all(
-            search.run(preclaimed, opening, True, budget, arc_sets) for opening in openings
-        )
-    return search.run(preclaimed, 0, True, budget, arc_sets)
-
-
-def _values(search: _Search, h: Hypergraph, maker_first: bool, round_cap: int) -> SolveResult:
-    """Win flag, min rounds, min size and frontier of h, every (t, s)
-    question asked of the one search, so all share its memo table (exact by
-    the residual key)."""
-    sizes = sorted({e.bit_count() for e in h.edges})
+    Every (t, s) question is asked of one search, so all share its memo
+    table (exact by the residual key)."""
+    search, sets = _game(spec, None, settings)
+    round_cap = _budget(spec, Objective())
+    sizes = sorted({e.bit_count() for e in sets})
 
     def wins(t, s):
-        return search.run(0, 0, maker_first, t or round_cap, _filter_edges(h, Objective(t, s)))
+        return _wins(search, spec, t or round_cap, _sized(sets, s))
 
     if not wins(None, None):
         return SolveResult(False, None, None, ())
@@ -559,6 +555,43 @@ def _values(search: _Search, h: Hypergraph, maker_first: bool, round_cap: int) -
     return SolveResult(True, min_rounds, min_size, tuple(frontier))
 
 
+def decide_mb(
+    h: Hypergraph,
+    m: int,
+    b: int,
+    first: Player = Player.MAKER,
+    objective: Objective = Objective(),
+    restriction: Optional[Sequence[int]] = None,
+    settings: Optional[SolverSettings] = None,
+) -> bool:
+    """`decide` on the (m:b) claiming game on h."""
+    spec = GameSpec(GameKind.MAKER_BREAKER, h, m, b, first)
+    return decide(spec, objective, restriction, settings)
+
+
+def decide_wc(
+    h: Hypergraph,
+    objective: Objective = Objective(),
+    settings: Optional[SolverSettings] = None,
+) -> bool:
+    """`decide` on the offer game on h."""
+    return decide(GameSpec(GameKind.WAITER_CLIENT, h), objective, settings=settings)
+
+
+def solve_aux_game(
+    board: RootedDigraph,
+    b: int,
+    preclaimed: int,
+    objective: Objective = Objective(),
+    breaker_premove: bool = False,
+    settings: Optional[SolverSettings] = None,
+) -> bool:
+    """`decide` on the (1:b) directed-edge game on the board, the Maker
+    owning the `preclaimed` vertices; size budgets are ignored."""
+    spec = GameSpec(GameKind.AUX_EDGE, board, 1, b, Player.MAKER, preclaimed, breaker_premove)
+    return decide(spec, Objective(objective.max_rounds), settings=settings)
+
+
 def game_values(
     h: Hypergraph,
     m: int,
@@ -566,13 +599,10 @@ def game_values(
     first: Player = Player.MAKER,
     settings: Optional[SolverSettings] = None,
 ) -> SolveResult:
-    """Win flag, round value, size value and the (rounds, size) frontier."""
-    if m < 1 or b < 1:
-        raise PosgamesError("biases must be at least 1")
-    search = _Search(h.n, m, b, settings or SolverSettings())
-    return _values(search, h, first is Player.MAKER, _budget(h.n, m, Objective()))
+    """`values` of the (m:b) claiming game on h."""
+    return values(GameSpec(GameKind.MAKER_BREAKER, h, m, b, first), settings)
 
 
 def wc_game_values(h: Hypergraph, settings: Optional[SolverSettings] = None) -> SolveResult:
-    search = _WCSearch(h.n, settings or SolverSettings())
-    return _values(search, h, True, _budget(h.n, 2, Objective()))
+    """`values` of the offer game on h."""
+    return values(GameSpec(GameKind.WAITER_CLIENT, h), settings)

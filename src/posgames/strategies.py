@@ -183,6 +183,9 @@ def verify_strategy(
     win_within = guarantee.kind is GuaranteeKind.WIN_WITHIN
     horizon = guarantee.horizon
     player = strategy.player
+    # while play goes on, only the directed-edge Maker can be without a move:
+    # anywhere else a set still open has a free element, and so a move
+    script_may_stick = spec.kind is GameKind.AUX_EDGE and player is Player.MAKER
 
     def rec(state: GameState, mem) -> Optional[tuple]:
         """The violating trace from `state` on, or None if the subtree passes."""
@@ -208,11 +211,9 @@ def verify_strategy(
         return bad
 
     def walk(state: GameState, mem) -> Optional[tuple]:
-        if state.pending_offer:
-            # the verdict is the offer's parent's, and a keep is left: see
-            # the module docstring
-            moves = [] if state.to_move is player else legal_moves(spec, state)
-        else:
+        # at a pending offer the verdict is the offer's parent's, and a keep
+        # is left: see the module docstring
+        if not state.pending_offer:
             outcome = status(spec, state)
             won = outcome is Outcome.MAKER_WIN
             rounds = state.maker_moves_used
@@ -226,11 +227,10 @@ def verify_strategy(
                     return () if rounds <= horizon else None
                 if outcome is Outcome.MAKER_CANNOT_WIN or rounds > horizon:
                     return None
-            moves = legal_moves(spec, state)
-            if not moves:
-                return () if win_within else None
         mover = state.to_move
         if mover is player:
+            if script_may_stick and not legal_moves(spec, state):
+                return () if win_within else None
             mv, mem2 = strategy.next_move(spec, state, mem)
             try:
                 nxt = apply_move(spec, state, mv)
@@ -238,6 +238,9 @@ def verify_strategy(
                 return ((f"illegal:{mover.value}", indices_of(mv)),)
             bad = rec(nxt, mem2)
         else:
+            moves = legal_moves(spec, state)
+            if not moves:
+                return () if win_within else None
             for mv in moves:
                 bad = rec(apply_move(spec, state, mv), mem)
                 if bad is not None:
@@ -867,11 +870,18 @@ def _breaker_htb_slow(t=3, b=1):
 
 
 def _maker_nonmonotone(blocked=frozenset({1}), bias=2):
+    """At a bias outside `blocked` the Maker wins within the rounds it takes
+    to claim one element of each of the max(blocked) + 1 blocks, `bias`
+    elements a round."""
+    if bias in blocked:
+        raise PosgamesError(f"the maker script needs a bias outside {sorted(blocked)}, got {bias}")
     spec = _fair_spec(nonmonotone_blocks(blocked)[0], bias)
-    return spec, make_maker_nonmonotone(blocked), win_within(1)
+    return spec, make_maker_nonmonotone(blocked), win_within(-(-(max(blocked) + 1) // bias))
 
 
 def _breaker_nonmonotone(blocked=frozenset({1}), bias=1):
+    if bias not in blocked:
+        raise PosgamesError(f"the breaker script needs a bias in {sorted(blocked)}, got {bias}")
     spec = _fair_spec(nonmonotone_blocks(blocked)[0], bias)
     return spec, make_breaker_nonmonotone(blocked), never_loses()
 
@@ -901,10 +911,10 @@ def _maker_hmbst(m=1, b=1, s=3, t=3):
 
 def _dominator_lift(blocked=frozenset({1}), bias=2):
     """The fair-bias maker script played inside the gadget of its board."""
-    inner_spec, inner, _ = _maker_nonmonotone(blocked, bias)
+    inner_spec, inner, guarantee = _maker_nonmonotone(blocked, bias)
     gadget = build_gadget(inner_spec.board, bias)
     spec = _fair_spec(minimal_dominating_sets(gadget), bias)
-    return spec, make_dominator_lift(inner, inner_spec), win_within(1)
+    return spec, make_dominator_lift(inner, inner_spec), guarantee
 
 
 # Each script's builder: `build(**params)` gives the (game, script,

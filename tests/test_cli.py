@@ -138,6 +138,25 @@ class TestSolveAndFrontier:
                              "--max-rounds", "2")
         assert code == 0 and doc["maker_wins"] is False
 
+    def test_solve_wc(self, capsys, tmp_path):
+        board = tmp_path / "h.json"
+        run_cli(capsys, "gen", "ht-wc", "--t", "3", "-o", str(board))
+        for rounds, won in (("3", True), ("2", False)):
+            code, doc = run_json(capsys, "solve", "wc", "--board", str(board),
+                                 "--max-rounds", rounds, "--max-size", "2")
+            assert code == 0 and doc["maker_wins"] is won
+
+    @pytest.mark.parametrize("game, generator", [
+        ("mb -m 0", "complete-uniform --n 4 --k 2"),
+        ("aux -b 0", "gtb --t 2 --b 1"),
+    ], ids=["mb", "aux"])
+    def test_solve_rejects_a_zero_bias(self, capsys, tmp_path, game, generator):
+        board = tmp_path / "b.json"
+        run_cli(capsys, "gen", *generator.split(), "-o", str(board))
+        game, *flags = game.split()
+        code, doc = run_json(capsys, "solve", game, "--board", str(board), *flags)
+        assert code == 2 and doc["message"] == "biases must be at least 1"
+
     def test_solve_aux(self, capsys, tmp_path):
         board = tmp_path / "d.json"
         run_cli(capsys, "gen", "gtb", "--t", "2", "--b", "2", "-o", str(board))

@@ -25,11 +25,13 @@ from posgames.solver import (
     SolverSettings,
     _Search,
     _WCSearch,
+    decide,
     decide_mb,
     decide_wc,
     game_values,
     solve_aux_game,
     validate_restriction,
+    values,
     wc_game_values,
 )
 
@@ -105,6 +107,34 @@ class TestAuxGame:
         )
         assert not naive_decide(spec)
         assert not solve_aux_game(board, 1, 0b11, breaker_premove=True)
+
+
+class TestSpecRoots:
+    """`decide` and `values` read the game from the engine's `GameSpec`,
+    whose checks are the only ones: the per-game functions build a spec."""
+
+    @pytest.mark.parametrize("call", [
+        lambda h, d: decide_mb(h, 0, 1),
+        lambda h, d: game_values(h, 1, 0),
+        lambda h, d: solve_aux_game(d, 0, 0),
+        lambda h, d: solve_aux_game(d, 1, 1 << d.nv),  # the first arc, not a vertex
+    ], ids=["maker-bias", "breaker-bias", "aux-bias", "aux-preclaimed-arc"])
+    def test_spec_checks_reject_bad_games(self, call):
+        with pytest.raises(PosgamesError):
+            call(hypergraph_new(2, [[0]]), build_gtb(1, 1))
+
+    def test_restriction_is_for_the_claiming_game(self):
+        h, fam = build_hmbst(1, 1, 3, 3)
+        with pytest.raises(PosgamesError, match="claiming game only"):
+            decide(GameSpec(GameKind.WAITER_CLIENT, h), restriction=fam)
+
+    @pytest.mark.parametrize("t, b", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+    def test_directed_edge_rounds_value(self, t, b):
+        # Lemma 3.4: with both ends pre-owned, gtb(t, b) is won in exactly t rounds
+        board = build_gtb(t, b)
+        spec = GameSpec(GameKind.AUX_EDGE, board, breaker_bias=b,
+                        preclaimed_maker=(1 << board.start) | (1 << board.end))
+        assert values(spec).min_rounds == t
 
 
 class TestGameValues:

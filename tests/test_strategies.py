@@ -17,7 +17,7 @@ from posgames.engine import (
 )
 from posgames.errors import GuardExceeded, PosgamesError
 from posgames.graphgen import path_graph
-from posgames.solver import Objective, solve_aux_game
+from posgames.solver import Objective, solve_aux_game, values
 from posgames.strategies import (
     CATALOG,
     Guarantee,
@@ -173,7 +173,7 @@ def _offer_script_failures():
 
 def _differential_cases():
     """(spec, script, guarantee, ok) cases: every smallest instance, those
-    with a round count once more one round stricter, six larger instances,
+    with a round count once more one round stricter, seven larger instances,
     among them three blocking scripts at t = 4 whose reply trees have 758 to
     1,401 nodes, and the offer-game failures above."""
     cases = []
@@ -191,6 +191,7 @@ def _differential_cases():
         ("breaker-htb-premove", {"t": 4, "b": 1}, True),
         ("breaker-htb-slow", {"t": 4, "b": 1}, True),
         ("breaker-htb-slow", {"t": 5, "b": 1}, True),
+        ("maker-hmbst", {"m": 1, "b": 1, "s": 4, "t": 4}, True),  # the nested form
     ]:
         label = name + "-" + "-".join(f"{k}{v}" for k, v in params.items())
         cases.append(pytest.param(*instance(name, **params), ok, id=label))
@@ -360,3 +361,43 @@ class TestTreeOfferScript:
             assert guarantee == win_within(n // 2)
             res = verify_strategy(spec, strat, guarantee)
             assert res.ok, (n, res.counterexample)
+
+
+class TestFairBiasScripts:
+    """The block scripts of Theorem 1.1 at fair biases other than the
+    smallest instance's."""
+
+    @pytest.mark.parametrize("blocked, bias, nodes", [
+        ({2}, 1, 42), ({3}, 1, 1_608), ({3}, 2, 92), ({2, 4}, 1, 20_906), ({2, 4}, 3, 332),
+    ])
+    def test_maker_wins_within_the_rounds_of_one_element_per_block(self, blocked, bias, nodes):
+        spec, strat, guarantee = instance("maker-nonmonotone", blocked=blocked, bias=bias)
+        # max(blocked) + 1 blocks at `bias` elements a round, which the solver
+        # confirms is the fastest win
+        assert guarantee == win_within(-(-(max(blocked) + 1) // bias))
+        assert values(spec).min_rounds == guarantee.rounds
+        res = verify_strategy(spec, strat, guarantee)
+        assert (res.ok, res.nodes) == (True, nodes)
+
+    @pytest.mark.parametrize("blocked, bias, nodes", [
+        ({2}, 2, 31), ({1, 2}, 1, 9), ({1, 2}, 2, 13), ({3}, 3, 441), ({2, 4}, 2, 183),
+    ])
+    def test_breaker_holds_at_a_blocked_bias(self, blocked, bias, nodes):
+        res = verify_strategy(*instance("breaker-nonmonotone", blocked=blocked, bias=bias))
+        assert (res.ok, res.nodes) == (True, nodes)
+
+    @pytest.mark.parametrize("name, blocked, bias", [
+        ("maker-nonmonotone", {2}, 2),
+        ("dominator-lift", {1}, 1),
+        ("breaker-nonmonotone", {2}, 1),
+        ("breaker-nonmonotone", {1}, 2),
+    ])
+    def test_builders_reject_the_other_side_of_the_blocked_set(self, name, blocked, bias):
+        with pytest.raises(PosgamesError, match="needs a bias"):
+            instance(name, blocked=blocked, bias=bias)
+
+    def test_lift_at_bias_four_lists_no_maker_claims(self):
+        # the script's own turn needs no move list: at the root of this
+        # 242-element board it would hold C(242, 4) claims
+        res = verify_strategy(*instance("dominator-lift", bias=4))
+        assert (res.ok, res.nodes) == (True, 2)
