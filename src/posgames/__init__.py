@@ -30,6 +30,7 @@ from .engine import (
     initial_state,
     legal_moves,
     status,
+    successors,
 )
 from .errors import (
     BoardError,

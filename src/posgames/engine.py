@@ -17,9 +17,12 @@ moved first.
 A move is an `int` mask of the elements it takes.  The position says what
 kind of move that is: a keep while an offer is pending, else an offer in the
 Waiter-Client game, else a claim.  `legal_moves` lists the masks and
-`apply_move` checks them element by element.  Only `status` decides the end
-of play: `legal_moves` does not look for a Maker win, so callers read
-`status` first.
+`apply_move` checks them element by element.  `successors` yields each mask
+`legal_moves` lists, in the same order, paired with the position it leads
+to, the one `apply_move` would return; it makes them one at a time, as they
+are asked for, and checks none, since it only makes legal moves.  Only
+`status` decides the end of play: neither `legal_moves` nor `successors`
+looks for a Maker win, so callers read `status` first.
 
 A `GameState` is a named tuple (the two claimed sets, the player to move,
 the Maker's moves used and the pending offer), so it is built, compared and
@@ -30,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import combinations
-from typing import NamedTuple, Union
+from functools import cached_property, partial
+from itertools import combinations, starmap
+from operator import or_
+from typing import Iterator, NamedTuple, Union
 
 from .bitset import iter_bits
 from .boards import Hypergraph, RootedDigraph
@@ -103,6 +107,21 @@ class GameSpec:
     def full_mask(self) -> int:
         return (1 << self.n_elements) - 1
 
+    @cached_property
+    def vertex_mask(self) -> int:
+        """Aux games: the vertex elements."""
+        return (1 << self.board.nv) - 1  # type: ignore[union-attr]
+
+    @cached_property
+    def arc_ends(self) -> tuple[tuple[int, int], ...]:
+        """Aux games: (element bit, mask of its two endpoints) of each arc,
+        in arc order."""
+        board: RootedDigraph = self.board  # type: ignore[assignment]
+        return tuple(
+            (arc_element_bit(board, j), (1 << u) | (1 << v))
+            for j, (u, v) in enumerate(board.arcs)
+        )
+
 
 class GameState(NamedTuple):
     maker: int
@@ -119,6 +138,9 @@ _WC, _AUX = GameKind.WAITER_CLIENT, GameKind.AUX_EDGE
 _MAKER, _BREAKER = Player.MAKER, Player.BREAKER
 _ONGOING, _MAKER_WIN = Outcome.ONGOING, Outcome.MAKER_WIN
 _MAKER_CANNOT_WIN = Outcome.MAKER_CANNOT_WIN
+# `GameState(...)` runs a Python-level `__new__`; `_state` builds the same
+# tuple from all five fields in one C call
+_state = partial(tuple.__new__, GameState)
 
 
 def initial_state(spec: GameSpec) -> GameState:
@@ -146,20 +168,41 @@ def mover_bias(spec: GameSpec, state: GameState) -> int:
     return spec.breaker_bias
 
 
-def _aux_maker_elements(spec: GameSpec, state: GameState) -> list[int]:
-    """Single elements the aux Maker may claim: free vertices, and free arcs
-    whose endpoints she already owns."""
-    board: RootedDigraph = spec.board  # type: ignore[assignment]
-    free = free_mask(spec, state)
-    out = []
-    for v in range(board.nv):
-        if free & (1 << v):
-            out.append(1 << v)
-    for j, (u, v) in enumerate(board.arcs):
-        bit = arc_element_bit(board, j)
-        if free & bit and state.maker & (1 << u) and state.maker & (1 << v):
-            out.append(bit)
-    return out
+def _aux_maker_elements(spec: GameSpec, state: GameState) -> int:
+    """Mask of the single elements the aux Maker may claim: free vertices,
+    and free arcs whose endpoints she already owns."""
+    maker = state.maker
+    free = spec.full_mask & ~(maker | state.breaker)
+    elements = free & spec.vertex_mask
+    for bit, ends in spec.arc_ends:
+        if free & bit and maker & ends == ends:
+            elements |= bit
+    return elements
+
+
+def _claims(free: int, size: int) -> Iterator[int]:
+    """Every mask of `size` elements of `free`, in the order of
+    `combinations` over its bits."""
+    if size == 1:
+        return iter_bits(free)
+    if size == 0:
+        return iter(())
+    return map(sum, combinations(iter_bits(free), size))
+
+
+def _moves(spec: GameSpec, state: GameState) -> Iterator[int]:
+    """The masks of `legal_moves`, in its order, made as they are asked for."""
+    maker, breaker, to_move, _used, pending = state
+    if pending:
+        return iter_bits(pending)
+    free = spec.full_mask & ~(maker | breaker)
+    if spec.kind is _WC:
+        if free & (free - 1):
+            return starmap(or_, combinations(iter_bits(free), 2))
+        return iter_bits(free)  # the lone final element, if any
+    if spec.kind is _AUX and to_move is _MAKER:
+        return iter_bits(_aux_maker_elements(spec, state))
+    return _claims(free, min(mover_bias(spec, state), free.bit_count()))
 
 
 def legal_moves(spec: GameSpec, state: GameState) -> list[int]:
@@ -169,21 +212,31 @@ def legal_moves(spec: GameSpec, state: GameState) -> list[int]:
     An empty list means no move is possible.  A won position still has
     moves: `status` decides the end of play, so read it first.
     """
-    maker, breaker, to_move, _used, pending = state
-    free = spec.full_mask & ~(maker | breaker)
-    if spec.kind is _WC:
-        if pending:
-            return list(iter_bits(pending))
-        bits = list(iter_bits(free))
-        if len(bits) == 1:
-            return bits
-        return [a | b for a, b in combinations(bits, 2)]
-    if spec.kind is _AUX and to_move is _MAKER:
-        return _aux_maker_elements(spec, state)
-    size = min(mover_bias(spec, state), free.bit_count())
-    if size == 0:
-        return []
-    return list(map(sum, combinations(iter_bits(free), size)))
+    return list(_moves(spec, state))
+
+
+def successors(spec: GameSpec, state: GameState) -> Iterator[tuple[int, GameState]]:
+    """Yield `(mask, child)` for each mask `legal_moves` lists, in the same
+    order, where `child` is the position `apply_move` returns for the mask.
+
+    The pairs are made one at a time, as the caller asks for them, so a
+    caller that stops early never builds the rest of the menu.  The masks
+    are legal by construction and are not checked again.
+    """
+    maker, breaker, to_move, used, pending = state
+    moves = _moves(spec, state)
+    if pending:
+        for keep in moves:
+            yield keep, _state((maker | (pending ^ keep), breaker | keep, _MAKER, used + 1, 0))
+    elif spec.kind is _WC:
+        for offer in moves:
+            yield offer, _state((maker, breaker, _BREAKER, used, offer))
+    elif to_move is _MAKER:
+        for claim in moves:
+            yield claim, _state((maker | claim, breaker, _BREAKER, used + 1, 0))
+    else:
+        for claim in moves:
+            yield claim, _state((maker, breaker | claim, _MAKER, used, 0))
 
 
 def apply_move(spec: GameSpec, state: GameState, elements: int) -> GameState:
@@ -195,14 +248,14 @@ def apply_move(spec: GameSpec, state: GameState, elements: int) -> GameState:
         if pending:
             if elements.bit_count() != 1 or not elements & pending:
                 raise IllegalMove("client must keep exactly one offered element")
-            return GameState(maker | (pending & ~elements), breaker | elements, _MAKER, used + 1)
+            return _state((maker | (pending & ~elements), breaker | elements, _MAKER, used + 1, 0))
         free = spec.full_mask & ~(maker | breaker)
         if elements & ~free:
             raise IllegalMove("offer must use free elements")
         want = 2 if free.bit_count() >= 2 else 1
         if elements.bit_count() != want:
             raise IllegalMove(f"offer must contain exactly {want} element(s)")
-        return GameState(maker, breaker, _BREAKER, used, elements)
+        return _state((maker, breaker, _BREAKER, used, elements))
 
     free = spec.full_mask & ~(maker | breaker)
     if elements & ~free:
@@ -219,8 +272,8 @@ def apply_move(spec: GameSpec, state: GameState, elements: int) -> GameState:
     elif elements.bit_count() != min(mover_bias(spec, state), free.bit_count()):
         raise IllegalMove("claim must use exactly min(bias, #free) elements")
     if to_move is _MAKER:
-        return GameState(maker | elements, breaker, _BREAKER, used + 1)
-    return GameState(maker, breaker | elements, _MAKER, used)
+        return _state((maker | elements, breaker, _BREAKER, used + 1, 0))
+    return _state((maker, breaker | elements, _MAKER, used, 0))
 
 
 def status(spec: GameSpec, state: GameState) -> Outcome:

@@ -16,16 +16,20 @@ table, and its answers are those of the plain walk:
   verdict at a node reads only the state, and the script's move is a
   function of (state, memory).  So the subtree below a node, and whether it
   passes, depend on (state, memory) alone.
-* One key per position.  A position is stored under its state (the two
-  claimed sets, the player to move, the Maker's moves used and the pending
-  offer) followed by the memory, as one flat tuple.  Positions with a
-  pending offer are left out.  When the Client is the script, such a
-  position has one parent: the Waiter's position with the same claimed sets,
-  round count and memory, since the Waiter's offer leaves the script's
-  memory alone.  That parent is stored once it passes, so a second visit
-  ends there, and the offer position is expanded at most once.  When the
-  Waiter is the script, an offer position is the Client's and its children
-  are stored, so a repeat costs one expansion.
+* One key per position.  A position is stored under the flat tuple (the
+  Maker's set, the Breaker's set, whether the Maker is to move, the Maker's
+  moves used, the memory): ints, a bool and the memory, all hashed in C.
+  The catalog's memories are ints, tuples, copies of a construction (equal
+  only to themselves) or named tuples, which compare as plain tuples; each
+  script keeps one memory type, so equal keys are equal positions.
+  Positions with a pending offer are left out, so the offer is not in the
+  key.  When the Client is the script, such a position has one parent: the
+  Waiter's position with the same claimed sets, round count and memory,
+  since the Waiter's offer leaves the script's memory alone.  That parent is
+  stored once it passes, so a second visit ends there, and the offer
+  position is expanded at most once.  When the Waiter is the script, an
+  offer position is the Client's and its children are stored, so a repeat
+  costs one expansion.
 * No verdict after an offer.  At a pending-offer position the walk neither
   checks the guarantee nor looks for the end of play; it goes straight to
   the keep.  The offer's parent has the same claimed sets and round count,
@@ -40,7 +44,10 @@ table, and its answers are those of the plain walk:
   trace.
 * Sizes add up.  One running counter counts nodes: an expanded node adds 1,
   a hit adds the size stored with the entry, which was counted the same way.
-  So `nodes` is the reply-tree size the plain walk counts up to its verdict.
+  The table is read and written at the parent: before it walks a child, the
+  walk looks the child's key up, and a hit adds the stored size without
+  making a call; a child that passes is stored when its walk returns.  So
+  `nodes` is the reply-tree size the plain walk counts up to its verdict.
   `expanded` counts the positions actually expanded; `max_nodes` bounds it,
   and with it the table, which holds at most one entry per expanded
   position.
@@ -63,7 +70,7 @@ import inspect
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .bitset import indices_of, low_bits
 from .boards import Hypergraph, RootedDigraph, SimpleGraph
@@ -93,6 +100,7 @@ from .engine import (
     legal_moves,
     mover_bias,
     status,
+    successors,
 )
 from .errors import GuardExceeded, IllegalMove, PosgamesError
 from .graphgen import cycle_graph, path_graph
@@ -173,31 +181,30 @@ def verify_strategy(
 
     Returns ok=True, or the first violating trace as a tuple of
     (player-name, element-index-list) pairs.  `max_nodes`, at least 1,
-    bounds the expanded positions; one more raises `GuardExceeded`.
+    bounds the expanded positions; one more raises `GuardExceeded`.  The
+    opponent's replies come from `successors` one at a time, so a huge menu
+    is never listed; the script's moves go through `apply_move`, which
+    checks them.
     """
     if max_nodes < 1:
         raise PosgamesError(f"the verifier's node bound must be positive, got {max_nodes}")
     nodes = 0
     expanded = 0
     passed: dict[tuple, int] = {}
+    probe = passed.get
     win_within = guarantee.kind is GuaranteeKind.WIN_WITHIN
     horizon = guarantee.horizon
     player = strategy.player
+    next_move = strategy.next_move
+    offer_game = spec.kind is GameKind.WAITER_CLIENT
     # while play goes on, only the directed-edge Maker can be without a move:
     # anywhere else a set still open has a free element, and so a move
     script_may_stick = spec.kind is GameKind.AUX_EDGE and player is Player.MAKER
 
-    def rec(state: GameState, mem) -> Optional[tuple]:
-        """The violating trace from `state` on, or None if the subtree passes."""
+    def walk(state: GameState, mem) -> Optional[tuple]:
+        """The violating trace from `state` on, or None if the subtree
+        passes.  The caller probes the table for `state` and stores it."""
         nonlocal nodes, expanded
-        key = None
-        if not state.pending_offer:
-            key = state + (mem,)
-            size = passed.get(key)
-            if size is not None:
-                nodes += size
-                return None
-        start = nodes
         nodes += 1
         expanded += 1
         if expanded > max_nodes:
@@ -205,18 +212,12 @@ def verify_strategy(
                 f"verifier exceeded {max_nodes} expanded positions "
                 f"({nodes} reply-tree nodes)"
             )
-        bad = walk(state, mem)
-        if bad is None and key is not None:
-            passed[key] = nodes - start
-        return bad
-
-    def walk(state: GameState, mem) -> Optional[tuple]:
+        _maker, _breaker, mover, rounds, pending = state
         # at a pending offer the verdict is the offer's parent's, and a keep
         # is left: see the module docstring
-        if not state.pending_offer:
+        if not pending:
             outcome = status(spec, state)
             won = outcome is Outcome.MAKER_WIN
-            rounds = state.maker_moves_used
             if win_within:
                 if won and rounds <= horizon:
                     return None
@@ -227,33 +228,45 @@ def verify_strategy(
                     return () if rounds <= horizon else None
                 if outcome is Outcome.MAKER_CANNOT_WIN or rounds > horizon:
                     return None
-        mover = state.to_move
         if mover is player:
             if script_may_stick and not legal_moves(spec, state):
                 return () if win_within else None
-            mv, mem2 = strategy.next_move(spec, state, mem)
+            mv, mem = next_move(spec, state, mem)
             try:
-                nxt = apply_move(spec, state, mv)
+                children = ((mv, apply_move(spec, state, mv)),)
             except IllegalMove:
                 return ((f"illegal:{mover.value}", indices_of(mv)),)
-            bad = rec(nxt, mem2)
         else:
-            moves = legal_moves(spec, state)
-            if not moves:
-                return () if win_within else None
-            for mv in moves:
-                bad = rec(apply_move(spec, state, mv), mem)
-                if bad is not None:
-                    break
-        if bad is None:
-            return None
-        return ((mover.value, indices_of(mv)),) + bad
+            children = successors(spec, state)
+        # every move hands the turn over, so each child's mover is the other
+        # player, and only an offer leads to a position left out of the table
+        child_is_maker = mover is Player.BREAKER
+        child_pending = offer_game and not pending
+        mv = 0  # every move takes an element, so 0 stays only if none is made
+        for mv, child in children:
+            if child_pending:
+                bad = walk(child, mem)
+            else:
+                key = (child.maker, child.breaker, child_is_maker, child.maker_moves_used, mem)
+                size = probe(key)
+                if size is not None:
+                    nodes += size
+                    continue
+                start = nodes
+                bad = walk(child, mem)
+                if bad is None:
+                    passed[key] = nodes - start
+            if bad is not None:
+                return ((mover.value, indices_of(mv)),) + bad
+        if not mv:
+            return () if win_within else None
+        return None
 
     try:
-        bad = rec(initial_state(spec), strategy.initial_memory)
+        bad = walk(initial_state(spec), strategy.initial_memory)
     finally:
-        # rec and walk refer to each other, so without this the table would
-        # live on until the cycle collector next runs
+        # walk refers to itself, so without this the table would live on
+        # until the cycle collector next runs
         passed.clear()
     return VerifyResult(bad is None, bad, nodes, expanded)
 
@@ -393,8 +406,7 @@ def make_breaker_gtb_slow(t: int, b: int) -> Strategy:
 # Hub digraph strategies
 
 
-@dataclass(frozen=True)
-class _HtbMakerMem:
+class _HtbMakerMem(NamedTuple):
     group: Optional[int]
     node: Optional[GtbNode]
 
@@ -481,8 +493,7 @@ def make_breaker_htb_premove(t: int, b: int) -> Strategy:
     return Strategy("breaker-htb-premove", Player.BREAKER, next_move, 0)
 
 
-@dataclass(frozen=True)
-class _HtbSlowMem:
+class _HtbSlowMem(NamedTuple):
     prev_maker: int
     mode: str  # start | blockall | wait2 | mixed
     blocked_copy: int  # the copy blocked in full in mixed mode, -1 for none
@@ -613,8 +624,7 @@ def make_breaker_pairing(pairs: tuple[int, ...]) -> Strategy:
 # Cycle and tree offer strategies
 
 
-@dataclass(frozen=True)
-class _WaiterCycleMem:
+class _WaiterCycleMem(NamedTuple):
     perm: Optional[tuple[int, ...]]  # canonical position -> vertex
     next_start: int
 
@@ -645,16 +655,11 @@ def make_waiter_cycle(n: int) -> Strategy:
     return Strategy("waiter-cycle", Player.MAKER, next_move, _WaiterCycleMem(None, 0))
 
 
-@dataclass(frozen=True)
-class _ClientCycleMem:
+class _ClientCycleMem(NamedTuple):
+    """`origin`: the vertex the script's canonical labels count from."""
+
     case: Optional[str]
     origin: int
-
-    def canon(self, v: int, n: int) -> int:
-        return (v - self.origin) % n
-
-    def actual(self, c: int, n: int) -> int:
-        return (self.origin + c) % n
 
 
 def make_client_cycle(n: int) -> Strategy:
@@ -664,37 +669,32 @@ def make_client_cycle(n: int) -> Strategy:
 
     def next_move(spec: GameSpec, state: GameState, mem: _ClientCycleMem):
         offer = state.pending_offer
-        pair = indices_of(offer)
-        if mem.case is None:
-            if len(pair) < 2:
-                return offer & -offer, mem
-            a, c = pair
-            d = min((a - c) % n, (c - a) % n)
-            if d == 1:
+        low = offer & -offer
+        if offer == low:  # the lone final element
+            return offer, mem
+        a, c = low.bit_length() - 1, offer.bit_length() - 1
+        case, origin = mem
+        if case is None:
+            if (c - a) % n == 1 or (a - c) % n == 1:
                 origin = a if (c - a) % n == 1 else c
-                mem = _ClientCycleMem("adjacent", origin)
                 # keep the second vertex of the adjacent pair
-                return 1 << mem.actual(1, n), mem
+                return 1 << (origin + 1) % n, _ClientCycleMem("adjacent", origin)
             origin = a if (c - a) % n <= half else c
-            mem = _ClientCycleMem("nonadjacent", origin)
-            return 1 << origin, mem
-        if len(pair) < 2:
-            return offer & -offer, mem
-        canon = sorted(mem.canon(v, n) for v in pair)
-        if mem.case == "adjacent":
-            c0, c1 = canon
+            return 1 << origin, _ClientCycleMem("nonadjacent", origin)
+        c0, c1 = (a - origin) % n, (c - origin) % n
+        if c0 > c1:
+            c0, c1 = c1, c0
+        if case == "adjacent":
             if c1 == c0 + 1 and c0 % 2 == 0 and c1 <= 2 * (half - 1) - 1:
-                return 1 << mem.actual(c1, n), mem
-            return 1 << mem.actual(c0, n), mem
-        # nonadjacent case: guard the two neighbours of the kept corner,
-        # and the far endpoint when it shows up alone
-        cset = set(canon)
-        if 1 in cset and n - 1 in cset:
-            return 1 << mem.actual(n - 1, n), mem
-        for c in (1, n - 1, n - 2):
-            if c in cset:
-                return 1 << mem.actual(c, n), mem
-        return 1 << mem.actual(canon[0], n), mem
+                return 1 << (origin + c1) % n, mem
+            return 1 << (origin + c0) % n, mem
+        # nonadjacent case: guard the two neighbours 1 and n - 1 of the kept
+        # corner (n - 1 when both are offered), then the far endpoint n - 2
+        if (c0 == 1 or c1 == 1) and c1 != n - 1:
+            return 1 << (origin + 1) % n, mem
+        if c1 >= n - 2:
+            return 1 << (origin + c1) % n, mem
+        return 1 << (origin + c0) % n, mem
 
     return Strategy("client-cycle", Player.BREAKER, next_move, _ClientCycleMem(None, 0))
 
@@ -723,8 +723,7 @@ def make_waiter_tree(tree) -> Strategy:
 # Uniform-hypergraph maker: the hub script lifted through associated sets
 
 
-@dataclass(frozen=True)
-class _HmbstMem:
+class _HmbstMem(NamedTuple):
     """`offset`: the first element of the nested copy the script plays in."""
 
     offset: Optional[int]

@@ -470,6 +470,13 @@ class TestVerify:
                              "--max-nodes", "10")
         assert code == 3 and doc["kind"] == "guard"
 
+    def test_strategy_guard_on_a_huge_opponent_menu(self, capsys):
+        # each Breaker turn has C(155, 4) = 23,130,030 claims, made one by
+        # one as the walk asks for them
+        code, doc = run_json(capsys, "verify", "maker-hmbst", "--m", "1", "--b", "4",
+                             "--s", "3", "--t", "4", "--max-nodes", "1000")
+        assert code == cli.EXIT_GUARD and doc["kind"] == "guard"
+
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_nonpositive_node_bound_is_a_usage_error(self, capsys, bound):
         code, doc = run_json(capsys, "verify", "maker-gtb", "--max-nodes", bound)

@@ -13,6 +13,7 @@ from posgames.engine import (
     initial_state,
     legal_moves,
     status,
+    successors,
 )
 from posgames.errors import BoardError, IllegalMove
 
@@ -52,6 +53,81 @@ class TestLegalMoves:
         one_left = GameState(maker=0b010, breaker=0b100, to_move=Player.MAKER,
                              maker_moves_used=1)
         assert set(legal_moves(spec, one_left)) == {0b001}
+
+
+def _random_position(rng):
+    """A random game of a random kind and a random position in it: disjoint
+    claimed sets, any player to move, and in the offer game a pending offer
+    of one or two free elements half the time."""
+    from conftest import random_hypergraph_masks
+
+    kind = rng.choice(list(GameKind))
+    maker = breaker = pending = 0
+    if kind is GameKind.AUX_EDGE:
+        nv = rng.randint(2, 5)
+        arcs = [rng.sample(range(nv), 2) for _ in range(rng.randint(1, 5))]
+        spec = GameSpec(kind, digraph_new(nv, arcs, start=0), breaker_bias=rng.randint(1, 3),
+                        breaker_premove=rng.random() < 0.3)
+    elif kind is GameKind.MAKER_BREAKER:
+        spec = mb_spec(random_hypergraph_masks(rng.randint(2, 7), 4, rng),
+                       m=rng.randint(1, 3), b=rng.randint(1, 3))
+    else:
+        spec = GameSpec(kind, random_hypergraph_masks(rng.randint(2, 7), 4, rng))
+    for i in range(spec.n_elements):
+        pick = rng.random()
+        if pick < 0.35:
+            maker |= 1 << i
+        elif pick < 0.7:
+            breaker |= 1 << i
+    to_move = rng.choice(list(Player))
+    if spec.breaker_premove and rng.random() < 0.5:
+        breaker, to_move = 0, Player.BREAKER
+    free = spec.full_mask & ~(maker | breaker)
+    if kind is GameKind.WAITER_CLIENT:
+        to_move = Player.MAKER
+        if free and rng.random() < 0.5:
+            bits = [1 << i for i in range(spec.n_elements) if free >> i & 1]
+            pending = sum(rng.sample(bits, min(len(bits), rng.randint(1, 2))))
+            to_move = Player.BREAKER
+    return spec, GameState(maker, breaker, to_move, rng.randint(0, 3), pending)
+
+
+def _situations(spec, state) -> set[str]:
+    """The corners of the move rules that `state` exercises."""
+    free = free_mask(spec, state)
+    seen = set()
+    if state.pending_offer:
+        seen.add("pending offer" if state.pending_offer.bit_count() == 2 else "lone keep")
+    elif spec.kind is GameKind.WAITER_CLIENT and free.bit_count() == 1:
+        seen.add("lone offer")
+    if spec.breaker_premove and state.breaker == 0 and state.to_move is Player.BREAKER and free:
+        seen.add("aux pre-move")
+    if spec.kind is GameKind.AUX_EDGE and state.to_move is Player.MAKER:
+        nv = spec.board.nv
+        if any(free >> (nv + j) & 1 and (state.maker >> u & 1) != (state.maker >> v & 1)
+               for j, (u, v) in enumerate(spec.board.arcs)):
+            seen.add("arc with one endpoint owned")
+    elif spec.kind is not GameKind.WAITER_CLIENT:
+        bias = spec.maker_bias if state.to_move is Player.MAKER else spec.breaker_bias
+        if 0 < free.bit_count() < bias:
+            seen.add("bias over the free elements")
+    return seen
+
+
+class TestSuccessors:
+    def test_matches_legal_moves_and_apply_move(self, rng):
+        """`successors` yields each mask `legal_moves` lists, in its order,
+        with the position `apply_move` makes of it."""
+        seen = set()
+        for _ in range(600):
+            spec, state = _random_position(rng)
+            want = [(mv, apply_move(spec, state, mv)) for mv in legal_moves(spec, state)]
+            got = list(successors(spec, state))
+            assert got == want, (spec, state)
+            assert all(type(child) is GameState for _mv, child in got)
+            seen |= _situations(spec, state)
+        assert seen == {"pending offer", "lone keep", "lone offer", "aux pre-move",
+                        "arc with one endpoint owned", "bias over the free elements"}
 
 
 class TestGameState:

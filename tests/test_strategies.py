@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from conftest import naive_verify
 
@@ -201,11 +203,18 @@ def _differential_cases():
 
 
 class TestVerifierTable:
-    @pytest.mark.parametrize("name", ["breaker-pairing", "client-cycle"])
-    def test_engine_calls_go_through_the_strategies_module(self, monkeypatch, name):
+    @pytest.mark.parametrize("name, used", [
+        pytest.param("breaker-pairing", {"successors", "apply_move", "status"}, id="breaker-pairing"),
+        pytest.param("client-cycle", {"successors", "apply_move", "status"}, id="client-cycle"),
+        # the directed-edge Maker script may be left without a move, which
+        # the verifier asks `legal_moves`
+        pytest.param("maker-gtb", {"successors", "apply_move", "status", "legal_moves"},
+                     id="maker-gtb"),
+    ])
+    def test_engine_calls_go_through_the_strategies_module(self, monkeypatch, name, used):
         """The verifier looks the engine up under these names in
         `strategies`, so wrapping them there sees every call."""
-        calls = dict.fromkeys(("legal_moves", "apply_move", "status"), 0)
+        calls = dict.fromkeys(("legal_moves", "successors", "apply_move", "status"), 0)
         for attr in calls:
             def counted(*args, _fn=getattr(strategies, attr), _attr=attr):
                 calls[_attr] += 1
@@ -213,7 +222,7 @@ class TestVerifierTable:
 
             monkeypatch.setattr(strategies, attr, counted)
         assert verify_strategy(*instance(name)).ok
-        assert all(calls.values()), calls
+        assert {attr for attr, count in calls.items() if count} == used, calls
 
     def test_offer_script_failures_come_after_the_first_round(self):
         last = {}
@@ -237,6 +246,43 @@ class TestVerifierTable:
         assert res.ok is ok
         assert (res.ok, res.nodes, res.counterexample) == naive_verify(spec, strat, guarantee)
         assert res.expanded <= res.nodes
+
+    @pytest.mark.parametrize("name, params, nodes, expanded", [
+        ("maker-gtb", {"t": 4, "b": 1}, 3726, 1598),
+        ("breaker-gtb-block", {"t": 4, "b": 1}, 219_201, 1280),
+        ("breaker-gtb-slow", {"t": 4, "b": 1}, 1401, 687),
+        ("maker-htb", {"t": 4, "b": 1}, 3726, 1598),
+        ("breaker-htb-premove", {"t": 4, "b": 1}, 1174, 177),
+        ("breaker-htb-slow", {"t": 4, "b": 1}, 758, 372),
+        ("client-cycle", {"n": 9}, 46_297, 15_373),
+        ("waiter-cycle", {"n": 10}, 70, 70),
+        ("breaker-pairing", {"t": 5}, 118_153, 3555),
+        ("maker-hmbst", {"m": 1, "b": 1, "s": 3, "t": 4}, 3726, 1598),
+        ("maker-hmbst", {"m": 1, "b": 2, "s": 3, "t": 3}, 4886, 1880),
+        ("maker-nonmonotone", {}, 2, 2),
+        ("breaker-nonmonotone", {}, 5, 5),
+        ("waiter-tree", {}, 4, 4),
+        ("dominator-lift", {}, 2, 2),
+    ])
+    def test_walk_is_pinned(self, name, params, nodes, expanded):
+        """The reply-tree size and the positions expanded on the
+        script-verify instances of perfbench."""
+        res = verify_strategy(*instance(name, **params), max_nodes=5_000_000)
+        assert (res.ok, res.nodes, res.expanded) == (True, nodes, expanded)
+
+    def test_opponent_menu_is_made_lazily(self):
+        """Each Breaker turn on this 156-element board has C(155, 4) =
+        23,130,030 claims; the guard trips long before a list of them could
+        be built."""
+        case = instance("maker-hmbst", m=1, b=4, s=3, t=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded):
+                verify_strategy(*case, max_nodes=1_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_guard_bounds_expanded_positions(self):
         with pytest.raises(GuardExceeded):
