@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .bitset import CAPACITY, indices_of, is_subset, iter_bits, mask_from_indices
+from .bitset import CAPACITY, indices_of, is_subset, mask_from_indices
 from .errors import BoardError, DegenerateTransversalError, FormatError, GuardExceeded
 
 SUBSET_COUNT_LIMIT = 10**6
@@ -124,7 +124,11 @@ class RootedDigraph:
 
 
 def _canonical_edges(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=lambda e: (e.bit_count(), e)))
+    """The distinct masks in (size, value) order: sorted by value, then by
+    size, which keeps the value order among equal sizes (sorts are stable)."""
+    out = sorted(set(masks))
+    out.sort(key=int.bit_count)
+    return tuple(out)
 
 
 def hypergraph_new(
@@ -148,22 +152,19 @@ def hypergraph_from_masks(
     _check_board_size(n)
     if labels is not None and len(labels) != n:
         raise BoardError(f"expected {n} labels, got {len(labels)}")
-    full = (1 << n) - 1
-    out = []
-    for m in masks:
-        if m == 0:
+    edges = _canonical_edges(masks)
+    if edges:
+        if not edges[0]:  # the empty set is the only mask of size 0
             raise BoardError("empty edge")
-        if m & ~full:
+        if min(edges) < 0 or max(edges) >> n:
             raise BoardError("edge mask exceeds board size")
-        out.append(m)
-    return Hypergraph(n, _canonical_edges(out), None if labels is None else tuple(labels))
+    return Hypergraph(n, edges, None if labels is None else tuple(labels))
 
 
 def inclusion_minimal(masks: Sequence[int]) -> list[int]:
     """The inclusion-minimal members of a family of masks."""
-    ordered = sorted(set(masks), key=lambda e: (e.bit_count(), e))
     kept: list[int] = []
-    for m in ordered:
+    for m in _canonical_edges(masks):
         if not any(is_subset(k, m) for k in kept):
             kept.append(m)
     return kept
@@ -187,6 +188,10 @@ def disjoint_union(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
     return Hypergraph(n, _canonical_edges(list(h1.edges) + shifted), labels)
 
 
+def _family_full(family_cap: int) -> GuardExceeded:
+    return GuardExceeded(f"transversal family exceeded cap {family_cap}")
+
+
 def minimal_transversals(
     n: int, edge_masks: Sequence[int], family_cap: int = DEFAULT_FAMILY_CAP
 ) -> list[int]:
@@ -206,6 +211,15 @@ def minimal_transversals(
     one mask of the edges that S hits exactly once, together with the
     element that hits each of them, so adding v re-checks only the elements
     that lose an edge to v.
+
+    The search runs on an explicit stack, so its depth (the size of the
+    largest transversal) is bounded by memory, not by Python's recursion
+    limit.  A frame is a node whose branches are not all taken: its chosen
+    set, candidates, uncovered edges, edges hit once, and the branch
+    elements still to try.  A child that covers every edge is a leaf: the
+    parent outputs it without pushing a frame.  The tree and the order in
+    which it is walked are those of the recursive search, so the output
+    list is too.
 
     Exactness:
     - Every output hits every edge: a set is output only when no edge is
@@ -232,36 +246,43 @@ def minimal_transversals(
     edges = _canonical_edges(edge_masks)
     if 0 in edges:
         return []
+    if not edges:
+        if family_cap < 1:
+            raise _family_full(family_cap)
+        return [0]
     hits = [0] * n  # per element: bit i set when the element lies in edges[i]
     for i, e in enumerate(edges):
-        for bit in iter_bits(e):
-            hits[bit.bit_length() - 1] |= 1 << i
+        while e:
+            low = e & -e
+            e ^= low
+            hits[low.bit_length() - 1] |= 1 << i
     # owner[i]: the element that covered edge i.  It is read only while edge i
     # lies in `once`, and then it was last set on the path to the current node.
     owner = [0] * len(edges)
     found: list[int] = []
-
-    def search(chosen: int, cand: int, uncovered: int, once: int) -> None:
-        # once: the edges that `chosen` hits exactly once, so the critical
-        # edges of a chosen element u are once & hits[u]
-        if not uncovered:
-            if len(found) >= family_cap:
-                raise GuardExceeded(f"transversal family exceeded cap {family_cap}")
-            found.append(chosen)
-            return
-        branch, fewest = 0, n + 1
-        rest = uncovered
+    # once: the edges that `chosen` hits exactly once, so the critical edges
+    # of a chosen element u are once & hits[u].  rest: the branch elements
+    # still to try, 0 in a frame whose branch edge is not picked yet (a
+    # picked node is pushed back only while some branch is left).
+    stack = [(0, (1 << n) - 1, (1 << len(edges)) - 1, 0, 0)]
+    while stack:
+        chosen, cand, uncovered, once, rest = stack.pop()
+        if not rest:
+            fewest = n + 1
+            left = uncovered
+            while left:
+                low = left & -left
+                left ^= low
+                here = edges[low.bit_length() - 1] & cand
+                count = here.bit_count()
+                if count < fewest:
+                    rest, fewest = here, count
+                    if count <= 1:
+                        break
+            cand &= ~rest
         while rest:
-            low = rest & -rest
-            rest ^= low
-            here = edges[low.bit_length() - 1] & cand
-            count = here.bit_count()
-            if count < fewest:
-                branch, fewest = here, count
-                if count <= 1:
-                    break
-        cand &= ~branch
-        for bit in iter_bits(branch):
+            bit = rest & -rest
+            rest ^= bit
             v = bit.bit_length() - 1
             through = hits[v]
             new = uncovered & through
@@ -270,15 +291,24 @@ def minimal_transversals(
             while lost:
                 u = owner[(lost & -lost).bit_length() - 1]
                 if not after & hits[u]:
-                    break
+                    break  # u would keep no critical edge: cut the branch
                 lost &= ~hits[u]
-            else:
-                for low in iter_bits(new):
-                    owner[low.bit_length() - 1] = v
-                search(chosen | bit, cand, uncovered & ~through, after)
+            if not lost:
+                if new == uncovered:
+                    if len(found) >= family_cap:
+                        raise _family_full(family_cap)
+                    found.append(chosen | bit)
+                else:
+                    left = uncovered ^ new
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        owner[low.bit_length() - 1] = v
+                    if rest:
+                        stack.append((chosen, cand | bit, uncovered, once, rest))
+                    stack.append((chosen | bit, cand, left, after, 0))
+                    break
             cand |= bit
-
-    search(0, (1 << n) - 1, (1 << len(edges)) - 1, 0)
     return found
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from posgames.bitset import indices_of, mask_from_indices
 from posgames.boards import (
+    Hypergraph,
     add_all_k_subsets,
     digraph_new,
     disjoint_union,
@@ -74,6 +75,21 @@ class TestHypergraphNew:
             hypergraph_from_masks(2, [1], ["a"])
         h = hypergraph_from_masks(2, [1], ["a", "b"])
         assert loads(dumps(h)) == h
+
+    @pytest.mark.parametrize("mask, message", [
+        (0, "empty edge"),
+        (0b1000, "edge mask exceeds board size"),
+        (-1, "edge mask exceeds board size"),
+    ])
+    def test_bad_mask_from_masks(self, mask, message):
+        with pytest.raises(BoardError, match=message):
+            hypergraph_from_masks(3, [0b001, mask, 0b110])
+
+    def test_masks_come_out_deduplicated_in_size_then_value_order(self, rng):
+        masks = [m for m in range(1, 1 << 6) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(masks)
+        h = hypergraph_from_masks(6, masks)
+        assert list(h.edges) == sorted(range(1, 1 << 6), key=lambda m: (m.bit_count(), m))
 
 
 class TestMinimalize:
@@ -160,6 +176,33 @@ def edge_families(draw):
     return n, edges
 
 
+def recursive_mmcs(n, edges):
+    """The same search tree as `minimal_transversals`, written directly: the
+    first uncovered edge with at most one candidate, else the first with the
+    fewest, is branched on in index order, and a branch is cut when some
+    chosen element hits no edge alone.  Its output order is the enumerator's."""
+    edges = sorted(set(edges), key=lambda e: (e.bit_count(), e))
+    found = []
+
+    def search(chosen, cand):
+        uncovered = [e for e in edges if not e & chosen]
+        if not uncovered:
+            found.append(chosen)
+            return
+        counts = [(e & cand).bit_count() for e in uncovered]
+        pick = next((i for i, c in enumerate(counts) if c <= 1), counts.index(min(counts)))
+        branch = uncovered[pick] & cand
+        cand &= ~branch
+        for v in indices_of(branch):
+            s = chosen | 1 << v
+            if all(any(e & s == 1 << u for e in edges) for u in indices_of(s)):
+                search(s, cand)
+            cand |= 1 << v
+
+    search(0, (1 << n) - 1)
+    return found
+
+
 class TestTransversals:
     def test_two_singletons(self):
         t = transversal_hypergraph(hypergraph_new(2, [[0], [1]]))
@@ -207,6 +250,21 @@ class TestTransversals:
         got = minimal_transversals(n, edges)
         assert len(got) == len(set(got))
         assert set(got) == brute_force_transversals(n, edges)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edge_families())
+    def test_output_order_is_the_recursive_search_order(self, family):
+        n, edges = family
+        assert minimal_transversals(n, edges) == recursive_mmcs(n, edges)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # one 3,000-element transversal: a recursive search would nest 3,000
+        # calls deep, past Python's default limit of 1,000
+        n = 3000
+        singletons = [1 << i for i in range(n)]
+        assert minimal_transversals(n, singletons) == [(1 << n) - 1]
+        h = Hypergraph(n, tuple(singletons))  # past the board capacity, so built directly
+        assert transversal_hypergraph(h).edges == ((1 << n) - 1,)
 
     def test_edge_cases(self):
         assert minimal_transversals(3, []) == [0]

@@ -118,7 +118,7 @@ class TestMinimalDominatingSets:
         assert domination_number(g) == 0
 
     def test_graph_beyond_board_capacity_is_rejected_before_enumerating(self):
-        # 1,349 vertices: the enumeration would recurse past Python's limit
+        # 1,349 vertices: the capacity check refuses the graph before any enumeration
         g = build_gadget(hypergraph_new(5, [[2], [0, 1, 2, 3, 4]]), 1)
         for fn in (minimal_dominating_sets, domination_number):
             with pytest.raises(BoardError, match="exceeds capacity"):
