@@ -18,11 +18,17 @@ CAPACITY = 256
 ElementSet = int
 
 
+def is_int(x) -> bool:
+    """Is x an int and not a bool?  `bool` subclasses `int`, so a JSON
+    `true` would otherwise pass as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
     """Build a mask from element indices, validating them against board size n."""
     mask = 0
     for i in indices:
-        if not isinstance(i, int):
+        if not is_int(i):
             raise BoardError(f"element index {i!r} is not an integer")
         if not 0 <= i < n:
             raise BoardError(f"element index {i} out of range [0, {n})")

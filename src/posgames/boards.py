@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .bitset import CAPACITY, indices_of, is_subset, mask_from_indices
+from .bitset import CAPACITY, indices_of, is_int, is_subset, mask_from_indices
 from .errors import BoardError, DegenerateTransversalError, FormatError, GuardExceeded
 
 SUBSET_COUNT_LIMIT = 10**6
@@ -32,7 +33,7 @@ DEFAULT_FAMILY_CAP = 200_000
 def _check_board_size(n: int, exact: bool = True) -> None:
     """Refuse an element count `n` off [0, CAPACITY].  With `exact` False, n
     is only a lower bound on the board's size, and the message leaves it out."""
-    if not isinstance(n, int):
+    if not is_int(n):
         raise BoardError(f"element count must be an integer, got {n!r}")
     if n < 0:
         raise BoardError(f"negative element count {n}")
@@ -87,7 +88,13 @@ class SimpleGraph:
 
 @dataclass(frozen=True)
 class RootedDigraph:
-    """Directed multigraph with a distinguished start and optional end vertex."""
+    """Directed multigraph with a distinguished start and optional end vertex.
+
+    As a game board its elements are the vertices followed by the arcs:
+    vertex v is element v and arc j, in `arcs` order, is element nv + j.
+    The masks and tables below read that layout; each is computed once per
+    board, on first use.
+    """
 
     nv: int
     arcs: tuple[tuple[int, int], ...]
@@ -99,12 +106,34 @@ class RootedDigraph:
         """Vertices and arcs together form the playable element universe."""
         return self.nv + len(self.arcs)
 
-    def shortest_path_lengths(self) -> list[list[Optional[int]]]:
-        """All-pairs shortest directed path lengths (None when unreachable)."""
+    @cached_property
+    def vertex_mask(self) -> int:
+        """The vertex elements."""
+        return (1 << self.nv) - 1
+
+    @cached_property
+    def arc_ends(self) -> tuple[tuple[int, int], ...]:
+        """(element bit, mask of its two endpoints) of each arc, in arc order."""
+        return tuple(
+            (1 << (self.nv + j), (1 << u) | (1 << v)) for j, (u, v) in enumerate(self.arcs)
+        )
+
+    @cached_property
+    def out_arcs(self) -> tuple[int, ...]:
+        """Per vertex, the mask of its outgoing arc elements."""
+        out = [0] * self.nv
+        for (u, _v), (bit, _ends) in zip(self.arcs, self.arc_ends):
+            out[u] |= bit
+        return tuple(out)
+
+    @cached_property
+    def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
+        """All-pairs shortest directed path lengths: `distances[u][v]` is the
+        fewest arcs on a path from u to v, None when v is unreachable."""
         succ: list[set[int]] = [set() for _ in range(self.nv)]
         for u, v in self.arcs:
             succ[u].add(v)
-        dist: list[list[Optional[int]]] = []
+        dist: list[tuple[Optional[int], ...]] = []
         for s in range(self.nv):
             d: list[Optional[int]] = [None] * self.nv
             d[s] = 0
@@ -119,8 +148,8 @@ class RootedDigraph:
                             d[v] = step
                             nxt.append(v)
                 frontier = nxt
-            dist.append(d)
-        return dist
+            dist.append(tuple(d))
+        return tuple(dist)
 
 
 def _canonical_edges(masks: Iterable[int]) -> tuple[int, ...]:
@@ -148,10 +177,13 @@ def hypergraph_from_masks(
     n: int, masks: Iterable[int], labels: Optional[Sequence[str]] = None
 ) -> Hypergraph:
     """Construct from masks: duplicate edges collapse; an empty edge, a bit
-    past the board or a label count other than n is an error."""
+    past the board, or labels other than a list of n strings is an error."""
     _check_board_size(n)
-    if labels is not None and len(labels) != n:
-        raise BoardError(f"expected {n} labels, got {len(labels)}")
+    if labels is not None:
+        if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+            raise BoardError(f"labels must be a list of strings, got {labels!r}")
+        if len(labels) != n:
+            raise BoardError(f"expected {n} labels, got {len(labels)}")
     edges = _canonical_edges(masks)
     if edges:
         if not edges[0]:  # the empty set is the only mask of size 0
@@ -162,7 +194,8 @@ def hypergraph_from_masks(
 
 
 def inclusion_minimal(masks: Sequence[int]) -> list[int]:
-    """The inclusion-minimal members of a family of masks."""
+    """The inclusion-minimal members of a family of masks, each once, in the
+    canonical (size, value) order of `_canonical_edges`."""
     kept: list[int] = []
     for m in _canonical_edges(masks):
         if not any(is_subset(k, m) for k in kept):
@@ -172,7 +205,7 @@ def inclusion_minimal(masks: Sequence[int]) -> list[int]:
 
 def minimalize(h: Hypergraph) -> Hypergraph:
     """Drop every edge that strictly contains another edge."""
-    return Hypergraph(h.n, _canonical_edges(inclusion_minimal(h.edges)), h.labels)
+    return Hypergraph(h.n, tuple(inclusion_minimal(h.edges)), h.labels)
 
 
 def disjoint_union(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
@@ -345,7 +378,7 @@ def _endpoints(pair: Sequence[int], what: str) -> tuple[int, int]:
     if len(pair) != 2:
         raise BoardError(f"{what} must have two endpoints, got {pair!r}")
     u, v = pair
-    if not (isinstance(u, int) and isinstance(v, int)):
+    if not (is_int(u) and is_int(v)):
         raise BoardError(f"{what} endpoints must be integers, got {pair!r}")
     return u, v
 
@@ -394,8 +427,8 @@ def digraph_new(
             raise BoardError(f"arc ({u},{v}) out of range [0, {nv})")
         out.append((u, v))
     for name, v in (("start", start), ("end", end)):
-        if v is not None and not (isinstance(v, int) and 0 <= v < nv):
-            raise BoardError(f"{name} vertex {v!r} out of range [0, {nv})")
+        if (v is not None or name == "start") and not (is_int(v) and 0 <= v < nv):
+            raise BoardError(f"{name} vertex must be an integer in [0, {nv}), got {v!r}")
     return RootedDigraph(nv, tuple(out), start, end)
 
 

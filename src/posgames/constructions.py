@@ -9,8 +9,8 @@ parameters, before it builds the board; the gadget, a graph to test
 domination on, has its own vertex cap.
 Vertex numbering is deterministic: the global start is vertex 0, the global
 end (when present) vertex 1, the hub digraph's hubs vertices 0..b+1, junction
-vertices in recursion order afterwards.  As in the game engine, element v < nv
-is vertex v and element nv + j is arc j, arcs numbered in recursion order too.
+vertices in recursion order afterwards.  Arcs are numbered in recursion order
+too, and a digraph's elements are laid out as `boards.RootedDigraph` says.
 """
 
 from __future__ import annotations

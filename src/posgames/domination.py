@@ -15,8 +15,8 @@ from .bitset import iter_bits
 from .boards import (
     Hypergraph,
     SimpleGraph,
+    _canonical_edges,
     _check_board_size,
-    hypergraph_from_masks,
     induced_subgraph,
     minimal_transversals,
 )
@@ -57,7 +57,7 @@ def minimal_dominating_sets(g: SimpleGraph) -> Hypergraph:
         )
     hoods = [g.closed_neighborhood(v) for v in range(g.n)]
     masks = minimal_transversals(g.n, hoods)
-    return hypergraph_from_masks(g.n, masks)
+    return Hypergraph(g.n, _canonical_edges(masks))
 
 
 def dom_game_values(

@@ -5,10 +5,10 @@ Kinds:
   WAITER_CLIENT  unbiased offer/keep game on a hypergraph.  The Waiter plays
                  the Maker role (her claimed set is `maker`); a lone final
                  free element always goes to Client.
-  AUX_EDGE       (1:b) game on a rooted directed multigraph whose elements
-                 are the vertices followed by the arcs.  The Maker may claim
-                 an arc only when she already owns both endpoints, and wins
-                 by claiming any arc.
+  AUX_EDGE       (1:b) game on a rooted directed multigraph, whose element
+                 layout (vertices, then arcs) `boards.RootedDigraph` gives.
+                 The Maker may claim an arc only when she already owns both
+                 endpoints, and wins by claiming any arc.
 
 Bias semantics: a move claims exactly min(bias, #free) elements.  Round
 counting ("within t rounds") counts completed Maker/Waiter moves, whoever
@@ -81,8 +81,7 @@ class GameSpec:
                 raise BoardError("aux game needs a digraph board")
             if self.maker_bias != 1:
                 raise BoardError("aux game fixes the maker bias at 1")
-            vmask = (1 << self.board.nv) - 1
-            if self.preclaimed_maker & ~vmask:
+            if self.preclaimed_maker & ~self.board.vertex_mask:
                 raise BoardError("preclaimed elements must be vertices of the digraph")
         else:
             if not isinstance(self.board, Hypergraph):
@@ -106,21 +105,6 @@ class GameSpec:
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.n_elements) - 1
-
-    @cached_property
-    def vertex_mask(self) -> int:
-        """Aux games: the vertex elements."""
-        return (1 << self.board.nv) - 1  # type: ignore[union-attr]
-
-    @cached_property
-    def arc_ends(self) -> tuple[tuple[int, int], ...]:
-        """Aux games: (element bit, mask of its two endpoints) of each arc,
-        in arc order."""
-        board: RootedDigraph = self.board  # type: ignore[assignment]
-        return tuple(
-            (arc_element_bit(board, j), (1 << u) | (1 << v))
-            for j, (u, v) in enumerate(board.arcs)
-        )
 
 
 class GameState(NamedTuple):
@@ -154,10 +138,6 @@ def free_mask(spec: GameSpec, state: GameState) -> int:
     return spec.full_mask & ~(state.maker | state.breaker)
 
 
-def arc_element_bit(board: RootedDigraph, arc_index: int) -> int:
-    return 1 << (board.nv + arc_index)
-
-
 def mover_bias(spec: GameSpec, state: GameState) -> int:
     """The bias of the player to move: the Maker's, the Breaker's, or 1 for
     the Breaker's one-element pre-move.  A claim takes min(bias, #free)."""
@@ -172,9 +152,10 @@ def _aux_maker_elements(spec: GameSpec, state: GameState) -> int:
     """Mask of the single elements the aux Maker may claim: free vertices,
     and free arcs whose endpoints she already owns."""
     maker = state.maker
+    board: RootedDigraph = spec.board  # type: ignore[assignment]
     free = spec.full_mask & ~(maker | state.breaker)
-    elements = free & spec.vertex_mask
-    for bit, ends in spec.arc_ends:
+    elements = free & board.vertex_mask
+    for bit, ends in board.arc_ends:
         if free & bit and maker & ends == ends:
             elements |= bit
     return elements
@@ -261,14 +242,10 @@ def apply_move(spec: GameSpec, state: GameState, elements: int) -> GameState:
     if elements & ~free:
         raise IllegalMove("claim must use free elements")
     if spec.kind is _AUX and to_move is _MAKER:
-        board: RootedDigraph = spec.board  # type: ignore[assignment]
         if elements.bit_count() != 1:
             raise IllegalMove("aux maker claims one element per move")
-        idx = elements.bit_length() - 1
-        if idx >= board.nv:
-            u, v = board.arcs[idx - board.nv]
-            if not (maker & (1 << u) and maker & (1 << v)):
-                raise IllegalMove("arc may only be claimed once both endpoints are owned")
+        if not elements & _aux_maker_elements(spec, state):
+            raise IllegalMove("arc may only be claimed once both endpoints are owned")
     elif elements.bit_count() != min(mover_bias(spec, state), free.bit_count()):
         raise IllegalMove("claim must use exactly min(bias, #free) elements")
     if to_move is _MAKER:
@@ -285,8 +262,7 @@ def status(spec: GameSpec, state: GameState) -> Outcome:
     solver's job.
     """
     if spec.kind is _AUX:
-        nv = spec.board.nv  # type: ignore[union-attr]
-        arcs = spec.full_mask >> nv << nv
+        arcs = spec.full_mask & ~spec.board.vertex_mask  # type: ignore[union-attr]
         if state.maker & arcs:
             return _MAKER_WIN
         if arcs & ~state.breaker:

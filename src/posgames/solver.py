@@ -478,10 +478,8 @@ def _game(
     if spec.kind is GameKind.WAITER_CLIENT:
         return _WCSearch(board.n, settings), list(board.edges)
     if spec.kind is GameKind.AUX_EDGE:
-        sets = [
-            (1 << (board.nv + j)) | (1 << u) | (1 << v) for j, (u, v) in enumerate(board.arcs)
-        ]
-        lead = {1 << v: 1 << v for v in range(board.nv)}
+        sets = [bit | ends for bit, ends in board.arc_ends]
+        lead = {bit: bit for bit in iter_bits(board.vertex_mask)}
     else:
         sets = list(board.edges)
         lead = None

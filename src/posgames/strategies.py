@@ -65,7 +65,6 @@ engine-legal.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import sys
 from dataclasses import dataclass
@@ -299,13 +298,9 @@ def _fallback(spec: GameSpec, state: GameState) -> int:
     return moves[0]
 
 
-def _maker_vertices(board: RootedDigraph, maker: int) -> list[int]:
-    return [v for v in range(board.nv) if maker & (1 << v)]
-
-
-def _new_vertex(nv: int, new: int) -> Optional[int]:
+def _new_vertex(board: RootedDigraph, new: int) -> Optional[int]:
     """The highest vertex among the newly claimed elements `new`, if any."""
-    new &= (1 << nv) - 1
+    new &= board.vertex_mask
     return new.bit_length() - 1 if new else None
 
 
@@ -344,26 +339,17 @@ def make_maker_gtb(t: int, b: int) -> Strategy:
 # Blocking breaker: keep at most one opposing vertex with free outgoing arcs
 
 
-@functools.lru_cache(maxsize=128)
-def _digraph_tables(board: RootedDigraph):
-    """(outgoing arc element mask per vertex, dists)."""
-    out_arcs = [0] * board.nv
-    for j, (u, _v) in enumerate(board.arcs):
-        out_arcs[u] |= 1 << (board.nv + j)
-    return tuple(out_arcs), board.shortest_path_lengths()
-
-
 def _block_arcs(
-    board: RootedDigraph, free: int, owned: list[int], new_v: Optional[int],
+    board: RootedDigraph, free: int, owned: int, new_v: Optional[int],
     threshold: Optional[int] = None,
 ) -> int:
-    """The free outgoing arcs of one of the Maker's `owned` vertices (in
-    ascending order), or 0.  A vertex is live while it has free outgoing
+    """The free outgoing arcs of one of the vertices among the Maker's
+    elements `owned`, or 0.  A vertex is live while it has free outgoing
     arcs.  When the new vertex `new_v` is live, block the lowest other live
     vertex if `new_v` lies below it at distance under `threshold` (None: any
     distance), and `new_v` otherwise; else block the lowest live vertex."""
-    out_arcs, dist = _digraph_tables(board)
-    live = [v for v in owned if out_arcs[v] & free]
+    out_arcs, dist = board.out_arcs, board.distances
+    live = [v for v in indices_of(owned & board.vertex_mask) if out_arcs[v] & free]
     if new_v in live:
         x = next((v for v in live if v != new_v), None)
         if x is None or dist[x][new_v] is None:  # new_v does not lie below x
@@ -379,9 +365,8 @@ def make_breaker_gtb_block(b: int) -> Strategy:
 
     def next_move(spec: GameSpec, state: GameState, prev_maker: int):
         board: RootedDigraph = spec.board  # type: ignore[assignment]
-        new_v = _new_vertex(board.nv, state.maker & ~prev_maker)
-        owned = _maker_vertices(board, state.maker)
-        want = _block_arcs(board, free_mask(spec, state), owned, new_v)
+        new_v = _new_vertex(board, state.maker & ~prev_maker)
+        want = _block_arcs(board, free_mask(spec, state), state.maker, new_v)
         return _claim_exact(spec, state, want), state.maker
 
     return Strategy("breaker-gtb-block", Player.BREAKER, next_move, 0)
@@ -393,10 +378,9 @@ def make_breaker_gtb_slow(t: int, b: int) -> Strategy:
     def next_move(spec: GameSpec, state: GameState, mem: tuple[int, int]):
         board: RootedDigraph = spec.board  # type: ignore[assignment]
         prev_maker, move_no = mem
-        new_v = _new_vertex(board.nv, state.maker & ~prev_maker)
-        owned = _maker_vertices(board, state.maker)
+        new_v = _new_vertex(board, state.maker & ~prev_maker)
         threshold = 2 ** max(t - move_no - 1, 0)
-        want = _block_arcs(board, free_mask(spec, state), owned, new_v, threshold)
+        want = _block_arcs(board, free_mask(spec, state), state.maker, new_v, threshold)
         return _claim_exact(spec, state, want), (state.maker, move_no + 1)
 
     return Strategy("breaker-gtb-slow", Player.BREAKER, next_move, (0, 1))
@@ -470,19 +454,18 @@ def _block_in_copy(
     owned = copy.vertices & maker | 1 << sink
     if start_owned:
         owned |= copy.start
-    return _block_arcs(board, free & copy.elements, indices_of(owned), new_v, threshold)
+    return _block_arcs(board, free & copy.elements, owned, new_v, threshold)
 
 
 def make_breaker_htb_premove(t: int, b: int) -> Strategy:
     """Memory: the Maker's set at the script's previous turn."""
-    digraph, groups = build_htb_indexed(t, b)
-    vmap, copies = _copy_map(groups)
+    vmap, copies = _copy_map(build_htb_indexed(t, b)[1])
 
     def next_move(spec: GameSpec, state: GameState, prev_maker: int):
         free = free_mask(spec, state)
         want = free & 1  # hub 0 as the single opening element
         if state.breaker:
-            new_v = _new_vertex(digraph.nv, state.maker & ~prev_maker)
+            new_v = _new_vertex(spec.board, state.maker & ~prev_maker)
             want = 0
             if new_v in vmap:
                 want = _block_in_copy(
@@ -501,13 +484,12 @@ class _HtbSlowMem(NamedTuple):
 
 
 def make_breaker_htb_slow(t: int, b: int) -> Strategy:
-    digraph, groups = build_htb_indexed(t, b)
-    vmap, copies = _copy_map(groups)
+    vmap, copies = _copy_map(build_htb_indexed(t, b)[1])
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbSlowMem):
         board: RootedDigraph = spec.board  # type: ignore[assignment]
         free = free_mask(spec, state)
-        new_v = _new_vertex(digraph.nv, state.maker & ~mem.prev_maker)
+        new_v = _new_vertex(board, state.maker & ~mem.prev_maker)
         cid = vmap.get(new_v)
         mode, blocked, counts = mem.mode, mem.blocked_copy, mem.counts
         want = 0
@@ -534,13 +516,12 @@ def make_breaker_htb_slow(t: int, b: int) -> Strategy:
             mode = "mixed"
         elif mode == "mixed" and new_v in range(b + 2):
             # a later hub: claim the free arcs whose two endpoints she owns
-            arcs = enumerate(board.arcs, start=board.nv)
             want = free & sum(
-                1 << j for j, (u, v) in arcs if state.maker >> u & state.maker >> v & 1
+                bit for bit, ends in board.arc_ends if state.maker & ends == ends
             )
         elif mode == "blockall":
             # hub 0 is the breaker's own opening claim here
-            want = _block_arcs(board, free, _maker_vertices(board, state.maker), new_v)
+            want = _block_arcs(board, free, state.maker, new_v)
         return _claim_exact(spec, state, want), _HtbSlowMem(state.maker, mode, blocked, counts)
 
     return Strategy(

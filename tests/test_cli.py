@@ -289,8 +289,9 @@ class TestMalformedInput:
          "start vertex"),
         ("dom gamma --graph", {"type": "graph", "n": 3, "edges": [[0, 1.5]]}, "integers"),
         ("dom gamma --graph", {"type": "graph", "n": "3", "edges": []}, "integer"),
+        ("solve mb --board", {"type": "hypergraph", "n": True, "edges": [[0]]}, "integer"),
     ], ids=["edge-index-str", "edge-index-float", "n-str", "edges-int", "arc-str",
-            "arc-float", "start-float", "graph-edge-float", "graph-n-str"])
+            "arc-float", "start-float", "graph-edge-float", "graph-n-str", "n-bool"])
     def test_bad_board(self, capsys, tmp_path, command, doc, message):
         board = tmp_path / "board.json"
         board.write_text(json.dumps(doc))

@@ -71,7 +71,7 @@ class TestBranchedDigraph:
     @pytest.mark.parametrize("t,b", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 1)])
     def test_shortest_path_doubles_per_level(self, t, b):
         d = build_gtb(t, b)
-        assert d.shortest_path_lengths()[d.start][d.end] == 2 ** (t - 1)
+        assert d.distances[d.start][d.end] == 2 ** (t - 1)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("b", [1, 2, 3])
@@ -90,7 +90,7 @@ class TestBranchedDigraph:
 
     def test_reachability_is_a_partial_order(self):
         d = build_gtb(3, 2)
-        dist = d.shortest_path_lengths()
+        dist = d.distances
         for u in range(d.nv):
             for v in range(d.nv):
                 if u != v and dist[u][v] is not None:

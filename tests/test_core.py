@@ -17,6 +17,7 @@ from posgames.boards import (
     digraph_new,
     disjoint_union,
     dumps,
+    family_from_json,
     from_json,
     graph_new,
     hypergraph_from_masks,
@@ -333,6 +334,24 @@ class TestGraphsAndDigraphs:
         d = digraph_new(2, [(0, 1), (0, 1)], start=0, end=1)
         assert len(d.arcs) == 2
 
+    def test_digraph_element_layout(self):
+        # vertex v is element v, arc j is element nv + j: arcs 0 and 1 are
+        # parallel, arc 4 is a loop, and vertex 3 has no arc at all
+        d = digraph_new(4, [(0, 1), (0, 1), (1, 2), (2, 0), (1, 1)], start=0)
+        assert d.n_elements == 9
+        assert d.vertex_mask == 0b1111
+        assert d.arc_ends == (
+            (1 << 4, 0b0011), (1 << 5, 0b0011), (1 << 6, 0b0110), (1 << 7, 0b0101),
+            (1 << 8, 0b0010),
+        )
+        assert d.out_arcs == ((1 << 4) | (1 << 5), (1 << 6) | (1 << 8), 1 << 7, 0)
+        assert d.distances == (
+            (0, 1, 2, None),
+            (2, 0, 1, None),
+            (1, 2, 0, None),
+            (None, None, None, 0),
+        )
+
 
 def _is_tree(g) -> bool:
     if len(g.edges) != g.n - 1:
@@ -416,6 +435,28 @@ class TestSerialization:
     def test_unknown_type_rejected(self):
         with pytest.raises(FormatError):
             from_json({"type": "widget"})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"type": "hypergraph", "n": True, "edges": [[0]]}, "element count"),
+        ({"type": "hypergraph", "n": 2, "edges": [[True]]}, "not an integer"),
+        ({"type": "graph", "n": 2, "edges": [[0, True]]}, "integers"),
+        ({"type": "digraph", "n": True, "arcs": [], "start": 0}, "element count"),
+        ({"type": "digraph", "n": 2, "arcs": [[False, 1]], "start": 0}, "integers"),
+        ({"type": "digraph", "n": 2, "arcs": [[0, 1]], "start": True}, "start vertex"),
+        ({"type": "digraph", "n": 2, "arcs": [[0, 1]], "start": None}, "start vertex"),
+        ({"type": "digraph", "n": 2, "arcs": [[0, 1]], "start": 0, "end": True}, "end vertex"),
+        ({"type": "hypergraph", "n": 2, "edges": [[0]], "labels": "ab"}, "labels"),
+        ({"type": "hypergraph", "n": 2, "edges": [[0]], "labels": [1, 2]}, "labels"),
+    ], ids=["n", "edge-index", "graph-edge", "digraph-n", "arc", "start", "start-null",
+            "end", "labels-str", "labels-int"])
+    def test_booleans_and_bad_labels_rejected(self, doc, message):
+        with pytest.raises(FormatError, match=message):
+            loads(json.dumps(doc))
+
+    def test_family_rejects_booleans(self):
+        for sets in ([[True]], [[0, False]]):
+            with pytest.raises(FormatError, match="not an integer"):
+                family_from_json({"type": "family", "sets": sets}, 2)
 
     def test_random_round_trips(self, rng):
         from conftest import random_hypergraph_masks

@@ -300,7 +300,7 @@ class TestSlowBlockerInvariants:
     def test_properties_hold_along_random_plays(self, t, b, rng):
         spec, strat, _ = instance("breaker-gtb-slow", t=t, b=b)
         board = spec.board
-        dist = board.shortest_path_lengths()
+        dist = board.distances
         out_arcs = [0] * board.nv
         for j, (u, _v) in enumerate(board.arcs):
             out_arcs[u] |= 1 << (board.nv + j)
