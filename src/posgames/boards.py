@@ -17,7 +17,7 @@ a canonical order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -66,21 +66,20 @@ class Hypergraph:
 class SimpleGraph:
     """Undirected graph without loops or parallel edges.
 
-    `edges` holds (u, v) pairs with u < v; `adjacency` is the per-vertex
-    neighbour mask, derived once at construction.
+    `edges` holds (u, v) pairs with u < v.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[int, ...] = field(repr=False, default=())
 
-    def __post_init__(self):
-        if not self.adjacency:
-            adj = [0] * self.n
-            for u, v in self.edges:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            object.__setattr__(self, "adjacency", tuple(adj))
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Per vertex, the mask of its neighbours; computed once, on first use."""
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
 
     def closed_neighborhood(self, v: int) -> int:
         return self.adjacency[v] | (1 << v)

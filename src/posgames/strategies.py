@@ -58,9 +58,11 @@ are the script's smallest instance, so `instance` passes on only the
 parameters given, and the CLI reads a script's flags from the builder's
 signature as it reads a suite's.
 
-Where a script says "claim arbitrary elements" the lowest-index free element
-is taken, and every claim is padded to the exact bias so the move is always
-engine-legal.
+A script plays only its plan.  Where the plan says "claim arbitrary
+elements" the lowest-index free elements are taken, padding a claim up to the
+exact bias.  A plan that names a claimed element, more elements than the bias,
+or no move at all gives a move `apply_move` refuses, and the verifier reports
+it as the script's `illegal:<player>` move in the counterexample.
 """
 
 from __future__ import annotations
@@ -282,20 +284,11 @@ def _pad(mask: int, size: int, free: int) -> int:
 
 
 def _claim_exact(spec: GameSpec, state: GameState, want: int) -> int:
-    """Claim `want` (intersected with free), padded or trimmed to exact bias."""
+    """Claim `want`, padded with the lowest free elements up to the exact
+    bias.  Nothing is trimmed: a `want` holding a claimed element or more
+    elements than the bias stays in the move, which `apply_move` refuses."""
     free = free_mask(spec, state)
-    size = min(mover_bias(spec, state), free.bit_count())
-    claim = want & free
-    if claim.bit_count() > size:
-        claim = low_bits(claim, size)
-    return _pad(claim, size, free)
-
-
-def _fallback(spec: GameSpec, state: GameState) -> int:
-    moves = legal_moves(spec, state)
-    if not moves:
-        raise PosgamesError("no legal move available")
-    return moves[0]
+    return _pad(want, min(mover_bias(spec, state), free.bit_count()), free)
 
 
 def _new_vertex(board: RootedDigraph, new: int) -> Optional[int]:
@@ -327,10 +320,7 @@ def make_maker_gtb(t: int, b: int) -> Strategy:
     root = build_gtb_indexed(t, b)[1]
 
     def next_move(spec: GameSpec, state: GameState, node: GtbNode):
-        bit, below = _gtb_step(node, state.maker, state.breaker)
-        if not bit & free_mask(spec, state):
-            return _fallback(spec, state), node
-        return bit, below
+        return _gtb_step(node, state.maker, state.breaker)
 
     return Strategy("maker-gtb", Player.MAKER, next_move, root)
 
@@ -398,13 +388,15 @@ class _HtbMakerMem(NamedTuple):
 def _hub_step(
     hubs: tuple[int, ...], groups: tuple[tuple[GtbNode, ...], ...],
     maker: int, breaker: int, mem: _HtbMakerMem,
-) -> Optional[tuple[int, _HtbMakerMem]]:
-    """The hub script's next elements to claim and its memory, or None when
-    it has no move: hub 0 first, then the hub of an untouched group (its hub
-    neither the Maker's nor touched by the Breaker, no Breaker element in
-    its copies), then the branched descent inside the group's first
-    untouched copy.  `hubs` and the copies are masks of the board's
-    elements, and the Maker owns a vertex once she holds all of it."""
+) -> tuple[int, _HtbMakerMem]:
+    """The hub script's next elements to claim and its memory: hub 0 first,
+    then the hub of an untouched group (its hub neither the Maker's nor
+    touched by the Breaker, no Breaker element in its copies), then the
+    branched descent inside the group's first untouched copy.  `hubs` and
+    the copies are masks of the board's elements, and the Maker owns a
+    vertex once she holds all of it.  When the plan has no move the claim is
+    0, and a planned element the Breaker holds is returned as it is: either
+    way the move is off the plan, and `apply_move` refuses it."""
     if hubs[0] & ~maker:
         return hubs[0], mem
     if mem.group is None:
@@ -412,12 +404,12 @@ def _hub_step(
             if (hubs[i] & ~maker and not hubs[i] & breaker
                     and not any(c.elements & breaker for c in group)):
                 return hubs[i], _HtbMakerMem(i, None)
-        return None
+        return 0, mem
     node = mem.node
     if node is None:
         node = next((c for c in groups[mem.group - 1] if not c.elements & breaker), None)
         if node is None:
-            return None
+            return 0, mem
     bit, node = _gtb_step(node, maker, breaker)
     return bit, _HtbMakerMem(mem.group, node)
 
@@ -427,10 +419,7 @@ def make_maker_htb(t: int, b: int) -> Strategy:
     hubs = tuple(1 << i for i in range(b + 2))
 
     def next_move(spec: GameSpec, state: GameState, mem: _HtbMakerMem):
-        step = _hub_step(hubs, groups, state.maker, state.breaker, mem)
-        if step is None or not step[0] & free_mask(spec, state):
-            return _fallback(spec, state), mem
-        return step
+        return _hub_step(hubs, groups, state.maker, state.breaker, mem)
 
     return Strategy("maker-htb", Player.MAKER, next_move, _HtbMakerMem(None, None))
 
@@ -543,28 +532,22 @@ def make_maker_nonmonotone(blocked: frozenset[int] | set[int]) -> Strategy:
         free = free_mask(spec, state)
         size = min(spec.maker_bias, free.bit_count())
         claim = 0
-        if state.maker == 0:
-            for blk in blocks[: spec.maker_bias]:
-                pick = blk & free
-                if pick:
-                    claim |= pick & -pick
-        else:
-            for blk in blocks:  # answer every newly threatened uncovered block
-                if claim.bit_count() >= size:
-                    break
-                if blk & state.maker or not blk & state.breaker:
-                    continue
-                pick = blk & free
-                if pick:
-                    claim |= pick & -pick
-            for blk in blocks:  # then make progress on untouched blocks
-                if claim.bit_count() >= size:
-                    break
-                if blk & (state.maker | claim):
-                    continue
-                pick = blk & free & ~claim
-                if pick:
-                    claim |= pick & -pick
+        for blk in blocks:  # answer every newly threatened uncovered block
+            if claim.bit_count() >= size:
+                break
+            if blk & state.maker or not blk & state.breaker:
+                continue
+            pick = blk & free
+            if pick:
+                claim |= pick & -pick
+        for blk in blocks:  # then make progress on untouched blocks
+            if claim.bit_count() >= size:
+                break
+            if blk & (state.maker | claim):
+                continue
+            pick = blk & free & ~claim
+            if pick:
+                claim |= pick & -pick
         return _claim_exact(spec, state, claim), mem
 
     return Strategy("maker-nonmonotone", Player.MAKER, next_move)
@@ -611,11 +594,13 @@ class _WaiterCycleMem(NamedTuple):
 
 
 def make_waiter_cycle(n: int) -> Strategy:
+    """Offers the next planned pair with no check: the builder's horizon,
+    n // 2 rounds, is the plan's length, and the verifier asks for no move
+    once that many rounds have been played."""
     if n < 3:
         raise PosgamesError("cycles need at least 3 vertices")
 
     def next_move(spec: GameSpec, state: GameState, mem: _WaiterCycleMem):
-        free = free_mask(spec, state)
         if mem.perm is None:
             if state.maker == 0 and state.breaker == 0:
                 return (1 << (n - 2)) | (1 << (n - 1)), mem
@@ -624,14 +609,9 @@ def make_waiter_cycle(n: int) -> Strategy:
             else:
                 perm = tuple((2 * n - 3 - j) % n for j in range(n))
             mem = _WaiterCycleMem(perm, 0)
-        k = n - 2 if (n - 2) % 2 == 0 else n - 3
-        if mem.next_start + 1 < k:
-            a = mem.perm[mem.next_start]
-            c = mem.perm[mem.next_start + 1]
-            offer = (1 << a) | (1 << c)
-            if offer & free == offer:
-                return offer, _WaiterCycleMem(mem.perm, mem.next_start + 2)
-        return _fallback(spec, state), mem
+        a = mem.perm[mem.next_start]
+        c = mem.perm[mem.next_start + 1]
+        return (1 << a) | (1 << c), _WaiterCycleMem(mem.perm, mem.next_start + 2)
 
     return Strategy("waiter-cycle", Player.MAKER, next_move, _WaiterCycleMem(None, 0))
 
@@ -681,7 +661,10 @@ def make_client_cycle(n: int) -> Strategy:
 
 
 def make_waiter_tree(tree) -> Strategy:
-    """Memory: the index of the next pair to offer."""
+    """Memory: the index of the next pair to offer.  The pair is offered with
+    no check: the builder's horizon, n // 2 rounds, is the plan's length,
+    and the verifier asks for no move once that many rounds have been
+    played."""
     if wc_tree_value(tree) is None:
         raise PosgamesError("the tree offer script needs a perfect matching")
     rep = residue(tree)
@@ -689,13 +672,8 @@ def make_waiter_tree(tree) -> Strategy:
     pairs.append((rep.kept[0], rep.kept[1]))
 
     def next_move(spec: GameSpec, state: GameState, index: int):
-        free = free_mask(spec, state)
-        if index < len(pairs):
-            v, w = pairs[index]
-            offer = (1 << v) | (1 << w)
-            if offer & free == offer:
-                return offer, index + 1
-        return _fallback(spec, state), index
+        v, w = pairs[index]
+        return (1 << v) | (1 << w), index + 1
 
     return Strategy("waiter-tree", Player.MAKER, next_move, 0)
 
@@ -712,16 +690,15 @@ class _HmbstMem(NamedTuple):
 
 
 def _hmbst_move(info: MbstInfo, maker: int, breaker: int, mem: _HmbstMem):
-    """Claim mask (un-padded) plus memory, recursing through nested levels.
-    The flat form is the hub script on the board's own sets: it reaches an
-    arc only once both end vertices are the Maker's, so the arc's own
-    elements are what is left of its winning set."""
+    """Claim mask (un-padded, 0 when the plan has no move) plus memory,
+    recursing through nested levels.  The flat form is the hub script on the
+    board's own sets: it reaches an arc only once both end vertices are the
+    Maker's, so the arc's own elements are what is left of its winning
+    set."""
     if info.inner is None:
         hub_mem = mem.inner or _HtbMakerMem(None, None)
-        step = _hub_step(info.hubs, info.groups, maker, breaker, hub_mem)
-        if step is None:
-            return 0, mem
-        return step[0], _HmbstMem(None, step[1])
+        claim, hub_mem = _hub_step(info.hubs, info.groups, maker, breaker, hub_mem)
+        return claim, _HmbstMem(None, hub_mem)
 
     # nested form
     if info.shared & ~maker:
@@ -744,10 +721,8 @@ def make_maker_hmbst(m: int, b: int, s: int, t: int) -> Strategy:
     _h, _fam, info = build_hmbst_indexed(m, b, s, t)
 
     def next_move(spec: GameSpec, state: GameState, mem: _HmbstMem):
-        claim, mem2 = _hmbst_move(info, state.maker, state.breaker, mem)
-        if claim == 0:
-            return _fallback(spec, state), mem
-        return _claim_exact(spec, state, claim), mem2
+        claim, mem = _hmbst_move(info, state.maker, state.breaker, mem)
+        return claim and _claim_exact(spec, state, claim), mem
 
     return Strategy("maker-hmbst", Player.MAKER, next_move, _HmbstMem(None, None))
 
@@ -771,7 +746,6 @@ def make_dominator_lift(inner: Strategy, inner_spec: GameSpec) -> Strategy:
         free = free_mask(spec, state)
         if free & core_mask:
             want, inner_mem = inner.next_move(inner_spec, inner_state, mem)
-            want &= free
         else:
             want, inner_mem = 0, mem
         # pad outside the core first so the inner view stays undisturbed

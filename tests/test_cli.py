@@ -290,8 +290,13 @@ class TestMalformedInput:
         ("dom gamma --graph", {"type": "graph", "n": 3, "edges": [[0, 1.5]]}, "integers"),
         ("dom gamma --graph", {"type": "graph", "n": "3", "edges": []}, "integer"),
         ("solve mb --board", {"type": "hypergraph", "n": True, "edges": [[0]]}, "integer"),
+        ("dom gamma --graph", {"type": "graph", "n": 3, "edges": [[0, 1, 2]]},
+         "graph edge must have two endpoints"),
+        ("solve aux --board", {"type": "digraph", "n": 0, "arcs": [], "start": 0},
+         "digraph needs at least one vertex"),
     ], ids=["edge-index-str", "edge-index-float", "n-str", "edges-int", "arc-str",
-            "arc-float", "start-float", "graph-edge-float", "graph-n-str", "n-bool"])
+            "arc-float", "start-float", "graph-edge-float", "graph-n-str", "n-bool",
+            "graph-edge-three-endpoints", "digraph-no-vertices"])
     def test_bad_board(self, capsys, tmp_path, command, doc, message):
         board = tmp_path / "board.json"
         board.write_text(json.dumps(doc))
@@ -565,6 +570,13 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "thm1.8", "--max-n", "4", "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["n,rounds,size,closed", "3,1,1,1", "4,2,2,2"]
+
+    def test_list_cells_are_space_joined_in_csv(self, capsys):
+        code, out = run_cli(capsys, "verify", "thm1.1", "--max-bias", "1", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "blocked,bias,win,expected", "1,1,False,False", "2,1,True,True", "1 2,1,False,False",
+        ]
 
     def test_unset_seed_is_recorded_as_null(self, capsys, tmp_path):
         manifest = tmp_path / "m.json"

@@ -364,3 +364,28 @@ class TestOfferGapBoards:
         assert h.n == 14
         with pytest.raises(BoardError):
             build_wc_gap_case1(2, 3)
+
+
+class TestBuilderRefusals:
+    @pytest.mark.parametrize("build, args, message", [
+        (build_gtb, (0, 1), "both parameters must be at least 1"),
+        (build_hmbst, (0, 1, 3, 3), "biases must be at least 1"),
+        (build_gadget, (hypergraph_new(2, [[0]]), 0), "gadget bias must be at least 1"),
+        (build_ht_wc, (2,), "need at least 3 rounds"),
+        (build_thm12, (1, 1, 4, 3, 4, 4),
+         "the second-player size must be at least the first-player size"),
+        (build_thm12, (1, 1, 3, 3, 4, 3),
+         "the second-player time must be at least the first-player time"),
+        (build_thm14, (1, 1, 1, 3, 3, 3, 3),
+         "the isolated edge must be larger than the maker bias"),
+        (build_thm14, (1, 1, 4, 3, 3, 3, 3), "component edge size must be at least r"),
+        (build_thm15, (1, 1, 3, 3), "the large size must exceed the small size"),
+        (build_thm16, (1, 1, 4, 3, 3, 3), "size parameters out of order"),
+        (build_thm16, (1, 1, 3, 3, 4, 3), "time parameters out of order"),
+    ], ids=["gtb-depth", "hmbst-bias", "gadget-bias", "ht-wc-rounds", "thm12-size",
+            "thm12-time", "thm14-isolated", "thm14-size", "thm15-size", "thm16-size",
+            "thm16-time"])
+    def test_messages(self, build, args, message):
+        with pytest.raises(BoardError) as exc:
+            build(*args)
+        assert str(exc.value) == message

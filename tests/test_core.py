@@ -453,6 +453,34 @@ class TestSerialization:
         with pytest.raises(FormatError, match=message):
             loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[1]", "expected an object with a 'type' field"),
+        ('{"type": "graph", "n": 3}', "missing field 'edges' in graph document"),
+        ('{"type": "graph", "n": 3, "edges": [[0, 1, 2]]}',
+         "graph document: graph edge must have two endpoints, got [0, 1, 2]"),
+        ('{"type": "graph", "n": 3, "edges": [[0, 5]]}',
+         "graph document: edge (0,5) out of range [0, 3)"),
+        ('{"type": "graph", "n": -1, "edges": []}', "graph document: negative element count -1"),
+        ('{"type": "digraph", "n": 0, "arcs": [], "start": 0}',
+         "digraph document: digraph needs at least one vertex"),
+    ], ids=["invalid-json", "non-object", "no-edges", "three-endpoints", "edge-past-graph",
+            "negative-n", "empty-digraph"])
+    def test_malformed_documents(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            loads(text)
+        assert str(exc.value) == message
+
+    def test_digraph_past_capacity(self):
+        with pytest.raises(BoardError) as exc:
+            digraph_new(200, [(0, 1)] * 100, 0)
+        assert str(exc.value) == "digraph element count 300 exceeds capacity 256"
+
+    def test_unknown_object_not_serialized(self):
+        with pytest.raises(FormatError) as exc:
+            to_json(object())
+        assert str(exc.value) == "cannot serialize object"
+
     def test_family_rejects_booleans(self):
         for sets in ([[True]], [[0, False]]):
             with pytest.raises(FormatError, match="not an integer"):

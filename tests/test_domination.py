@@ -42,6 +42,11 @@ class TestIsDominating:
         g = random_graph(6, 0.3, random.Random(1))
         assert is_dominating(g, (1 << 6) - 1)
 
+    def test_refuses_a_vertex_past_the_graph(self):
+        with pytest.raises(BoardError) as exc:
+            is_dominating(path_graph(2), 0b100)
+        assert str(exc.value) == "dominating-set candidate uses unknown vertices"
+
 
 class TestDominationNumber:
     def test_cycle_five(self):

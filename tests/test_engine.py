@@ -195,6 +195,18 @@ class TestApplyMove:
         with pytest.raises(IllegalMove):
             apply_move(spec, initial_state(spec), 1 << 2)
 
+    @pytest.mark.parametrize("kind, board, move, message", [
+        (GameKind.WAITER_CLIENT, hypergraph_new(3, [[0, 1]]), 0b111,
+         "offer must contain exactly 2 element(s)"),
+        (GameKind.AUX_EDGE, digraph_new(2, [(0, 1)], start=0), 0b011,
+         "aux maker claims one element per move"),
+    ], ids=["three-element-offer", "two-element-aux-claim"])
+    def test_refusal_messages(self, kind, board, move, message):
+        spec = GameSpec(kind, board)
+        with pytest.raises(IllegalMove) as exc:
+            apply_move(spec, initial_state(spec), move)
+        assert str(exc.value) == message
+
 
 class TestStatus:
     def test_win_with_witness(self):
@@ -290,3 +302,21 @@ class TestSpecValidation:
         board = digraph_new(2, [(0, 1)], start=0)
         with pytest.raises(BoardError):
             GameSpec(GameKind.AUX_EDGE, board, preclaimed_maker=1 << 2)
+
+    @pytest.mark.parametrize("kind, board, options, message", [
+        (GameKind.AUX_EDGE, hypergraph_new(2, [[0, 1]]), {},
+         "aux game needs a digraph board"),
+        (GameKind.MAKER_BREAKER, digraph_new(2, [(0, 1)], start=0), {},
+         "maker_breaker needs a hypergraph board"),
+        (GameKind.MAKER_BREAKER, hypergraph_new(2, [[0, 1]]), {"preclaimed_maker": 1},
+         "preclaimed sets are only supported in aux games"),
+        (GameKind.MAKER_BREAKER, hypergraph_new(2, [[0, 1]]), {"breaker_premove": True},
+         "the one-element pre-move is only supported in aux games"),
+        (GameKind.WAITER_CLIENT, hypergraph_new(2, [[0, 1]]), {"first": Player.BREAKER},
+         "the waiter always moves first"),
+    ], ids=["aux-on-hypergraph", "claiming-on-digraph", "preclaimed-outside-aux",
+            "premove-outside-aux", "breaker-first-waiter-client"])
+    def test_refusal_messages(self, kind, board, options, message):
+        with pytest.raises(BoardError) as exc:
+            GameSpec(kind, board, **options)
+        assert str(exc.value) == message

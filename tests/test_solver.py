@@ -54,6 +54,15 @@ class TestDecideMB:
     def test_empty_family_is_false(self):
         assert not decide_mb(hypergraph_new(3, []), 1, 1)
 
+    @pytest.mark.parametrize("budgets, message", [
+        ((-1,), "round budget must be non-negative"),
+        ((None, 0), "size budget must be at least 1"),
+    ], ids=["negative-rounds", "zero-size"])
+    def test_objective_refuses_bad_budgets(self, budgets, message):
+        with pytest.raises(PosgamesError) as exc:
+            Objective(*budgets)
+        assert str(exc.value) == message
+
 
 class TestDecideWC:
     def test_lone_element_goes_to_client(self):
@@ -728,6 +737,12 @@ class TestMoveRestriction:
             validate_restriction(h, 2, 1, restriction)
         with pytest.raises(RestrictionError, match="maker bias"):
             decide_mb(h, 2, 1, Player.MAKER, Objective(2), restriction)
+
+    def test_rejects_a_set_no_larger_than_the_maker_bias(self):
+        h = hypergraph_new(3, [[0], [1, 2]])
+        with pytest.raises(RestrictionError) as exc:
+            validate_restriction(h, 1, 1, (0b001, 0b010, 0b100))
+        assert str(exc.value) == "every winning set must be larger than the maker bias"
 
     def test_rejects_shared_outside_elements(self):
         h = hypergraph_new(4, [[0, 1], [1, 2]])

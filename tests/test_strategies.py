@@ -6,7 +6,7 @@ from conftest import naive_verify
 from posgames import strategies
 from posgames.bitset import iter_bits
 from posgames.boards import hypergraph_new
-from posgames.constructions import build_gtb_indexed, build_ht_wc_indexed
+from posgames.constructions import build_gtb_indexed, build_ht_wc_indexed, build_htb
 from posgames.engine import (
     GameKind,
     GameSpec,
@@ -106,6 +106,25 @@ class TestVerifierExamples:
         res = verify_strategy(spec, strat, win_within(1))
         assert not res.ok
         assert res.counterexample is not None
+
+    def test_a_planned_claimed_element_is_the_scripts_illegal_move(self):
+        # the Breaker opens on hub 0, the hub script's first planned claim
+        spec = GameSpec(
+            GameKind.AUX_EDGE, build_htb(3, 1), breaker_bias=1, first=Player.BREAKER
+        )
+        res = verify_strategy(spec, strategies.make_maker_htb(3, 1), win_within(3))
+        assert not res.ok and (res.nodes, res.expanded) == (2, 2)
+        assert res.counterexample == (("breaker", [0]), ("illegal:maker", [0]))
+
+    def test_a_plan_above_the_bias_is_not_trimmed(self):
+        # the Maker's first claim touches both pairs, and the pairing names
+        # both partners at bias 1
+        spec = GameSpec(
+            GameKind.MAKER_BREAKER, hypergraph_new(4, [[0, 2], [1, 3]]), maker_bias=2
+        )
+        res = verify_strategy(spec, make_breaker_pairing((0b101, 0b1010)), never_loses())
+        assert not res.ok and res.nodes == 2
+        assert res.counterexample == (("maker", [0, 1]), ("illegal:breaker", [2, 3]))
 
     def test_certified_bounds_never_beat_the_solver(self):
         spec, strat, guarantee = instance("maker-gtb", t=3, b=2)
