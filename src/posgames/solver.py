@@ -110,7 +110,10 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     the Client keeps one.  A node's value is the `or` or the `and` of its
     children's, so the order changes the cost of a search, never a value.
     It pays: with index order, relabelled thm16(1,1,3,4,4,5), H(1,2,3,4) and
-    htb boards exceed the default memo cap.
+    htb boards exceed the default memo cap.  With dominated elements cut
+    (below) it still does: thm12(1,2,3,3,3,4) with the Breaker first and
+    its labels shuffled still exceeds the cap, and shuffled
+    thm16(1,1,3,4,4,5) takes 5,520,570 calls where the share order takes 969.
   * Led-set menu.  A search may cut the Maker's claims to the sets of a
     `lead` table, which maps the lowest element of each set to the set.  Her
     menu is then the sets whose lowest element is useful, in the move
@@ -176,6 +179,45 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     The split is wrong at m >= 2, where one claim can advance two
     components at once: two disjoint triples at (2:1) are a Maker win
     together, and neither triple is one alone.
+  * Dominated elements (the Breaker's claims at every bias and the Maker's
+    free menu at m = 1; the dominated-cell analysis of Hex solvers:
+    Björnsson, Hayward, Johanson & van Rijswijck, "Dead cell analysis in
+    Hex and the Shannon game", 2007; Henderson, Arneson & Hayward, "Solving
+    8x8 Hex", IJCAI 2009).  Let N(x) be the set of live needs that contain
+    x.  If N(x) is inside N(y), y is at least as good as x for either
+    player:
+      - the Breaker.  His claim changes no need, it removes the needs it
+        hits, so by the residual key the child is the live family minus
+        those, and fewer live needs never help the Maker.  Swapping x for y
+        in a claim (for any other element if y is in it already) hits a
+        superset of the needs;
+      - the Maker at m = 1.  Let sigma swap x and y.  A live need S becomes
+        S - y after she claims y and sigma(S - x) after she claims x.  If S
+        holds x it holds y, and the two are equal; if it holds y only,
+        sigma(S - x) is S - y plus x; if neither, both are S.  So from the
+        position after y she plays the sigma-image of her strategy from the
+        position after x: each need that play completes contains a need of
+        the position after y;
+      - twins (N(x) = N(y)) are the equality case: of each class the search
+        keeps the element that comes first in the move order.
+    The test needs no pairwise comparison.  Let inter(x) be the AND of the
+    live needs that contain x: y is in it exactly when N(x) is inside N(y).
+    If N(x) is a proper subset of N(y), y's share is larger, so y comes
+    first in the move order.  So x is dominated exactly when inter(x) holds
+    an element before it, one pass over the needs decides all, and the top
+    element is never dominated.  By induction along the order every dropped
+    element is dominated by a kept one, so every live need holds a kept
+    element, and the swaps above turn any claim into one of kept elements
+    that is at least as good, as long as enough are kept.  When fewer than
+    the Breaker's bias are kept, claiming all of them, padded with other
+    useful elements, hits every live need; that is his only claim, and its
+    child is lost.  A one-element menu tries the top element before the
+    scan, so the scan runs only at a node that needs a second child.  A
+    larger claim may hold a twin of the top element, so there the scan
+    comes first: H(2,2,5,4) within 4 at (2:2) takes 151,820 calls that way
+    and 519,829 with the first claim unscanned.
+    The led-set menus and the Maker's claims at m >= 2 are not cut, and the
+    offer game lists no claims.
   * Child scan.  A child scans its parent's live needs instead of every
     winning set.  A set missing from the parent's list cannot come back:
     the Breaker (the Client) has hit it and keeps it, or the budget filter
@@ -357,7 +399,7 @@ class _Search:
                 )
         lead = self.lead
         if lead is None:
-            menu = self._claims(self.m, live, free, useful, budget)
+            menu = self._claims(self.m, live, free, useful, budget, self.m == 1)
         else:
             menu = [lead[bit] for bit in self._order(useful & self.leads, live, budget)]
         for mv in menu:
@@ -368,7 +410,7 @@ class _Search:
     def _breaker_node(self, maker, breaker, budget, live, free, useful) -> bool:
         if self.m == 1 and self._breaker_certified(live, budget, 1):
             return False
-        for mv in self._claims(self.b, live, free, useful, budget):
+        for mv in self._claims(self.b, live, free, useful, budget, True):
             if not self.run(maker, breaker | mv, True, budget, live):
                 return False
         return True
@@ -379,24 +421,62 @@ class _Search:
         q = self.b + 1
         return scale * sum(q ** (budget - need.bit_count()) for need in live) < q ** budget
 
-    def _claims(self, bias, live, free, useful, budget):
+    def _claims(self, bias, live, free, useful, budget, prune):
         """The claims of min(bias, free) elements worth trying, best first.
 
         All useful elements padded with the lowest dead ones when they fit,
-        else every claim of useful elements only, in the search's move order.
+        else every claim of useful elements only, in the search's move order;
+        with `prune`, of undominated elements only (the Dominated elements
+        bullet).
         """
         size = min(bias, free.bit_count())
         ucount = useful.bit_count()
         if ucount <= size:
             return (useful | low_bits(free & ~useful, size - ucount),)
+        order = self._order(useful, live, budget)
+        if prune:
+            if size == 1:
+                return _top_then_undominated(order, live)
+            order = _undominated(order, live)
+            if len(order) < size:  # claiming them all hits every live need
+                claim = sum(order)
+                return (claim | low_bits(useful & ~claim, size - len(order)),)
         # the bits are distinct, so a combination's sum is its union
-        return map(sum, combinations(self._order(useful, live, budget), size))
+        return map(sum, combinations(order, size))
 
     def _order(self, useful, live, budget) -> list[int]:
         """Useful elements, largest share of the potential first (the Move
         order bullet)."""
         shares = _shares(live, self.b + 1, budget * self.m)
         return sorted(iter_bits(useful), key=shares.__getitem__, reverse=True)
+
+
+def _top_then_undominated(order, live):
+    """The one-element claims of the undominated elements, in the order.  The
+    top element is never dominated, so it goes first and the scan runs only
+    if the search asks for a second claim."""
+    yield order[0]
+    yield from _undominated(order, live)[1:]
+
+
+def _undominated(order, live) -> list[int]:
+    """The ordered useful elements that no earlier one dominates (the
+    Dominated elements bullet): x goes when an element before it lies in
+    inter(x), the AND of the live needs that hold x."""
+    inter = dict.fromkeys(order, -1)
+    for need in live:
+        rest = need
+        while rest:
+            bit = rest & -rest
+            inter[bit] &= need
+            rest ^= bit
+    keep = []
+    seen = 0
+    for x in order:
+        if not inter[x] & seen:
+            keep.append(x)
+        seen |= x
+    return keep
 
 
 def _shares(live, q: int, top: int) -> dict[int, int]:

@@ -106,7 +106,7 @@ def suite_lemma34(settings: Optional[SolverSettings] = None) -> dict:
 def suite_lemma36(settings: Optional[SolverSettings] = None) -> dict:
     """Hub-digraph game: win in t, not t-1, opening pre-claim flips it."""
     suite = _Suite("lemma3.6")
-    for t, b in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (6, 1)]:
+    for t, b in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1)]:
         board = build_htb(t, b)
         win = solve_aux_game(board, b, 0, Objective(max_rounds=t), settings=settings)
         slow = solve_aux_game(board, b, 0, Objective(max_rounds=t - 1), settings=settings)

@@ -25,6 +25,7 @@ from posgames.solver import (
     SolverSettings,
     _Search,
     _WCSearch,
+    _undominated,
     decide,
     decide_mb,
     decide_wc,
@@ -537,6 +538,87 @@ class TestComponentSplit:
         assert naive_decide(GameSpec(GameKind.MAKER_BREAKER, both, maker_bias=2, breaker_bias=1))
 
 
+@st.composite
+def cored_boards(draw, max_n):
+    """Up to five sets on at most max_n elements, all but at most one of them
+    holding a core of one or two elements.  The core's elements then lie in
+    most needs, so they dominate many other elements, and twins are
+    common."""
+    n = draw(st.integers(2, max_n))
+    core = sum(1 << i for i in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
+    extras = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    loose = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=1))
+    return hypergraph_from_masks(n, [core | e for e in extras] + loose)
+
+
+class TestDominatedElements:
+    """The Breaker and the one-element Maker skip dominated elements; checked
+    against plain engine-driven recursion on boards where most elements are
+    dominated."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        cored_boards(7),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from((Player.MAKER, Player.BREAKER)),
+        round_budgets,
+        st.data(),
+    )
+    def test_claiming_game(self, h, m, b, first, t, data):
+        s = data.draw(st.one_of(st.none(), st.integers(1, h.n)))
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
+        assert decide_mb(h, m, b, first, Objective(t, s)) == naive_decide(spec, t, s)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(2, 4), st.integers(1, 2), round_budgets, st.booleans(), st.data())
+    def test_directed_edge_game(self, nv, b, t, premove, data):
+        # arcs at one hub vertex: each arc's need lies inside its hub's needs
+        vertex = st.integers(0, nv - 1)
+        spoke = st.tuples(vertex, st.booleans()).filter(lambda a: a[0] != 0)
+        spokes = data.draw(st.lists(spoke, min_size=1, max_size=7 - nv, unique=True))
+        arcs = [(0, v) if out else (v, 0) for v, out in spokes]
+        digraph = digraph_new(nv, arcs, start=0)
+        seeds = data.draw(st.integers(0, (1 << nv) - 1))
+        spec = GameSpec(
+            GameKind.AUX_EDGE, digraph, breaker_bias=b,
+            preclaimed_maker=seeds, breaker_premove=premove,
+        )
+        got = solve_aux_game(digraph, b, seeds, Objective(max_rounds=t), breaker_premove=premove)
+        assert got == naive_decide(spec, t, None)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cored_boards(6), st.one_of(st.none(), st.integers(0, 3)), st.data())
+    def test_offer_game_lists_no_claims(self, h, t, data):
+        # the offer search has its own Waiter node and no Breaker node, so
+        # the claim menus (and the rule in them) are never asked for
+        s = data.draw(st.one_of(st.none(), st.integers(1, h.n)))
+
+        def refuse(*args):
+            raise AssertionError("the offer game listed claims")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Search, "_claims", refuse)
+            got = decide_wc(h, Objective(t, s))
+        assert got == naive_decide(GameSpec(GameKind.WAITER_CLIENT, h), t, s)
+
+    def test_breaker_claims_every_undominated_element_when_they_fit(self):
+        # (3:3), Breaker first: 0, 2 and 3 are twins, 4 dominates 1 and 5, so
+        # only 0 and 4 are kept and no claim of three kept elements exists;
+        # claiming both, padded, hits every set
+        h = hypergraph_new(6, [[0, 2, 3], [1, 4, 5], [0, 2, 3, 4], [0, 1, 2, 3, 4]])
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=3, breaker_bias=3,
+                        first=Player.BREAKER)
+        assert not naive_decide(spec)
+        assert not decide_mb(h, 3, 3, Player.BREAKER)
+
+    def test_twins_keep_the_first_in_the_order(self):
+        # 0 lies in both needs and dominates 1 and 2; 3 and 4 are twins
+        assert _undominated([1, 2, 4, 8, 16], [0b00011, 0b00101]) == [1]
+        assert _undominated([8, 16], [0b11000]) == [8]
+        assert _undominated([16, 8], [0b11000]) == [16]
+
+
 class TestSolverInvariants:
     def test_memo_transparency_offer_game(self, rng):
         plain = SolverSettings(use_memo=False)
@@ -594,7 +676,7 @@ class TestSolverInvariants:
         # the pre-move, offers): a change in pruning or in a menu's order shows
         # as a change in these counts.  The free claims are also counted on
         # thm12(1,2,3,3,3,4) with the Breaker first and its elements shuffled
-        # by random.Random(1); its paper labels take 17,574 calls, so an order
+        # by random.Random(1); its paper labels take 1,071 calls, so an order
         # that leans on labels shows as a larger count.  The offers are also
         # counted on C10 with its vertices shuffled (perm is
         # random.Random(0).shuffle of range(10)), a board whose labels do not
@@ -605,7 +687,9 @@ class TestSolverInvariants:
         # loss proof, where the order of the Client's keeps matters most.  The
         # gadget of {01, 12} with the Breaker first keeps sets of 33 to 160
         # elements live under its 163-round budget; without the Breaker
-        # certificate it takes over a minute, with it one call
+        # certificate it takes over a minute, with it one call.  htb(5,2) is
+        # the directed-edge game at b = 2, where the Breaker's claims are
+        # pairs of undominated elements
         calls = [0]
         run = _Search.run
 
@@ -623,6 +707,7 @@ class TestSolverInvariants:
         h, fam = build_hmbst(1, 2, 3, 4)
         composite = build_thm16(1, 1, 3, 4, 4, 5)
         hub = build_htb(5, 1)
+        hub2 = build_htb(5, 2)
         hub_perm = [1, 10, 9, 5, 11, 2, 3, 7, 8, 4, 0, 14, 12, 6, 13]
         hub_shuffled = digraph_new(
             hub.nv, [(hub_perm[u], hub_perm[v]) for u, v in hub.arcs], start=hub_perm[hub.start]
@@ -646,6 +731,9 @@ class TestSolverInvariants:
                 lambda: game_values(thm12_shuffled, 1, 2, Player.BREAKER)
             ),
             "vertices": work(lambda: solve_aux_game(hub, 1, 0, Objective(max_rounds=5))),
+            "vertices, Breaker bias 2": work(
+                lambda: solve_aux_game(hub2, 2, 0, Objective(max_rounds=5))
+            ),
             "vertices after a pre-move": work(
                 lambda: solve_aux_game(hub, 1, 0, breaker_premove=True)
             ),
@@ -661,10 +749,11 @@ class TestSolverInvariants:
                 lambda: dom_game_values(gadget, 1, 1, Player.BREAKER)
             ),
         } == {
-            "associated sets": 2_882,
-            "free claims": 2_542,
-            "free claims, elements shuffled": 32_604,
-            "vertices": 629,
+            "associated sets": 281,
+            "free claims": 870,
+            "free claims, elements shuffled": 2_543,
+            "vertices": 396,
+            "vertices, Breaker bias 2": 12_169,
             "vertices after a pre-move": 53,
             "vertices after a pre-move, vertices shuffled": 71,
             "offers": 6_689,
