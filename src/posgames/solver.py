@@ -41,12 +41,28 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     its elements from the useful ones is therefore exact: from then on
     its elements are dead (below) as far as the remaining play goes.
   * Finish now.  A Maker who can complete a live set this move wins.
-  * Dead elements.  Elements outside every live winning set can never
-    complete a set, so any two are interchangeable.  A claim therefore
-    takes every useful element when they all fit, padded with the lowest
-    dead ones; otherwise it takes useful elements only, because swapping a
-    dead element for a useful one never hurts the claimer (Maker is helped
-    by owning more, Breaker by denying more).
+  * Claim size.  Elements outside every live winning set are dead: they
+    can never complete a set.  A claim takes useful elements only, since
+    swapping a dead element for a useful one never hurts the claimer (the
+    Maker is helped by owning more, the Breaker by denying more: the
+    monotonicity of Hefetz, Krivelevich, Stojaković & Szabó, Positional
+    Games, 2014).  The engine's claims take min(bias, free) elements; a
+    search claim of fewer stands for every legal claim that contains it,
+    and takes no dead element to pad itself out.  That is exact:
+      - the useful elements lie inside the free ones, so when they
+        outnumber the bias, min(bias, free) is the bias, and each claim of
+        that many useful elements is a legal one;
+      - all of the Maker's useful elements fit in one claim only when
+        every live need has at most m elements, and at such a node the
+        finish-now test has already returned, so her claims always hold m
+        elements;
+      - a Breaker claim holds fewer than b elements only when he keeps at
+        most b (the Dominated elements bullet), and claiming those hits
+        every live need, as does every claim that contains them: the child
+        is lost either way;
+      - a child scans only its parent's live needs (the Child scan
+        bullet), and those hold no dead element, so no child sees which
+        dead elements a claim would have taken.
   * Offer game.  The Waiter offers two useful elements, and a node with
     fewer than two left is lost.  Let V be the value when she may offer any
     two free elements and V0 the value with useful pairs only.  V >= V0,
@@ -141,15 +157,12 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
   * Residual key.  Once the filter has run, the rest of play is decided by
     the live needs, the mover and the budget: nothing else of the two
     players' sets can matter, and neither can the number of free dead
-    elements.  A claim takes dead elements only as padding when every
-    useful element fits, and such a claim completes every live set (Maker)
-    or kills every one (Breaker), however many dead elements there are.
-    Otherwise it takes useful elements only, since owning more never hurts
-    the claimer, the Waiter offers useful elements only, and the led-set
-    menu is a function of the live needs (above).  So in every search the
-    key is the set of live needs (as a sorted tuple of distinct masks,
-    which holds it in about a quarter of a frozenset's memory), the mover
-    and the budget.  A size cap only removes winning sets, and a set above
+    elements: a claim takes useful elements only (the Claim size bullet),
+    the Waiter offers useful elements only, and the led-set menu is a
+    function of the live needs (above).  So in every search the key is
+    the set of live needs (as a sorted tuple of distinct masks, which
+    holds it in about a quarter of a frozenset's memory), the mover and
+    the budget.  A size cap only removes winning sets, and a set above
     the cap is dead just like one the budget filter drops, so the key does
     not depend on the cap either: `values` asks all its (rounds, size)
     questions about a board of one search, and each question reuses the
@@ -208,14 +221,14 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     element is never dominated.  By induction along the order every dropped
     element is dominated by a kept one, so every live need holds a kept
     element, and the swaps above turn any claim into one of kept elements
-    that is at least as good, as long as enough are kept.  When fewer than
-    the Breaker's bias are kept, claiming all of them, padded with other
-    useful elements, hits every live need; that is his only claim, and its
-    child is lost.  A one-element menu tries the top element before the
-    scan, so the scan runs only at a node that needs a second child.  A
-    larger claim may hold a twin of the top element, so there the scan
-    comes first: H(2,2,5,4) within 4 at (2:2) takes 151,820 calls that way
-    and 519,829 with the first claim unscanned.
+    that is at least as good, as long as enough are kept.  When at most the
+    Breaker's bias are kept, claiming all of them hits every live need;
+    that is his only claim, and its child is lost.  A one-element menu
+    tries the top element before the scan, so the scan runs only at a node
+    that needs a second child.  A larger claim may hold a twin of the top
+    element, so there the scan comes first: H(2,2,5,4) within 4 at (2:2)
+    takes 151,820 calls that way and 519,829 with the first claim
+    unscanned.
     The led-set menus and the Maker's claims at m >= 2 are not cut, and the
     offer game lists no claims.
   * Child scan.  A child scans its parent's live needs instead of every
@@ -226,9 +239,6 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     the same int, so the memo keys keep sharing it.  A root call is passed
     the winning sets it scans, which `values` filters per (rounds, size)
     question.
-
-The memo-free mode (`SolverSettings(use_memo=False)`) exists for
-cross-checking.
 """
 
 from __future__ import annotations
@@ -239,7 +249,7 @@ from itertools import combinations
 from operator import or_
 from typing import Optional, Sequence
 
-from .bitset import iter_bits, low_bits
+from .bitset import iter_bits
 from .boards import Hypergraph, RootedDigraph
 from .engine import GameKind, GameSpec, Player
 from .errors import GuardExceeded, PosgamesError, RestrictionError
@@ -255,7 +265,6 @@ DEFAULT_MEMO_CAP = 1 << 22
 @dataclass(frozen=True)
 class SolverSettings:
     memo_cap: int = DEFAULT_MEMO_CAP
-    use_memo: bool = True
 
     def __post_init__(self):
         if self.memo_cap < 1:
@@ -333,17 +342,14 @@ class _Search:
     """
 
     def __init__(
-        self, n: int, m: int, b: int, settings: SolverSettings,
-        lead: Optional[dict[int, int]] = None,
+        self, m: int, b: int, settings: SolverSettings, lead: Optional[dict[int, int]] = None,
     ):
-        self.full = (1 << n) - 1
         self.m = m
         self.b = b
         self.lead = lead
         self.leads = sum(lead or ())  # the keys are distinct bits
         self.memo: dict = {}
         self._cap = settings.memo_cap
-        self._use_memo = settings.use_memo
 
     def run(
         self, maker: int, breaker: int, maker_to_move: bool, budget: int,
@@ -366,26 +372,22 @@ class _Search:
                 useful |= need
         if not live:
             return False
-        free = self.full & ~(maker | breaker)
-        use_memo = self._use_memo
-        if use_memo:
-            key = tuple(sorted(set(live))), maker_to_move, budget
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
+        key = tuple(sorted(set(live))), maker_to_move, budget
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
         if maker_to_move:
-            value = self._maker_node(maker, breaker, budget, live, free, useful)
+            value = self._maker_node(maker, breaker, budget, live, useful)
         else:
-            value = self._breaker_node(maker, breaker, budget, live, free, useful)
-        if use_memo:
-            if len(self.memo) >= self._cap:
-                raise GuardExceeded(
-                    f"memo table exceeded {self._cap} entries; raise the cap to continue"
-                )
-            self.memo[key] = value
+            value = self._breaker_node(maker, breaker, budget, live, useful)
+        if len(self.memo) >= self._cap:
+            raise GuardExceeded(
+                f"memo table exceeded {self._cap} entries; raise the cap to continue"
+            )
+        self.memo[key] = value
         return value
 
-    def _maker_node(self, maker, breaker, budget, live, free, useful) -> bool:
+    def _maker_node(self, maker, breaker, budget, live, useful) -> bool:
         if any(need.bit_count() <= self.m for need in live):
             return True  # finish a winning set this move
         if self.m == 1:
@@ -399,7 +401,7 @@ class _Search:
                 )
         lead = self.lead
         if lead is None:
-            menu = self._claims(self.m, live, free, useful, budget, self.m == 1)
+            menu = self._claims(self.m, live, useful, budget, self.m == 1)
         else:
             menu = [lead[bit] for bit in self._order(useful & self.leads, live, budget)]
         for mv in menu:
@@ -407,10 +409,10 @@ class _Search:
                 return True
         return False
 
-    def _breaker_node(self, maker, breaker, budget, live, free, useful) -> bool:
+    def _breaker_node(self, maker, breaker, budget, live, useful) -> bool:
         if self.m == 1 and self._breaker_certified(live, budget, 1):
             return False
-        for mv in self._claims(self.b, live, free, useful, budget, True):
+        for mv in self._claims(self.b, live, useful, budget, True):
             if not self.run(maker, breaker | mv, True, budget, live):
                 return False
         return True
@@ -421,28 +423,21 @@ class _Search:
         q = self.b + 1
         return scale * sum(q ** (budget - need.bit_count()) for need in live) < q ** budget
 
-    def _claims(self, bias, live, free, useful, budget, prune):
-        """The claims of min(bias, free) elements worth trying, best first.
-
-        All useful elements padded with the lowest dead ones when they fit,
-        else every claim of useful elements only, in the search's move order;
-        with `prune`, of undominated elements only (the Dominated elements
-        bullet).
+    def _claims(self, bias, live, useful, budget, prune):
+        """The claims of `bias` useful elements worth trying, best first, in
+        the search's move order; with `prune`, of undominated elements only
+        (the Dominated elements bullet), and their single claim when at most
+        `bias` are kept (the Claim size bullet).
         """
-        size = min(bias, free.bit_count())
-        ucount = useful.bit_count()
-        if ucount <= size:
-            return (useful | low_bits(free & ~useful, size - ucount),)
         order = self._order(useful, live, budget)
         if prune:
-            if size == 1:
+            if bias == 1:
                 return _top_then_undominated(order, live)
             order = _undominated(order, live)
-            if len(order) < size:  # claiming them all hits every live need
-                claim = sum(order)
-                return (claim | low_bits(useful & ~claim, size - len(order)),)
+            if len(order) <= bias:  # claiming them all hits every live need
+                return (sum(order),)
         # the bits are distinct, so a combination's sum is its union
-        return map(sum, combinations(order, size))
+        return map(sum, combinations(order, bias))
 
     def _order(self, useful, live, budget) -> list[int]:
         """Useful elements, largest share of the potential first (the Move
@@ -510,10 +505,10 @@ def _components(live) -> list[int]:
 class _WCSearch(_Search):
     """Unbiased offer game; a round is offer + keep, folded into one node."""
 
-    def __init__(self, n: int, settings: SolverSettings):
-        super().__init__(n, 1, 1, settings)
+    def __init__(self, settings: SolverSettings):
+        super().__init__(1, 1, settings)
 
-    def _maker_node(self, waiter, client, budget, live, free, useful) -> bool:
+    def _maker_node(self, waiter, client, budget, live, useful) -> bool:
         if self._breaker_certified(live, budget, 1):  # the offer potential
             return False
         weight = _shares(live, 2, budget)  # Phi_x (the Move order bullet)
@@ -556,7 +551,7 @@ def _game(
     settings = settings or SolverSettings()
     board = spec.board
     if spec.kind is GameKind.WAITER_CLIENT:
-        return _WCSearch(board.n, settings), list(board.edges)
+        return _WCSearch(settings), list(board.edges)
     if spec.kind is GameKind.AUX_EDGE:
         sets = [bit | ends for bit, ends in board.arc_ends]
         lead = {bit: bit for bit in iter_bits(board.vertex_mask)}
@@ -566,7 +561,7 @@ def _game(
         if restriction is not None:
             validate_restriction(board, spec.maker_bias, spec.breaker_bias, restriction)
             lead = {v & -v: v for v in restriction}  # each set under its lowest element
-    search = _Search(spec.n_elements, spec.maker_bias, spec.breaker_bias, settings, lead)
+    search = _Search(spec.maker_bias, spec.breaker_bias, settings, lead)
     return search, sets
 
 
@@ -615,6 +610,8 @@ def values(spec: GameSpec, settings: Optional[SolverSettings] = None) -> SolveRe
     def wins(t, s):
         return _wins(search, spec, t or round_cap, _sized(sets, s))
 
+    # the unbounded question goes first, so a lost board answers in one
+    # question; on a won board the round questions would imply its answer
     if not wins(None, None):
         return SolveResult(False, None, None, ())
     min_rounds = next(t for t in range(1, round_cap + 1) if wins(t, None))

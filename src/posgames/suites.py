@@ -432,14 +432,12 @@ def suite_properties(
     settings: Optional[SolverSettings] = None,
 ) -> dict:
     """Randomized invariants: bias and objective monotonicity, first-mover
-    advantage, minimal-subfamily soundness, memo transparency."""
+    advantage, minimal-subfamily soundness."""
     if max_n < 2:
         raise PosgamesError(f"properties needs max_n >= 2, got {max_n}")
     if count < 1:
         raise PosgamesError(f"properties needs count >= 1 instances per property, got {count}")
     suite = _Suite("properties")
-    settings = settings or SolverSettings()
-    plain = SolverSettings(use_memo=False)
     sides = (Player.MAKER, Player.BREAKER)
 
     def bias_monotonicity(rng, h):
@@ -476,15 +474,6 @@ def suite_properties(
             return {}
         return None
 
-    def memo_transparency(rng, h):
-        t, first = rng.randint(1, h.n), rng.choice(sides)
-        objective = Objective(max_rounds=t)
-        if decide_mb(h, 1, 1, first, objective, settings=settings) != decide_mb(
-            h, 1, 1, first, objective, settings=plain
-        ):
-            return {"t": t}
-        return None
-
     # (label, largest board, most sets, property); property k draws its
     # boards from seed + k
     properties = [
@@ -492,7 +481,6 @@ def suite_properties(
         ("objective monotonicity", max_n, 4, objective_monotonicity),
         ("first-mover advantage", max_n, 4, first_mover_advantage),
         ("minimal-subfamily soundness", max_n, 4, minimal_subfamily_soundness),
-        ("memo transparency", 6, 3, memo_transparency),
     ]
     for k, (label, top, edges, bad_at) in enumerate(properties):
         bad = _first_counterexample(seed + k, count, top, edges, bad_at)

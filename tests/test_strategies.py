@@ -5,7 +5,7 @@ from conftest import naive_verify
 
 from posgames import strategies
 from posgames.bitset import iter_bits
-from posgames.boards import hypergraph_new
+from posgames.boards import digraph_new, hypergraph_new
 from posgames.constructions import build_gtb_indexed, build_ht_wc_indexed, build_htb
 from posgames.engine import (
     GameKind,
@@ -25,6 +25,7 @@ from posgames.strategies import (
     Guarantee,
     GuaranteeKind,
     Strategy,
+    VerifyResult,
     instance,
     make_breaker_pairing,
     never_loses,
@@ -115,6 +116,23 @@ class TestVerifierExamples:
         res = verify_strategy(spec, strategies.make_maker_htb(3, 1), win_within(3))
         assert not res.ok and (res.nodes, res.expanded) == (2, 2)
         assert res.counterexample == (("breaker", [0]), ("illegal:maker", [0]))
+
+    def test_a_stuck_directed_edge_maker_fails_a_win_guarantee(self):
+        # the script takes vertex 0, the Breaker vertex 1: the arc's head is
+        # gone, no vertex is free, and the Maker has no move left
+        board = digraph_new(2, [(0, 1)], start=0)
+        spec = GameSpec(GameKind.AUX_EDGE, board, breaker_bias=1)
+
+        def lowest_vertex(spec, state, mem):
+            free = board.vertex_mask & ~(state.maker | state.breaker)
+            return free & -free, mem
+
+        strat = Strategy("lowest-vertex", Player.MAKER, lowest_vertex)
+        res = verify_strategy(spec, strat, win_within(3))
+        assert res == VerifyResult(False, (("maker", [0]), ("breaker", [1])), 3, 3)
+        assert (res.ok, res.nodes, res.counterexample) == naive_verify(
+            spec, strat, win_within(3)
+        )
 
     def test_a_plan_above_the_bias_is_not_trimmed(self):
         # the Maker's first claim touches both pairs, and the pairing names
