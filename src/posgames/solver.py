@@ -22,7 +22,9 @@ four things in order:
      needs) the opponent has not hit.  A completed set is a win.  The
      others that can still be finished within the budget are the live sets,
      their missing elements the live needs, and the union of the needs the
-     useful elements.  The node is lost when no set is live;
+     useful elements.  The budget is then clamped to the rounds that
+     matter and the sets filtered again.  The node is lost when no set is
+     live;
   2. memo probe on the node's residual key;
   3. expansion (per game): try the mover's options, best first, and stop at
      the first one that decides the node;
@@ -39,7 +41,38 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     falls and a need shrinks by at most m per round, so such a set stays
     hopeless for the rest of play.  Dropping it from the live sets and
     its elements from the useful ones is therefore exact: from then on
-    its elements are dead (below) as far as the remaining play goes.
+    its elements are dead (below) as far as the remaining play goes.  The
+    filter's budget, and the memo key's, is the one the next bullet clamps.
+  * Rounds that matter (the counting of Hefetz, Krivelevich, Stojaković &
+    Szabó, Positional Games, 2014; for the offer game, Bednarska-Bzdęga,
+    Hefetz, Krivelevich & Łuczak, "Manipulative waiters with probabilistic
+    intuition", CPC 2016).  Let u be the number of useful elements and
+    R(u) the number of Maker moves that can still gain one: u // 2 in the
+    offer game; in the claiming and directed-edge games
+    1 + (u - 1) // (m + b) with the Maker to move and (u - 1 + m) // (m + b)
+    with the Breaker to move.  In one form it is
+    1 + (u - last - (0 if the Maker moves else b)) // (m + b), where `last`,
+    the useful elements the Maker's last gaining move needs, is 2 in the
+    offer game and 1 otherwise.  After the filter the budget is clamped to
+    R, the needs above the new budget * m are dropped, and the two steps
+    repeat until nothing changes.  That is exact:
+      - each move uses up useful elements.  Every search move takes useful
+        elements only (the Claim size and Offer game bullets, the led-set
+        and vertex menus).  A Maker claim that finishes no set takes
+        exactly m of them; a Breaker claim takes b, or fewer only when it
+        hits every live need; an offer round takes two;
+      - the useful set only shrinks, so R falls by at least 1 per Maker
+        round while a need loses at most m elements.  A need above R * m
+        therefore stays hopeless below the node, and the Child scan bullet
+        still holds;
+      - so no line of play below the node gains an element in more than R
+        of the Maker's moves, and the value at budget B equals the value
+        at min(B, R);
+      - every live need still fits the clamped budget times m, which the
+        certificate's and the offer potential's integer tests and the move
+        order's shares need;
+      - the component split's child is a real subgame, in which the Breaker
+        owns the other components' elements, and it clamps on its own part.
   * Finish now.  A Maker who can complete a live set this move wins.
   * Claim size.  Elements outside every live winning set are dead: they
     can never complete a set.  A claim takes useful elements only, since
@@ -162,9 +195,11 @@ Every pruning is a dominance argument, not a heuristic, so values are exact:
     function of the live needs (above).  So in every search the key is
     the set of live needs (as a sorted tuple of distinct masks, which
     holds it in about a quarter of a frozenset's memory), the mover and
-    the budget.  A size cap only removes winning sets, and a set above
-    the cap is dead just like one the budget filter drops, so the key does
-    not depend on the cap either: `values` asks all its (rounds, size)
+    the budget, clamped to the rounds that matter: budgets of one live
+    family that differ only in rounds no line of play can use share one
+    entry.  A size cap only removes winning sets, and a set above the cap
+    is dead just like one the budget filter drops, so the key does not
+    depend on the cap either: `values` asks all its (rounds, size)
     questions about a board of one search, and each question reuses the
     entries of the others.
   * Component split (m = 1; Hefetz, Krivelevich, Stojaković, Szabó,
@@ -341,6 +376,8 @@ class _Search:
     the Maker's node with the Waiter's offers and shares the rest.
     """
 
+    last = 1  # useful elements the Maker's last gaining move needs
+
     def __init__(
         self, m: int, b: int, settings: SolverSettings, lead: Optional[dict[int, int]] = None,
     ):
@@ -372,6 +409,16 @@ class _Search:
                 useful |= need
         if not live:
             return False
+        # the rounds that matter: clamp the budget, filter again, repeat
+        span = self.m + self.b
+        slack = self.last if maker_to_move else self.last + self.b
+        while (rounds := 1 + (useful.bit_count() - slack) // span) < budget:
+            budget = rounds
+            reach = budget * self.m
+            live = [need for need in live if need.bit_count() <= reach]
+            if not live:
+                return False
+            useful = reduce(or_, live)
         key = tuple(sorted(set(live))), maker_to_move, budget
         hit = self.memo.get(key)
         if hit is not None:
@@ -504,6 +551,8 @@ def _components(live) -> list[int]:
 
 class _WCSearch(_Search):
     """Unbiased offer game; a round is offer + keep, folded into one node."""
+
+    last = 2  # an offer is a pair
 
     def __init__(self, settings: SolverSettings):
         super().__init__(1, 1, settings)

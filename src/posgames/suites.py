@@ -351,21 +351,26 @@ def _sperner(n: int) -> list[list[int]]:
 
 
 def suite_thm19c1(settings: Optional[SolverSettings] = None) -> dict:
-    """Mixed board at (3,3): claiming game needs 3 rounds either way, the
-    offer game needs 3 rounds, and the pairing script never loses."""
+    """Mixed boards at (s, t) = (3, 3), (4, 3) and (5, 3): the claiming game
+    needs s rounds with either player first and the offer game t rounds, so
+    the two lengths differ by s - t; and the pairing script never loses."""
     suite = _Suite("thm1.9c1")
-    h = build_wc_gap_case1(3, 3)
-    suite.check("mixed board has 14 elements", h.n == 14, {"n": h.n})
-    for first in (Player.MAKER, Player.BREAKER):
-        r2 = decide_mb(h, 1, 1, first, Objective(max_rounds=2), settings=settings)
-        r3 = decide_mb(h, 1, 1, first, Objective(max_rounds=3), settings=settings)
-        label = "first" if first is Player.MAKER else "second"
-        row = suite.row(side=f"claiming-{label}", win2=r2, win3=r3)
-        suite.check(f"claiming {label}-player rounds = 3", r3 and not r2, row)
-    w2 = decide_wc(h, Objective(max_rounds=2), settings)
-    w3 = decide_wc(h, Objective(max_rounds=3), settings)
-    row = suite.row(side="offer", win2=w2, win3=w3)
-    suite.check("offer rounds = 3", w3 and not w2, row)
+    for s, t in ((3, 3), (4, 3), (5, 3)):
+        h = build_wc_gap_case1(s, t)
+        board = f"({s},{t})"
+        n = 2 * t + 2 + 2 * s
+        suite.check(f"{board} mixed board has {n} elements", h.n == n, {"n": h.n})
+        for first in Player:
+            fewer = decide_mb(h, 1, 1, first, Objective(max_rounds=s - 1), settings=settings)
+            within = decide_mb(h, 1, 1, first, Objective(max_rounds=s), settings=settings)
+            label = "first" if first is Player.MAKER else "second"
+            row = suite.row(board=board, side=f"claiming-{label}", rounds=s,
+                            win_in_fewer=fewer, win_within=within)
+            suite.check(f"{board} claiming {label}-player rounds = {s}", within and not fewer, row)
+        fewer = decide_wc(h, Objective(max_rounds=t - 1), settings)
+        within = decide_wc(h, Objective(max_rounds=t), settings)
+        row = suite.row(board=board, side="offer", rounds=t, win_in_fewer=fewer, win_within=within)
+        suite.check(f"{board} offer rounds = {t}", within and not fewer, row)
     res = verify_strategy(*instance("breaker-pairing", t=3))
     suite.row(side="pairing", ok=res.ok, nodes=res.nodes, expanded=res.expanded)
     suite.check("pairing script never loses on the paired part", res.ok,

@@ -623,6 +623,77 @@ class TestDominatedElements:
         assert _undominated([16, 8], [0b11000]) == [16]
 
 
+@st.composite
+def large_set_boards(draw, max_n, odd=False):
+    """One to five sets on n elements (n odd with `odd`), each of a size
+    drawn evenly from 1 to n.  Many sets then lie near the bound R * m of
+    the rounds that matter, and the useful elements, not the budget, bound
+    those rounds."""
+    n = draw(st.integers(1, (max_n - 1) // 2).map(lambda k: 2 * k + 1) if odd
+             else st.integers(2, max_n))
+    edge = st.integers(1, n).flatmap(
+        lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+    )
+    edges = draw(st.lists(edge, min_size=1, max_size=5))
+    return hypergraph_from_masks(n, [sum(1 << i for i in e) for e in edges])
+
+
+class TestRoundsThatMatter:
+    """The budget clamped to the Maker moves that can still gain a useful
+    element, checked against plain engine-driven recursion on boards whose
+    budgets exceed those rounds."""
+
+    long_budgets = st.one_of(st.none(), st.integers(1, 6))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        large_set_boards(7),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from((Player.MAKER, Player.BREAKER)),
+        long_budgets,
+        st.data(),
+    )
+    def test_claiming_game(self, h, m, b, first, t, data):
+        s = data.draw(st.one_of(st.none(), st.integers(1, h.n)))
+        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
+        assert decide_mb(h, m, b, first, Objective(t, s)) == naive_decide(spec, t, s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 4), st.integers(1, 2), long_budgets, st.booleans(), st.data())
+    def test_directed_edge_game(self, nv, b, t, premove, data):
+        vertex = st.integers(0, nv - 1)
+        arc = st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1])
+        arcs = data.draw(st.lists(arc, min_size=1, max_size=4, unique=True))
+        seeds = data.draw(st.integers(0, (1 << nv) - 1))
+        digraph = digraph_new(nv, arcs, start=0)
+        spec = GameSpec(
+            GameKind.AUX_EDGE, digraph, breaker_bias=b,
+            preclaimed_maker=seeds, breaker_premove=premove,
+        )
+        got = solve_aux_game(digraph, b, seeds, Objective(max_rounds=t), breaker_premove=premove)
+        assert got == naive_decide(spec, t, None)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(large_set_boards(7, odd=True), st.one_of(st.none(), st.integers(1, 4)), st.data())
+    def test_offer_game(self, h, t, data):
+        # with an odd count of useful elements the Waiter's last offer
+        # leaves one element over, which no round can use
+        s = data.draw(st.one_of(st.none(), st.integers(1, h.n)))
+        spec = GameSpec(GameKind.WAITER_CLIENT, h)
+        assert decide_wc(h, Objective(t, s)) == naive_decide(spec, t, s)
+
+    def test_offer_of_a_pair_among_three_elements_is_lost_at_the_root(self):
+        # two useful elements make one round, in which the Waiter gains only
+        # one of them: the clamped budget keeps no set live, so the root
+        # returns before its memo probe
+        h = hypergraph_new(3, [[0, 1]])
+        search = _WCSearch(SolverSettings())
+        assert not search.run(0, 0, True, 2, h.edges)  # 2 = ceil(3 / 2) rounds
+        assert search.memo == {}
+        assert not decide_wc(h)
+
+
 class TestSolverInvariants:
     def test_memo_key_holds_the_budget(self):
         # every edge fits both budgets, so the second call on the same search
@@ -642,7 +713,7 @@ class TestSolverInvariants:
         # the pre-move, offers): a change in pruning or in a menu's order shows
         # as a change in these counts.  The free claims are also counted on
         # thm12(1,2,3,3,3,4) with the Breaker first and its elements shuffled
-        # by random.Random(1); its paper labels take 1,071 calls, so an order
+        # by random.Random(1); its paper labels take 993 calls, so an order
         # that leans on labels shows as a larger count.  The offers are also
         # counted on C10 with its vertices shuffled (perm is
         # random.Random(0).shuffle of range(10)), a board whose labels do not
@@ -716,15 +787,15 @@ class TestSolverInvariants:
             ),
         } == {
             "associated sets": 281,
-            "free claims": 870,
-            "free claims, elements shuffled": 2_543,
-            "vertices": 396,
+            "free claims": 778,
+            "free claims, elements shuffled": 2_446,
+            "vertices": 390,
             "vertices, Breaker bias 2": 12_169,
             "vertices after a pre-move": 53,
-            "vertices after a pre-move, vertices shuffled": 71,
-            "offers": 6_689,
-            "offers, vertices shuffled": 7_114,
-            "offers, a path with no perfect matching": 1_448,
+            "vertices after a pre-move, vertices shuffled": 68,
+            "offers": 6_076,
+            "offers, vertices shuffled": 6_431,
+            "offers, a path with no perfect matching": 263,
             "free claims on a gadget, Breaker first": 1,
         }
 
