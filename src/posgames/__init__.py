@@ -44,7 +44,6 @@ from .errors import (
 from .solver import (
     Objective,
     SolveResult,
-    SolverSettings,
     decide,
     decide_mb,
     decide_wc,

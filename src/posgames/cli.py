@@ -62,7 +62,7 @@ from .domination import (
 from .engine import GameKind, GameSpec, Player
 from .errors import BoardError, FormatError, GuardExceeded, PosgamesError
 from .graphgen import cycle_graph, path_graph, random_graph, random_tree
-from .solver import DEFAULT_MEMO_CAP, Objective, SolverSettings, decide, values
+from .solver import DEFAULT_MEMO_CAP, Objective, decide, values
 from .strategies import CATALOG, instance, verify_strategy
 from . import suites as suites_mod
 
@@ -111,10 +111,6 @@ class _Run:
             "wall_time_s": round(time.perf_counter() - self.t0, 4),
             "result": result,
         }
-
-
-def _settings(args) -> SolverSettings:
-    return SolverSettings(**_given(args, ("memo_cap",)))
 
 
 def _emit(args, run: _Run, payload, rows=None, columns=None) -> None:
@@ -233,11 +229,11 @@ def _spec(args, board) -> GameSpec:
 
 
 def _cmd_solve(args, run: _Run) -> int:
-    settings = _settings(args)
     board = run.read_board(args.board, "digraph" if args.game == "aux" else "hypergraph")
     family = getattr(args, "family", None)
     restriction = run.read_family(family, board.n) if family else None
-    value = decide(_spec(args, board), _objective(args), restriction, settings)
+    value = decide(_spec(args, board), _objective(args), restriction,
+                   **_given(args, ("memo_cap",)))
     _emit(args, run, {"type": "decision", "maker_wins": value})
     return EXIT_OK
 
@@ -245,12 +241,11 @@ def _cmd_solve(args, run: _Run) -> int:
 def _cmd_values(args, run: _Run) -> int:
     """`frontier` on the --board hypergraph, or `dom solve` on the minimal
     dominating sets of the --graph graph: the game's values and frontier."""
-    settings = _settings(args)
     if "board" in args:
         board = run.read_board(args.board, "hypergraph")
     else:
         board = minimal_dominating_sets(run.read_board(args.graph, "graph"))
-    result = values(_spec(args, board), settings)
+    result = values(_spec(args, board), **_given(args, ("memo_cap",)))
     _emit(args, run, result.to_json(), [{"t": t, "s": s} for t, s in result.frontier], ("t", "s"))
     return EXIT_OK
 
@@ -292,20 +287,19 @@ def _given(args, params) -> dict:
     return {k: v for k, v in vars(args).items() if k in params and v is not None}
 
 
-def _run_suite(name: str, args, settings: SolverSettings):
+def _run_suite(name: str, args):
     fn = suites_mod.SUITES[name]
-    return fn(settings=settings, **_given(args, inspect.signature(fn).parameters))
+    return fn(**_given(args, inspect.signature(fn).parameters))
 
 
 def _cmd_verify_suite(args, run: _Run) -> int:
-    rep = _run_suite(args.target, args, _settings(args))
+    rep = _run_suite(args.target, args)
     _emit(args, run, rep, rep["rows"])
     return EXIT_OK if rep["ok"] else EXIT_VIOLATED
 
 
 def _cmd_verify_all(args, run: _Run) -> int:
-    settings = _settings(args)
-    reports = [_run_suite(name, args, settings) for name in suites_mod.SUITES]
+    reports = [_run_suite(name, args) for name in suites_mod.SUITES]
     ok = all(rep["ok"] for rep in reports)
     _emit(args, run, {"type": "verify_report", "ok": ok, "suites": reports})
     return EXIT_OK if ok else EXIT_VIOLATED
@@ -338,7 +332,8 @@ def _cmd_verify_script(args, run: _Run) -> int:
 
 
 # verify: the flag of each suite or script parameter; a parameter not named
-# here (the scripts' `blocked` and `bias`) has none
+# here gets no flag from this table: the scripts' `blocked` and `bias` have
+# none, and the suites' `memo_cap` has --memo-cap, which `_add_common` adds
 _VERIFY_FLAGS = {
     "seed": "--seed", "count": "--count", "max_exhaustive": "--max-exhaustive",
     "max_n": "--max-n", "max_bias": "--max-bias", "t": "--t", "b": "--b", "n": "--n",

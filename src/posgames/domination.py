@@ -22,7 +22,7 @@ from .boards import (
 )
 from .engine import Player
 from .errors import BoardError, DegenerateTransversalError
-from .solver import SolveResult, SolverSettings, game_values, wc_game_values
+from .solver import DEFAULT_MEMO_CAP, SolveResult, game_values, wc_game_values
 
 
 def is_dominating(g: SimpleGraph, dset: int) -> bool:
@@ -65,15 +65,15 @@ def dom_game_values(
     m: int,
     b: int,
     first: Player = Player.MAKER,
-    settings: Optional[SolverSettings] = None,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> SolveResult:
     """Values of the (m:b) claiming domination game; the Dominator claims."""
-    return game_values(minimal_dominating_sets(g), m, b, first, settings)
+    return game_values(minimal_dominating_sets(g), m, b, first, memo_cap)
 
 
-def dom_wc_values(g: SimpleGraph, settings: Optional[SolverSettings] = None) -> SolveResult:
+def dom_wc_values(g: SimpleGraph, memo_cap: int = DEFAULT_MEMO_CAP) -> SolveResult:
     """Values of the offer domination game; the Dominator offers."""
-    return wc_game_values(minimal_dominating_sets(g), settings)
+    return wc_game_values(minimal_dominating_sets(g), memo_cap)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ four things in order:
   3. expansion (per game): try the mover's options, best first, and stop at
      the first one that decides the node;
   4. guarded store: the value enters the memo table, which holds at most
-     the configured number of entries.  Reaching the cap raises
+     `memo_cap` entries.  Reaching the cap raises
      `GuardExceeded`; an answer is never truncated.
 
 Every pruning is a dominance argument, not a heuristic, so values are exact:
@@ -298,15 +298,6 @@ DEFAULT_MEMO_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    memo_cap: int = DEFAULT_MEMO_CAP
-
-    def __post_init__(self):
-        if self.memo_cap < 1:
-            raise PosgamesError(f"memo cap must be positive, got {self.memo_cap}")
-
-
-@dataclass(frozen=True)
 class Objective:
     """Round and size budgets; None means unbounded."""
 
@@ -379,14 +370,14 @@ class _Search:
     last = 1  # useful elements the Maker's last gaining move needs
 
     def __init__(
-        self, m: int, b: int, settings: SolverSettings, lead: Optional[dict[int, int]] = None,
+        self, m: int, b: int, memo_cap: int, lead: Optional[dict[int, int]] = None,
     ):
         self.m = m
         self.b = b
         self.lead = lead
         self.leads = sum(lead or ())  # the keys are distinct bits
         self.memo: dict = {}
-        self._cap = settings.memo_cap
+        self._cap = memo_cap
 
     def run(
         self, maker: int, breaker: int, maker_to_move: bool, budget: int,
@@ -554,8 +545,8 @@ class _WCSearch(_Search):
 
     last = 2  # an offer is a pair
 
-    def __init__(self, settings: SolverSettings):
-        super().__init__(1, 1, settings)
+    def __init__(self, memo_cap: int):
+        super().__init__(1, 1, memo_cap)
 
     def _maker_node(self, waiter, client, budget, live, useful) -> bool:
         if self._breaker_certified(live, budget, 1):  # the offer potential
@@ -589,18 +580,19 @@ def _sized(sets: list[int], max_size: Optional[int]) -> list[int]:
 
 
 def _game(
-    spec: GameSpec, restriction: Optional[Sequence[int]], settings: Optional[SolverSettings],
+    spec: GameSpec, restriction: Optional[Sequence[int]], memo_cap: int,
 ) -> tuple[_Search, list[int]]:
     """The search of the spec's game and the winning sets it scans.  The
     directed-edge game scans the arc sets {tail, head, arc} with the vertex
     led-set table; `restriction` is the associated-set table of the claiming
-    game."""
+    game.  Every search starts here, so the memo cap is checked here."""
     if restriction is not None and spec.kind is not GameKind.MAKER_BREAKER:
         raise PosgamesError("an associated-set family restricts the claiming game only")
-    settings = settings or SolverSettings()
+    if memo_cap < 1:
+        raise PosgamesError(f"memo cap must be positive, got {memo_cap}")
     board = spec.board
     if spec.kind is GameKind.WAITER_CLIENT:
-        return _WCSearch(settings), list(board.edges)
+        return _WCSearch(memo_cap), list(board.edges)
     if spec.kind is GameKind.AUX_EDGE:
         sets = [bit | ends for bit, ends in board.arc_ends]
         lead = {bit: bit for bit in iter_bits(board.vertex_mask)}
@@ -610,7 +602,7 @@ def _game(
         if restriction is not None:
             validate_restriction(board, spec.maker_bias, spec.breaker_bias, restriction)
             lead = {v & -v: v for v in restriction}  # each set under its lowest element
-    search = _Search(spec.maker_bias, spec.breaker_bias, settings, lead)
+    search = _Search(spec.maker_bias, spec.breaker_bias, memo_cap, lead)
     return search, sets
 
 
@@ -632,7 +624,7 @@ def decide(
     spec: GameSpec,
     objective: Objective = Objective(),
     restriction: Optional[Sequence[int]] = None,
-    settings: Optional[SolverSettings] = None,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> bool:
     """Can the Maker (the Waiter) claim a winning set within the objective,
     playing perfectly?
@@ -643,16 +635,16 @@ def decide(
     directed-edge game the arc sets {tail, head, arc}.  A round budget of 0
     is allowed and is trivially false.
     """
-    search, sets = _game(spec, restriction, settings)
+    search, sets = _game(spec, restriction, memo_cap)
     return _wins(search, spec, _budget(spec, objective), _sized(sets, objective.max_size))
 
 
-def values(spec: GameSpec, settings: Optional[SolverSettings] = None) -> SolveResult:
+def values(spec: GameSpec, memo_cap: int = DEFAULT_MEMO_CAP) -> SolveResult:
     """Win flag, round value, size value and the (rounds, size) frontier.
 
     Every (t, s) question is asked of one search, so all share its memo
     table (exact by the residual key)."""
-    search, sets = _game(spec, None, settings)
+    search, sets = _game(spec, None, memo_cap)
     round_cap = _budget(spec, Objective())
     sizes = sorted({e.bit_count() for e in sets})
 
@@ -686,20 +678,20 @@ def decide_mb(
     first: Player = Player.MAKER,
     objective: Objective = Objective(),
     restriction: Optional[Sequence[int]] = None,
-    settings: Optional[SolverSettings] = None,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> bool:
     """`decide` on the (m:b) claiming game on h."""
     spec = GameSpec(GameKind.MAKER_BREAKER, h, m, b, first)
-    return decide(spec, objective, restriction, settings)
+    return decide(spec, objective, restriction, memo_cap)
 
 
 def decide_wc(
     h: Hypergraph,
     objective: Objective = Objective(),
-    settings: Optional[SolverSettings] = None,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> bool:
     """`decide` on the offer game on h."""
-    return decide(GameSpec(GameKind.WAITER_CLIENT, h), objective, settings=settings)
+    return decide(GameSpec(GameKind.WAITER_CLIENT, h), objective, memo_cap=memo_cap)
 
 
 def solve_aux_game(
@@ -708,12 +700,12 @@ def solve_aux_game(
     preclaimed: int,
     objective: Objective = Objective(),
     breaker_premove: bool = False,
-    settings: Optional[SolverSettings] = None,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> bool:
     """`decide` on the (1:b) directed-edge game on the board, the Maker
     owning the `preclaimed` vertices; size budgets are ignored."""
     spec = GameSpec(GameKind.AUX_EDGE, board, 1, b, Player.MAKER, preclaimed, breaker_premove)
-    return decide(spec, Objective(objective.max_rounds), settings=settings)
+    return decide(spec, Objective(objective.max_rounds), memo_cap=memo_cap)
 
 
 def game_values(
@@ -721,12 +713,12 @@ def game_values(
     m: int,
     b: int,
     first: Player = Player.MAKER,
-    settings: Optional[SolverSettings] = None,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> SolveResult:
     """`values` of the (m:b) claiming game on h."""
-    return values(GameSpec(GameKind.MAKER_BREAKER, h, m, b, first), settings)
+    return values(GameSpec(GameKind.MAKER_BREAKER, h, m, b, first), memo_cap)
 
 
-def wc_game_values(h: Hypergraph, settings: Optional[SolverSettings] = None) -> SolveResult:
+def wc_game_values(h: Hypergraph, memo_cap: int = DEFAULT_MEMO_CAP) -> SolveResult:
     """`values` of the offer game on h."""
-    return values(GameSpec(GameKind.WAITER_CLIENT, h), settings)
+    return values(GameSpec(GameKind.WAITER_CLIENT, h), memo_cap)

@@ -37,8 +37,8 @@ from .engine import Player
 from .errors import PosgamesError
 from .graphgen import all_trees, cycle_graph, random_hypergraph, random_tree
 from .solver import (
+    DEFAULT_MEMO_CAP,
     Objective,
-    SolverSettings,
     decide_mb,
     decide_wc,
     game_values,
@@ -85,16 +85,16 @@ class _Suite:
         }
 
 
-def suite_lemma34(settings: Optional[SolverSettings] = None) -> dict:
+def suite_lemma34(memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Branched-digraph game values: win in t, not in t-1, single seeds lose."""
     suite = _Suite("lemma3.4")
     for t, b in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]:
         board = build_gtb(t, b)
         seeds = (1 << board.start) | (1 << board.end)
-        win = solve_aux_game(board, b, seeds, Objective(max_rounds=t), settings=settings)
-        slow = solve_aux_game(board, b, seeds, Objective(max_rounds=t - 1), settings=settings)
+        win = solve_aux_game(board, b, seeds, Objective(max_rounds=t), memo_cap=memo_cap)
+        slow = solve_aux_game(board, b, seeds, Objective(max_rounds=t - 1), memo_cap=memo_cap)
         singles = all(
-            not solve_aux_game(board, b, 1 << v, settings=settings) for v in range(board.nv)
+            not solve_aux_game(board, b, 1 << v, memo_cap=memo_cap) for v in range(board.nv)
         )
         suite.row(t=t, b=b, win_at_t=win, win_at_t1=slow, singles_lose=singles)
         suite.check(f"gtb({t},{b}) win within {t}", win)
@@ -103,14 +103,14 @@ def suite_lemma34(settings: Optional[SolverSettings] = None) -> dict:
     return suite.report()
 
 
-def suite_lemma36(settings: Optional[SolverSettings] = None) -> dict:
+def suite_lemma36(memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Hub-digraph game: win in t, not t-1, opening pre-claim flips it."""
     suite = _Suite("lemma3.6")
     for t, b in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1)]:
         board = build_htb(t, b)
-        win = solve_aux_game(board, b, 0, Objective(max_rounds=t), settings=settings)
-        slow = solve_aux_game(board, b, 0, Objective(max_rounds=t - 1), settings=settings)
-        pre = solve_aux_game(board, b, 0, breaker_premove=True, settings=settings)
+        win = solve_aux_game(board, b, 0, Objective(max_rounds=t), memo_cap=memo_cap)
+        slow = solve_aux_game(board, b, 0, Objective(max_rounds=t - 1), memo_cap=memo_cap)
+        pre = solve_aux_game(board, b, 0, breaker_premove=True, memo_cap=memo_cap)
         suite.row(t=t, b=b, win_at_t=win, win_at_t1=slow, premove_win=pre)
         suite.check(f"htb({t},{b}) win within {t}", win)
         suite.check(f"htb({t},{b}) no win within {t - 1}", not slow)
@@ -118,16 +118,16 @@ def suite_lemma36(settings: Optional[SolverSettings] = None) -> dict:
     return suite.report()
 
 
-def suite_lemma39(settings: Optional[SolverSettings] = None) -> dict:
+def suite_lemma39(memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Uniform-board values, identical with and without the reduced menu."""
     suite = _Suite("lemma3.9")
     for m, b, s, t in [(1, 1, 3, 3), (1, 2, 3, 3), (1, 2, 3, 4), (2, 2, 5, 3)]:
         h, family = build_hmbst(m, b, s, t)
         for restr in (None, family):
             tag = "restricted" if restr else "free"
-            win = decide_mb(h, m, b, Player.MAKER, Objective(t, s), restr, settings)
-            slow = decide_mb(h, m, b, Player.MAKER, Objective(t - 1, s), restr, settings)
-            second = decide_mb(h, m, b, Player.BREAKER, Objective(), restr, settings)
+            win = decide_mb(h, m, b, Player.MAKER, Objective(t, s), restr, memo_cap)
+            slow = decide_mb(h, m, b, Player.MAKER, Objective(t - 1, s), restr, memo_cap)
+            second = decide_mb(h, m, b, Player.BREAKER, Objective(), restr, memo_cap)
             suite.row(m=m, b=b, s=s, t=t, menu=tag,
                       win_at_t=win, win_at_t1=slow, second_player_win=second)
             suite.check(f"H({m},{b},{s},{t}) {tag} win at t", win)
@@ -136,7 +136,7 @@ def suite_lemma39(settings: Optional[SolverSettings] = None) -> dict:
     return suite.report()
 
 
-def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) -> dict:
+def suite_thm11(max_bias: int = 4, memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Fair-bias outcome flips exactly on the blocked set."""
     if max_bias < 1:
         raise PosgamesError(f"thm1.1 needs max_bias >= 1 to check an outcome, got {max_bias}")
@@ -146,7 +146,7 @@ def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) ->
         suite.check(f"blocked={sorted(blocked)} board has at most 12 elements",
                     h.n <= 12, {"n": h.n})
         for bias in range(1, max_bias + 1):
-            won = decide_mb(h, bias, bias, Player.MAKER, settings=settings)
+            won = decide_mb(h, bias, bias, Player.MAKER, memo_cap=memo_cap)
             expected = bias not in blocked
             suite.row(blocked=sorted(blocked), bias=bias, win=won, expected=expected)
             suite.check(f"blocked={sorted(blocked)} bias={bias} outcome",
@@ -154,7 +154,7 @@ def suite_thm11(max_bias: int = 4, settings: Optional[SolverSettings] = None) ->
     return suite.report()
 
 
-def suite_thm12(settings: Optional[SolverSettings] = None) -> dict:
+def suite_thm12(memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """First-mover flip (Theorems 1.2 and 1.4): on each composite board the
     first player gets exactly (t, s) and the second exactly (t2, s2), as
     (rounds, size) frontiers."""
@@ -169,7 +169,7 @@ def suite_thm12(settings: Optional[SolverSettings] = None) -> dict:
         board = f"{build.__name__[len('build_'):]}({','.join(map(str, params))})"
         h = build(*params)
         for first, want in ((Player.MAKER, (t, s)), (Player.BREAKER, (t2, s2))):
-            values = game_values(h, m, b, first, settings)
+            values = game_values(h, m, b, first, memo_cap)
             row = suite.row(board=board, first=first.value,
                             frontier=[list(p) for p in values.frontier])
             suite.check(f"{board} {first.value} first gets exactly {want}",
@@ -177,12 +177,12 @@ def suite_thm12(settings: Optional[SolverSettings] = None) -> dict:
     return suite.report()
 
 
-def suite_thm16(settings: Optional[SolverSettings] = None) -> dict:
+def suite_thm16(memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Composite board H(1,1,4,4) + H(1,1,3,5): the fastest win takes a set
     of size 4 within 4 rounds, a set of size 3 takes 5, so the frontier has
     two points."""
     suite = _Suite("thm1.6")
-    values = game_values(build_thm16(1, 1, 3, 4, 4, 5), 1, 1, Player.MAKER, settings)
+    values = game_values(build_thm16(1, 1, 3, 4, 4, 5), 1, 1, Player.MAKER, memo_cap)
     row = suite.row(board="thm16(1,1,3,4,4,5)", min_rounds=values.min_rounds,
                     min_size=values.min_size, frontier=[list(p) for p in values.frontier])
     suite.check("thm16(1,1,3,4,4,5) min rounds = 4", values.min_rounds == 4, row)
@@ -192,11 +192,11 @@ def suite_thm16(settings: Optional[SolverSettings] = None) -> dict:
     return suite.report()
 
 
-def suite_thm18(max_n: int = 13, settings: Optional[SolverSettings] = None) -> dict:
+def suite_thm18(max_n: int = 13, memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Cycle offer-domination values equal floor(n/2), rounds and size."""
     suite = _Suite("thm1.8")
     for n in range(3, max_n + 1):
-        values = dom_wc_values(cycle_graph(n), settings)
+        values = dom_wc_values(cycle_graph(n), memo_cap)
         closed = wc_cycle_value(n)
         ok = values.min_rounds == values.min_size == closed == n // 2
         row = suite.row(n=n, rounds=values.min_rounds, size=values.min_size, closed=closed)
@@ -204,7 +204,7 @@ def suite_thm18(max_n: int = 13, settings: Optional[SolverSettings] = None) -> d
     return suite.report()
 
 
-def suite_thm17(max_exhaustive: int = 13, settings: Optional[SolverSettings] = None) -> dict:
+def suite_thm17(max_exhaustive: int = 13, memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Tree offer-domination: n/2 with a perfect matching, no win otherwise.
 
     Checks every tree on 1 to `max_exhaustive` vertices (2,288 trees at 13).
@@ -214,7 +214,7 @@ def suite_thm17(max_exhaustive: int = 13, settings: Optional[SolverSettings] = N
         for idx, tree in enumerate(all_trees(n)):
             label = f"tree{n}.{idx}"
             closed = wc_tree_value(tree)
-            values = dom_wc_values(tree, settings)
+            values = dom_wc_values(tree, memo_cap)
             if closed is None:
                 ok = not values.maker_wins
             else:
@@ -233,7 +233,7 @@ def suite_residue(
     count: int = 50,
     max_n: int = 10,
     seed: int = 0,
-    settings: Optional[SolverSettings] = None,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> dict:
     """Peeling a (leaf, degree-2 support) pair costs exactly one round and one
     element; the peeled-to-the-end formula agrees with direct solving."""
@@ -253,11 +253,11 @@ def suite_residue(
         done += 1
         v, w = rep.removed_pairs[0]
         smaller = induced_subgraph(tree, [u for u in range(tree.n) if u not in (v, w)])
-        whole = dom_wc_values(tree, settings)
-        part = dom_wc_values(smaller, settings)
+        whole = dom_wc_values(tree, memo_cap)
+        part = dom_wc_values(smaller, memo_cap)
         step_ok = (whole.min_rounds == _plus(1, part.min_rounds)
                    and whole.min_size == _plus(1, part.min_size))
-        res_values = dom_wc_values(rep.residue, settings)
+        res_values = dom_wc_values(rep.residue, memo_cap)
         k = (tree.n - rep.residue.n) // 2
         formula_ok = (whole.min_rounds == _plus(k, res_values.min_rounds)
                       and whole.min_size == _plus(k, res_values.min_size))
@@ -271,7 +271,7 @@ def suite_residue(
 
 
 def suite_gadget(
-    count: int = 20, seed: int = 0, settings: Optional[SolverSettings] = None
+    count: int = 20, seed: int = 0, memo_cap: int = DEFAULT_MEMO_CAP
 ) -> dict:
     """Gadget structure: edges dominate, the domination number equals the
     smallest edge, core dominating sets contain edges, and the game values
@@ -308,8 +308,8 @@ def suite_gadget(
         suite.check(f"gadget {idx} core dominators contain edges", core_ok, row)
 
     h2 = Hypergraph(2, (1,))  # two elements, single winning set {0}
-    values = dom_game_values(build_gadget(h2, 1), 1, 1, Player.MAKER, settings)
-    direct = decide_mb(h2, 1, 1, Player.MAKER, Objective(1, 1), settings=settings)
+    values = dom_game_values(build_gadget(h2, 1), 1, 1, Player.MAKER, memo_cap)
+    direct = decide_mb(h2, 1, 1, Player.MAKER, Objective(1, 1), memo_cap=memo_cap)
     ok = values.min_rounds == 1 and values.min_size == 1 and direct
     row = suite.row(instance="pinned", rounds=values.min_rounds, size=values.min_size)
     suite.check("pinned example transfers (1,1)", ok, row)
@@ -324,8 +324,8 @@ def suite_gadget(
         for first in Player:
             dom, claiming = (
                 [v.maker_wins, v.min_rounds, v.min_size]
-                for v in (dom_game_values(g, 1, 1, first, settings),
-                          game_values(h, 1, 1, first, settings))
+                for v in (dom_game_values(g, 1, 1, first, memo_cap),
+                          game_values(h, 1, 1, first, memo_cap))
             )
             row = suite.row(instance=h.edge_indices(), first=first.value, vertices=g.n,
                             dom=dom, claiming=claiming)
@@ -350,7 +350,7 @@ def _sperner(n: int) -> list[list[int]]:
     return found
 
 
-def suite_thm19c1(settings: Optional[SolverSettings] = None) -> dict:
+def suite_thm19c1(memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Mixed boards at (s, t) = (3, 3), (4, 3) and (5, 3): the claiming game
     needs s rounds with either player first and the offer game t rounds, so
     the two lengths differ by s - t; and the pairing script never loses."""
@@ -361,14 +361,14 @@ def suite_thm19c1(settings: Optional[SolverSettings] = None) -> dict:
         n = 2 * t + 2 + 2 * s
         suite.check(f"{board} mixed board has {n} elements", h.n == n, {"n": h.n})
         for first in Player:
-            fewer = decide_mb(h, 1, 1, first, Objective(max_rounds=s - 1), settings=settings)
-            within = decide_mb(h, 1, 1, first, Objective(max_rounds=s), settings=settings)
+            fewer = decide_mb(h, 1, 1, first, Objective(max_rounds=s - 1), memo_cap=memo_cap)
+            within = decide_mb(h, 1, 1, first, Objective(max_rounds=s), memo_cap=memo_cap)
             label = "first" if first is Player.MAKER else "second"
             row = suite.row(board=board, side=f"claiming-{label}", rounds=s,
                             win_in_fewer=fewer, win_within=within)
             suite.check(f"{board} claiming {label}-player rounds = {s}", within and not fewer, row)
-        fewer = decide_wc(h, Objective(max_rounds=t - 1), settings)
-        within = decide_wc(h, Objective(max_rounds=t), settings)
+        fewer = decide_wc(h, Objective(max_rounds=t - 1), memo_cap)
+        within = decide_wc(h, Objective(max_rounds=t), memo_cap)
         row = suite.row(board=board, side="offer", rounds=t, win_in_fewer=fewer, win_within=within)
         suite.check(f"{board} offer rounds = {t}", within and not fewer, row)
     res = verify_strategy(*instance("breaker-pairing", t=3))
@@ -389,7 +389,7 @@ _LARGER_SCRIPT_INSTANCES = [
 ]
 
 
-def suite_strategies(settings: Optional[SolverSettings] = None) -> dict:
+def suite_strategies(memo_cap: int = DEFAULT_MEMO_CAP) -> dict:
     """Every catalog script passes its guarantee on its smallest instance, and
     four on larger ones, and never certifies a round count the solver
     beats."""
@@ -400,7 +400,7 @@ def suite_strategies(settings: Optional[SolverSettings] = None) -> dict:
         if params:
             name += " " + ",".join(f"{k}={v}" for k, v in params.items())
         suite.check(f"{name} guarantee", res.ok, {"counterexample": res.counterexample})
-        optimum = values(spec, settings).min_rounds
+        optimum = values(spec, memo_cap).min_rounds
         row = suite.row(strategy=name, guarantee=guarantee.describe(), ok=res.ok,
                         nodes=res.nodes, expanded=res.expanded, solver_min_rounds=optimum)
         if guarantee.kind is GuaranteeKind.WIN_WITHIN:
@@ -434,7 +434,7 @@ def _first_counterexample(seed: int, count: int, max_n: int, max_edges: int, bad
 
 def suite_properties(
     count: int = 200, seed: int = 0, max_n: int = 8,
-    settings: Optional[SolverSettings] = None,
+    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> dict:
     """Randomized invariants: bias and objective monotonicity, first-mover
     advantage, minimal-subfamily soundness."""
@@ -447,34 +447,34 @@ def suite_properties(
 
     def bias_monotonicity(rng, h):
         m, b, first = rng.randint(1, 2), rng.randint(1, 2), rng.choice(sides)
-        base = decide_mb(h, m, b, first, settings=settings)
-        if base and not decide_mb(h, m + 1, b, first, settings=settings):
+        base = decide_mb(h, m, b, first, memo_cap=memo_cap)
+        if base and not decide_mb(h, m + 1, b, first, memo_cap=memo_cap):
             return {"case": "maker bias up"}
-        if not base and decide_mb(h, m, b + 1, first, settings=settings):
+        if not base and decide_mb(h, m, b + 1, first, memo_cap=memo_cap):
             return {"case": "breaker bias up"}
         return None
 
     def objective_monotonicity(rng, h):
         t, s, first = rng.randint(1, h.n), rng.randint(1, h.n), rng.choice(sides)
-        if decide_mb(h, 1, 1, first, Objective(t, s), settings=settings) and not (
-            decide_mb(h, 1, 1, first, Objective(t + 1, s), settings=settings)
-            and decide_mb(h, 1, 1, first, Objective(t, s + 1), settings=settings)
+        if decide_mb(h, 1, 1, first, Objective(t, s), memo_cap=memo_cap) and not (
+            decide_mb(h, 1, 1, first, Objective(t + 1, s), memo_cap=memo_cap)
+            and decide_mb(h, 1, 1, first, Objective(t, s + 1), memo_cap=memo_cap)
         ):
             return {"t": t, "s": s}
         return None
 
     def first_mover_advantage(rng, h):
         m, b = rng.randint(1, 2), rng.randint(1, 2)
-        if decide_mb(h, m, b, Player.BREAKER, settings=settings) and not decide_mb(
-            h, m, b, Player.MAKER, settings=settings
+        if decide_mb(h, m, b, Player.BREAKER, memo_cap=memo_cap) and not decide_mb(
+            h, m, b, Player.MAKER, memo_cap=memo_cap
         ):
             return {}
         return None
 
     def minimal_subfamily_soundness(rng, h):
         m, b, first = rng.randint(1, 2), rng.randint(1, 2), rng.choice(sides)
-        if game_values(h, m, b, first, settings) != game_values(
-            minimalize(h), m, b, first, settings
+        if game_values(h, m, b, first, memo_cap) != game_values(
+            minimalize(h), m, b, first, memo_cap
         ):
             return {}
         return None

@@ -14,6 +14,7 @@ import pytest
 
 from posgames import suites
 from posgames.boards import Hypergraph
+from posgames.errors import GuardExceeded
 from posgames.suites import SUITES
 
 # (suite name, pinned keyword arguments, time budget in seconds)
@@ -47,6 +48,14 @@ def test_claim_suite(name, kwargs, budget):
     assert elapsed < budget, f"{name} took {elapsed:.2f}s, budget {budget}s"
     print(f"ACCEPT {name}: PASS ({len(report['checks'])} checks, "
           f"{elapsed:.2f}s, budget {budget}s)")
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_suite_passes_its_memo_cap_to_every_search(name):
+    # every suite stores more than one memo entry, so a cap of one trips the
+    # guard unless the suite drops the cap on its way to the solver
+    with pytest.raises(GuardExceeded):
+        SUITES[name](memo_cap=1)
 
 
 def test_failing_property_reports_its_counterexample(monkeypatch):

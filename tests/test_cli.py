@@ -276,6 +276,23 @@ class TestMalformedInput:
                                  "--memo-cap", cap)
             assert code == 2 and "must be positive" in doc["message"]
 
+    @pytest.mark.parametrize("command", [
+        "solve mb --board {h}", "solve wc --board {h}", "solve aux --board {d}",
+        "frontier mb --board {h}", "frontier wc --board {h}",
+        "dom solve mb --graph {g}", "dom solve wc --graph {g}", "verify all",
+    ] + [f"verify {name}" for name in SUITES], ids=lambda c: c.split(" --")[0])
+    def test_zero_memo_cap_on_every_search_command(self, capsys, tmp_path, hmbst_board,
+                                                   command):
+        # the cap is checked where every search starts, so each command that
+        # offers --memo-cap refuses 0 as a usage error
+        d, g = tmp_path / "d.json", tmp_path / "g.json"
+        run_cli(capsys, "gen", "gtb", "--t", "2", "--b", "2", "-o", str(d))
+        run_cli(capsys, "gen", "cycle", "--n", "5", "-o", str(g))
+        argv = command.format(h=hmbst_board, d=d, g=g).split() + ["--memo-cap", "0"]
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["kind"] == "usage"
+        assert "must be positive" in doc["message"]
+
     @pytest.mark.parametrize("command, doc, message", [
         ("solve mb --board", {"type": "hypergraph", "n": 3, "edges": [["a"]]}, "not an integer"),
         ("solve mb --board", {"type": "hypergraph", "n": 3, "edges": [[1.5]]}, "not an integer"),
@@ -483,6 +500,11 @@ class TestVerify:
                              "--s", "3", "--t", "4", "--max-nodes", "1000")
         assert code == cli.EXIT_GUARD and doc["kind"] == "guard"
 
+    def test_suite_memo_guard_exit_code(self, capsys):
+        code, doc = run_json(capsys, "verify", "thm1.8", "--max-n", "4", "--memo-cap", "1")
+        assert code == cli.EXIT_GUARD and doc["kind"] == "guard"
+        assert "memo table exceeded 1 entries" in doc["message"]
+
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_nonpositive_node_bound_is_a_usage_error(self, capsys, bound):
         code, doc = run_json(capsys, "verify", "maker-gtb", "--max-nodes", bound)
@@ -551,7 +573,7 @@ class TestVerify:
         # --max-n is a parameter of thm1.8, residue and properties only
         seen = []
 
-        def passing_suite(name, args, settings):
+        def passing_suite(name, args):
             seen.append(name)
             return {"suite": name, "ok": True}
 
@@ -587,8 +609,7 @@ class TestVerify:
         args = vars(build_parser().parse_args(["verify", "all"]))
         for name, fn in SUITES.items():
             for param in inspect.signature(fn).parameters:
-                if param != "settings":
-                    assert param in args, (name, param)
+                assert param in args, (name, param)
 
     def test_each_target_offers_exactly_its_flags(self):
         # a suite: its parameters, --memo-cap and --format; all: every suite
@@ -596,7 +617,7 @@ class TestVerify:
         # bias, and --max-nodes; every target: --manifest and -o
         def flags(params):
             return {"--graph" if p == "tree" else "--" + p.replace("_", "-")
-                    for p in params if p not in ("settings", "blocked", "bias")}
+                    for p in params if p not in ("blocked", "bias")}
 
         suites = {name: flags(inspect.signature(fn).parameters) for name, fn in SUITES.items()}
         want = {name: own | {"--memo-cap", "--format"} for name, own in suites.items()}

@@ -16,13 +16,13 @@ from posgames.constructions import (
     build_thm12,
     build_thm16,
 )
-from posgames.domination import dom_game_values, minimal_dominating_sets
+from posgames.domination import dom_game_values, dom_wc_values, minimal_dominating_sets
 from posgames.engine import GameKind, GameSpec, Player
 from posgames.errors import GuardExceeded, PosgamesError, RestrictionError
 from posgames.graphgen import cycle_graph, path_graph
 from posgames.solver import (
+    DEFAULT_MEMO_CAP,
     Objective,
-    SolverSettings,
     _Search,
     _WCSearch,
     _undominated,
@@ -87,8 +87,7 @@ class TestDecideWC:
         # rounds, so Phi = 11/16 at the root; without the certificate the
         # search needs far more than two memo entries
         h = minimal_dominating_sets(cycle_graph(11))
-        tiny = SolverSettings(memo_cap=2)
-        assert not decide_wc(h, Objective(max_rounds=4), settings=tiny)
+        assert not decide_wc(h, Objective(max_rounds=4), memo_cap=2)
 
 
 class TestAuxGame:
@@ -688,7 +687,7 @@ class TestRoundsThatMatter:
         # one of them: the clamped budget keeps no set live, so the root
         # returns before its memo probe
         h = hypergraph_new(3, [[0, 1]])
-        search = _WCSearch(SolverSettings())
+        search = _WCSearch(DEFAULT_MEMO_CAP)
         assert not search.run(0, 0, True, 2, h.edges)  # 2 = ceil(3 / 2) rounds
         assert search.memo == {}
         assert not decide_wc(h)
@@ -699,11 +698,11 @@ class TestSolverInvariants:
         # every edge fits both budgets, so the second call on the same search
         # object meets the same live family at the root, one round shorter
         h, _fam = build_hmbst(1, 1, 3, 4)
-        claiming = _Search(1, 1, SolverSettings())
+        claiming = _Search(1, 1, DEFAULT_MEMO_CAP)
         assert claiming.run(0, 0, True, 4, h.edges)
         assert not claiming.run(0, 0, True, 3, h.edges)
         h = build_ht_wc(3)
-        offer = _WCSearch(SolverSettings())
+        offer = _WCSearch(DEFAULT_MEMO_CAP)
         assert offer.run(0, 0, True, 3, h.edges)
         assert not offer.run(0, 0, True, 2, h.edges)
 
@@ -800,23 +799,33 @@ class TestSolverInvariants:
         }
 
     def test_memo_cap_guard_is_loud(self):
-        tiny = SolverSettings(memo_cap=2)
         h, _fam = build_hmbst(1, 1, 3, 3)
+        spec = GameSpec(GameKind.MAKER_BREAKER, h)
         with pytest.raises(GuardExceeded):
-            decide_mb(h, 1, 1, settings=tiny)
+            decide(spec, memo_cap=2)
         with pytest.raises(GuardExceeded):
-            decide_wc(build_ht_wc(3), settings=tiny)
+            decide_mb(h, 1, 1, memo_cap=2)
+        with pytest.raises(GuardExceeded):
+            decide_wc(build_ht_wc(3), memo_cap=2)
         board = build_gtb(2, 2)
         with pytest.raises(GuardExceeded):
-            solve_aux_game(board, 2, (1 << board.start) | (1 << board.end), settings=tiny)
+            solve_aux_game(board, 2, (1 << board.start) | (1 << board.end), memo_cap=2)
         # the cap bounds the one table all of a board's questions share
         with pytest.raises(GuardExceeded):
-            game_values(h, 1, 1, settings=tiny)
+            values(spec, memo_cap=2)
+        with pytest.raises(GuardExceeded):
+            game_values(h, 1, 1, memo_cap=2)
+        with pytest.raises(GuardExceeded):
+            wc_game_values(build_ht_wc(3), memo_cap=2)
+        with pytest.raises(GuardExceeded):
+            dom_game_values(cycle_graph(7), 1, 1, memo_cap=2)
+        with pytest.raises(GuardExceeded):
+            dom_wc_values(cycle_graph(7), memo_cap=2)
 
     def test_negative_setting_cap_is_rejected(self):
         for cap in (0, -3):
             with pytest.raises(PosgamesError, match="must be positive"):
-                decide_mb(hypergraph_new(2, [[0]]), 1, 1, settings=SolverSettings(memo_cap=cap))
+                decide_mb(hypergraph_new(2, [[0]]), 1, 1, memo_cap=cap)
 
 
 class TestMoveRestriction:
@@ -836,8 +845,7 @@ class TestMoveRestriction:
         # the reduced menu shares the free search's residual key, so the
         # paper's H(1,2,3,4) board fits 50,000 entries (6,449 are used)
         h, fam = build_hmbst(1, 2, 3, 4)
-        small = SolverSettings(memo_cap=50_000)
-        assert decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), fam, settings=small)
+        assert decide_mb(h, 1, 2, Player.MAKER, Objective(4, 3), fam, memo_cap=50_000)
 
     def test_rejects_oversized_sets(self):
         h = hypergraph_new(4, [[0, 1, 2]])
