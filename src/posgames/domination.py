@@ -34,10 +34,11 @@ def is_dominating(g: SimpleGraph, dset: int) -> bool:
 
 def domination_number(g: SimpleGraph) -> int:
     """Smallest dominating set size: a minimum dominating set is minimal, so
-    the smallest set of `minimal_dominating_sets(g)`, under its guard."""
+    the first set of `minimal_dominating_sets(g)`, whose canonical order is
+    by size first, under its guard."""
     if g.n == 0:
         return 0  # the empty set dominates, and a board needs an element
-    return min(e.bit_count() for e in minimal_dominating_sets(g).edges)
+    return minimal_dominating_sets(g).edges[0].bit_count()
 
 
 def minimal_dominating_sets(g: SimpleGraph) -> Hypergraph:

@@ -179,9 +179,9 @@ def edge_families(draw):
 
 def recursive_mmcs(n, edges):
     """The same search tree as `minimal_transversals`, written directly: the
-    first uncovered edge with at most one candidate, else the first with the
-    fewest, is branched on in index order, and a branch is cut when some
-    chosen element hits no edge alone.  Its output order is the enumerator's."""
+    lowest uncovered edge in (size, value) order is branched on in index
+    order, and a branch is cut when some chosen element hits no edge alone.
+    Its output order is the enumerator's."""
     edges = sorted(set(edges), key=lambda e: (e.bit_count(), e))
     found = []
 
@@ -190,9 +190,7 @@ def recursive_mmcs(n, edges):
         if not uncovered:
             found.append(chosen)
             return
-        counts = [(e & cand).bit_count() for e in uncovered]
-        pick = next((i for i, c in enumerate(counts) if c <= 1), counts.index(min(counts)))
-        branch = uncovered[pick] & cand
+        branch = uncovered[0] & cand
         cand &= ~branch
         for v in indices_of(branch):
             s = chosen | 1 << v
@@ -257,6 +255,25 @@ class TestTransversals:
     def test_output_order_is_the_recursive_search_order(self, family):
         n, edges = family
         assert minimal_transversals(n, edges) == recursive_mmcs(n, edges)
+
+    def test_output_order_tells_the_branch_rules_apart(self):
+        # few random families are ordered differently by a search that
+        # branches on the uncovered edge with the fewest candidates (there
+        # {0, 1, 3} comes before {0, 2}); this one pins the lowest edge
+        edges = [mask_from_indices(e, 5) for e in ([1, 2, 4], [1, 2, 3], [0, 4], [2, 3, 4])]
+        got = minimal_transversals(5, edges)
+        assert got == recursive_mmcs(5, edges)
+        assert [indices_of(t) for t in got] == [[0, 2], [0, 1, 3], [1, 4], [2, 4], [3, 4]]
+
+    def test_edge_that_loses_its_candidates_before_it_is_lowest(self):
+        # {6, 7, 8} loses every candidate (to the branches on 0, 1 and 2)
+        # while the pairs below it are still uncovered, so the search walks
+        # dead frames before it reaches that edge; the output stays exact
+        edges = [mask_from_indices(e, 13) for e in
+                 ([0, 6], [1, 7], [2, 8], [9, 10], [11, 12], [6, 7, 8])]
+        got = minimal_transversals(13, edges)
+        assert len(got) == len(set(got)) == 28
+        assert set(got) == brute_force_transversals(13, edges)
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # one 3,000-element transversal: a recursive search would nest 3,000
