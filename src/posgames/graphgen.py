@@ -23,11 +23,6 @@ def cycle_graph(n: int) -> SimpleGraph:
     return graph_new(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def star_graph(leaves: int) -> SimpleGraph:
-    _check_board_size(leaves + 1)
-    return graph_new(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 def random_tree(n: int, rng: random.Random) -> SimpleGraph:
     """Uniform labelled tree by decoding a random Pruefer sequence."""
     if n <= 0:

@@ -29,6 +29,7 @@ from .domination import (
     dom_game_values,
     dom_wc_values,
     is_dominating,
+    minimal_dominating_sets,
     residue,
     wc_cycle_value,
     wc_tree_value,
@@ -321,10 +322,11 @@ def suite_gadget(
                 {"within": len(small), "boards": len(boards)})
     for h in small:
         g = build_gadget(h, 1)
+        family = minimal_dominating_sets(g)  # built once for both first players
         for first in Player:
             dom, claiming = (
                 [v.maker_wins, v.min_rounds, v.min_size]
-                for v in (dom_game_values(g, 1, 1, first, memo_cap),
+                for v in (game_values(family, 1, 1, first, memo_cap),
                           game_values(h, 1, 1, first, memo_cap))
             )
             row = suite.row(instance=h.edge_indices(), first=first.value, vertices=g.n,

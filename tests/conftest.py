@@ -1,5 +1,5 @@
 """Shared test helpers: a pruning-free reference solver, a table-free
-strategy checker and random boards."""
+strategy checker, random boards and stars."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import random
 import pytest
 
 from posgames.bitset import iter_bits
-from posgames.boards import Hypergraph, hypergraph_from_masks
+from posgames.boards import Hypergraph, SimpleGraph, graph_new, hypergraph_from_masks
 from posgames.engine import (
     GameKind,
     GameSpec,
@@ -123,6 +123,11 @@ def random_hypergraph_masks(n: int, max_edges: int, rng: random.Random) -> Hyper
             mask |= 1 << i
         edges.append(mask)
     return hypergraph_from_masks(n, edges)
+
+
+def star_graph(leaves: int) -> SimpleGraph:
+    """Vertex 0 joined to each of `leaves` other vertices."""
+    return graph_new(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import star_graph
 from posgames.boards import graph_new, hypergraph_new
 from posgames.constructions import build_gadget
 from posgames.domination import (
@@ -23,7 +24,6 @@ from posgames.graphgen import (
     path_graph,
     random_graph,
     random_tree,
-    star_graph,
 )
 
 

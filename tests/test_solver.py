@@ -195,56 +195,13 @@ class TestGameValues:
         assert values.min_size == 2
 
 
-class TestAgainstNaiveSolver:
-    """The pruned searches must agree with plain engine-driven recursion."""
+def budgets(low, high):
+    """No budget, or one from `low` to `high`."""
+    return st.one_of(st.none(), st.integers(low, high))
 
-    def test_maker_breaker_bounded_and_unbounded(self, rng):
-        for _ in range(120):
-            n = rng.randint(1, 5)
-            h = random_hypergraph_masks(n, 4, rng)
-            m = rng.randint(1, 2)
-            b = rng.randint(1, 2)
-            first = rng.choice((Player.MAKER, Player.BREAKER))
-            t = rng.choice((None, rng.randint(0, 4)))
-            s = rng.choice((None, rng.randint(1, n)))
-            spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
-            expected = naive_decide(spec, t, s)
-            got = decide_mb(h, m, b, first, Objective(t, s))
-            assert got == expected, (h.edge_indices(), m, b, first, t, s)
 
-    def test_waiter_client(self, rng):
-        for _ in range(80):
-            n = rng.randint(1, 5)
-            h = random_hypergraph_masks(n, 4, rng)
-            t = rng.choice((None, rng.randint(0, 3)))
-            s = rng.choice((None, rng.randint(1, n)))
-            spec = GameSpec(GameKind.WAITER_CLIENT, h)
-            expected = naive_decide(spec, t, s)
-            got = decide_wc(h, Objective(t, s))
-            assert got == expected, (h.edge_indices(), t, s)
-
-    def test_aux_game(self, rng):
-        for _ in range(80):
-            nv = rng.randint(2, 4)
-            arcs = [
-                (rng.randrange(nv), rng.randrange(nv))
-                for _ in range(rng.randint(1, 3))
-            ]
-            arcs = [(u, v) for u, v in arcs if u != v] or [(0, 1)]
-            board = digraph_new(nv, arcs, start=0)
-            b = rng.randint(1, 2)
-            seeds = rng.getrandbits(nv)
-            t = rng.choice((None, rng.randint(0, 4)))
-            premove = rng.random() < 0.4
-            spec = GameSpec(
-                GameKind.AUX_EDGE, board, breaker_bias=b,
-                preclaimed_maker=seeds, breaker_premove=premove,
-            )
-            expected = naive_decide(spec, t, None)
-            got = solve_aux_game(
-                board, b, seeds, Objective(max_rounds=t), breaker_premove=premove
-            )
-            assert got == expected, (arcs, b, seeds, t, premove)
+round_budgets = budgets(0, 4)
+players = st.sampled_from((Player.MAKER, Player.BREAKER))
 
 
 @st.composite
@@ -256,7 +213,10 @@ def hypergraphs(draw, max_core, max_dead=0):
     return hypergraph_from_masks(core + draw(st.integers(0, max_dead)), edges), core
 
 
-round_budgets = st.one_of(st.none(), st.integers(0, 4))
+def sized(boards, top=None):
+    """Boards paired, as `hypergraphs` pairs them, with the largest size
+    budget to ask: `top`, else the board's element count."""
+    return boards.map(lambda h: (h, top or h.n))
 
 
 @st.composite
@@ -289,48 +249,169 @@ def restricted_boards(draw):
     return hypergraph_from_masks(n, edges), tuple(family), m, b
 
 
-class TestHypothesisAgainstNaive:
-    """The budget filter, the residual key and the reduced menu, checked
-    against plain engine-driven recursion on small boards."""
+def _relabel(mask: int, label) -> int:
+    return sum(1 << label[i] for i in range(len(label)) if mask >> i & 1)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        hypergraphs(5, max_dead=2),
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.sampled_from((Player.MAKER, Player.BREAKER)),
-        round_budgets,
-        st.data(),
+
+@st.composite
+def disjoint_unions(draw, max_n, min_edge=1):
+    """Two or three random boards on disjoint elements, labels shuffled so
+    the components interleave: each has one to three edges of at least
+    `min_edge` elements, on at most max_n // parts elements."""
+    parts = draw(st.integers(2, 3))
+    edges, n = [], 0
+    for _ in range(parts):
+        core = draw(st.integers(min_edge, max_n // parts))
+        edge = st.integers(1, (1 << core) - 1).filter(lambda e: e.bit_count() >= min_edge)
+        edges += [e << n for e in draw(st.lists(edge, min_size=1, max_size=3))]
+        n += core
+    label = draw(st.permutations(range(n)))
+    return hypergraph_from_masks(n, [_relabel(e, label) for e in edges])
+
+
+@st.composite
+def cored_boards(draw, max_n):
+    """Up to five sets on at most max_n elements, all but at most one of them
+    holding a core of one or two elements.  The core's elements then lie in
+    most needs, so they dominate many other elements, and twins are
+    common."""
+    n = draw(st.integers(2, max_n))
+    core = sum(1 << i for i in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
+    extras = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    loose = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=1))
+    return hypergraph_from_masks(n, [core | e for e in extras] + loose)
+
+
+@st.composite
+def large_set_boards(draw, max_n, odd=False):
+    """One to five sets on n elements (n odd with `odd`), each of a size
+    drawn evenly from 1 to n.  Many sets then lie near the bound R * m of
+    the rounds that matter, and the useful elements, not the budget, bound
+    those rounds."""
+    n = draw(st.integers(1, (max_n - 1) // 2).map(lambda k: 2 * k + 1) if odd
+             else st.integers(2, max_n))
+    edge = st.integers(1, n).flatmap(
+        lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
     )
-    def test_claiming_game(self, board, m, b, first, t, data):
-        # with isolated elements and biases up to 3 the engine's claims
-        # take dead elements, or more elements than the search's, which
-        # stand for the engine claims that contain them (the Claim size
-        # bullet)
-        h, core = board
-        s = data.draw(st.one_of(st.none(), st.integers(1, core)))
-        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
-        assert decide_mb(h, m, b, first, Objective(t, s)) == naive_decide(spec, t, s)
+    edges = draw(st.lists(edge, min_size=1, max_size=5))
+    return hypergraph_from_masks(n, [sum(1 << i for i in e) for e in edges])
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(hypergraphs(4, max_dead=3), round_budgets, st.data())
-    def test_offer_game_with_dead_elements(self, board, t, data):
-        # the padding varies the count of free dead elements, which the
-        # Waiter never offers and the offer game's key does not hold
-        h, core = board
-        s = data.draw(st.one_of(st.none(), st.integers(1, core)))
-        spec = GameSpec(GameKind.WAITER_CLIENT, h)
-        assert decide_wc(h, Objective(t, s)) == naive_decide(spec, t, s)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(hypergraphs(7), round_budgets, st.data())
-    def test_offer_game_on_wider_boards(self, board, t, data):
-        # up to seven core elements, so the Client's keeps differ in weight
-        # and the search tries the heavier one first (the keep order)
-        h, core = board
-        s = data.draw(st.one_of(st.none(), st.integers(1, core)))
-        spec = GameSpec(GameKind.WAITER_CLIENT, h)
-        assert decide_wc(h, Objective(t, s)) == naive_decide(spec, t, s)
+def arcs_on(low, high):
+    vertex = st.integers(low, high)
+    return st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1])
+
+
+@st.composite
+def digraphs(draw, shape):
+    """Digraphs rooted at 0 in one of four shapes.  On two to four vertices:
+    `arcs`, up to three random arcs, arc-less boards included; `distinct`,
+    one to four different arcs; `hub`, spokes into or out of vertex 0, so
+    each arc's need lies inside the hub's needs.  `parts`: two parts of two
+    or three vertices with one or two arcs each, labels shuffled so the
+    parts interleave."""
+    if shape == "parts":
+        arcs, nv = [], 0
+        for _ in range(2):
+            size = draw(st.integers(2, 3))
+            arcs += draw(st.lists(arcs_on(nv, nv + size - 1), min_size=1, max_size=2))
+            nv += size
+        label = draw(st.permutations(range(nv)))
+        return digraph_new(nv, [(label[u], label[v]) for u, v in arcs], start=0)
+    nv = draw(st.integers(2, 4))
+    if shape == "hub":
+        spoke = st.tuples(st.integers(1, nv - 1), st.booleans())
+        spokes = draw(st.lists(spoke, min_size=1, max_size=7 - nv, unique=True))
+        return digraph_new(nv, [(0, v) if out else (v, 0) for v, out in spokes], start=0)
+    arc = arcs_on(0, nv - 1)
+    arcs = (st.lists(arc, max_size=3) if shape == "arcs"
+            else st.lists(arc, min_size=1, max_size=4, unique=True))
+    return digraph_new(nv, draw(arcs), start=0)
+
+
+@st.composite
+def claiming(draw, boards, rounds=round_budgets, maker_bias=st.integers(1, 3)):
+    """A claiming-game question at b <= 3, either player first."""
+    h, top = draw(boards)
+    spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=draw(maker_bias),
+                    breaker_bias=draw(st.integers(1, 3)), first=draw(players))
+    return spec, draw(rounds), draw(budgets(1, top))
+
+
+@st.composite
+def offer(draw, boards, rounds=round_budgets):
+    """An offer-game question."""
+    h, top = draw(boards)
+    return GameSpec(GameKind.WAITER_CLIENT, h), draw(rounds), draw(budgets(1, top))
+
+
+@st.composite
+def aux_specs(draw, shape):
+    """A (1:b) directed-edge game at b <= 2 on `digraphs(shape)`, the Maker
+    owning random vertices, with or without the Breaker's pre-move."""
+    board = draw(digraphs(shape))
+    return GameSpec(GameKind.AUX_EDGE, board, breaker_bias=draw(st.integers(1, 2)),
+                    preclaimed_maker=draw(st.integers(0, (1 << board.nv) - 1)),
+                    breaker_premove=draw(st.booleans()))
+
+
+def directed_edge(shape, rounds=round_budgets):
+    """A directed-edge question; the game has no size budget."""
+    return st.tuples(aux_specs(shape), rounds, st.none())
+
+
+# Each row draws (spec, t, s) questions of one game on one board shape, and
+# `decide` must answer each as plain engine-driven recursion does.  A pruning
+# adds a row for each game it applies to, on boards where it fires.
+ORACLE_ROWS = {
+    # isolated elements and biases up to 3: the engine's claims take dead
+    # elements, or more elements than the search's (the Claim size bullet)
+    "claiming-dead-elements": (200, claiming(hypergraphs(5, max_dead=2))),
+    # the component split at m = 1; no singleton edge, which the Maker would
+    # finish before any split
+    "claiming-disjoint-unions": (
+        200, claiming(sized(disjoint_unions(8, min_edge=2), 3), maker_bias=st.just(1))
+    ),
+    "claiming-cored": (300, claiming(sized(cored_boards(7)))),  # dominated elements
+    # budgets beyond the rounds that matter
+    "claiming-large-sets": (300, claiming(sized(large_set_boards(7)), budgets(1, 6))),
+    # the free dead elements, which the Waiter never offers and the key does
+    # not hold, vary in count
+    "offer-dead-elements": (200, offer(hypergraphs(4, max_dead=3))),
+    # the Client's keeps differ in weight, and the heavier is tried first
+    "offer-wider": (200, offer(hypergraphs(7))),
+    "offer-cored": (100, offer(sized(cored_boards(6)), budgets(0, 3))),
+    # an odd count of useful elements: the Waiter's last offer leaves one over
+    "offer-odd-large-sets": (300, offer(sized(large_set_boards(7, odd=True)), budgets(1, 4))),
+    "directed-edge-arcs": (200, directed_edge("arcs")),
+    "directed-edge-parts": (100, directed_edge("parts")),
+    "directed-edge-hub": (150, directed_edge("hub")),
+    "directed-edge-long-budgets": (200, directed_edge("distinct", budgets(1, 6))),
+}
+
+
+def _refuse(*args):
+    raise AssertionError("the offer game listed claims")
+
+
+@pytest.mark.parametrize("examples, questions", ORACLE_ROWS.values(), ids=list(ORACLE_ROWS))
+def test_decide_agrees_with_naive(examples, questions, monkeypatch):
+    # the offer search has its own Waiter node and no Breaker node, so the
+    # claim menus (and the rules in them) are never asked for
+    monkeypatch.setattr(_WCSearch, "_claims", _refuse)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(questions)
+    def agrees(question):
+        spec, t, s = question
+        assert decide(spec, Objective(t, s)) == naive_decide(spec, t, s)
+
+    agrees()
+
+
+class TestHypothesisAgainstNaive:
+    """Theorems and the reduced menu, checked against plain engine-driven
+    recursion on small boards."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(hypergraphs(7), st.integers(1, 4))
@@ -344,12 +425,7 @@ class TestHypothesisAgainstNaive:
         assert not naive_decide(GameSpec(GameKind.WAITER_CLIENT, h), t)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        hypergraphs(7),
-        st.integers(1, 2),
-        st.sampled_from((Player.MAKER, Player.BREAKER)),
-        st.integers(1, 4),
-    )
+    @given(hypergraphs(7), st.integers(1, 2), players, st.integers(1, 4))
     def test_breaker_potential_is_a_breaker_win(self, board, b, first, t):
         # the Breaker certificate's theorem at m = 1, checked by the oracle
         # alone: with Psi = sum (b+1)^-|e| over the edges the Maker can
@@ -364,29 +440,12 @@ class TestHypothesisAgainstNaive:
         assert not naive_decide(spec, t)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(2, 4), st.integers(1, 2), round_budgets, st.booleans(), st.data())
-    def test_directed_edge_game(self, nv, b, t, premove, data):
-        vertex = st.integers(0, nv - 1)
-        arc = st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1])
-        arcs = data.draw(st.lists(arc, max_size=3))  # arc-less boards included
-        seeds = data.draw(st.integers(0, (1 << nv) - 1))
-        digraph = digraph_new(nv, arcs, start=0)
-        spec = GameSpec(
-            GameKind.AUX_EDGE, digraph, breaker_bias=b,
-            preclaimed_maker=seeds, breaker_premove=premove,
-        )
-        got = solve_aux_game(
-            digraph, b, seeds, Objective(max_rounds=t), breaker_premove=premove
-        )
-        assert got == naive_decide(spec, t, None)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(restricted_boards(), st.one_of(st.none(), st.integers(2, 5)), st.data())
+    @given(restricted_boards(), budgets(2, 5), st.data())
     def test_reduced_menu(self, board, t, data):
         h, restriction, m, b = board
         # every edge exceeds m, so a smaller size budget leaves no edge and
         # fewer than two rounds never win
-        s = data.draw(st.one_of(st.none(), st.integers(m + 1, h.n)))
+        s = data.draw(budgets(m + 1, h.n))
         validate_restriction(h, m, b, restriction)
         for first in Player:
             free = decide_mb(h, m, b, first, Objective(t, s))
@@ -417,17 +476,12 @@ def naive_values(spec: GameSpec, n: int):
 
 
 class TestValuesAgainstNaive:
-    """`game_values` and `wc_game_values` ask every question of one search
-    and share its memo table across round and size budgets; the values must
-    match the oracle's grid."""
+    """`values` asks every question of one search and shares its memo table
+    across round and size budgets; the values must match the oracle's
+    grid."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        hypergraphs(6),
-        st.integers(1, 2),
-        st.integers(1, 2),
-        st.sampled_from((Player.MAKER, Player.BREAKER)),
-    )
+    @given(hypergraphs(6), st.integers(1, 2), st.integers(1, 2), players)
     def test_claiming_game(self, board, m, b, first):
         h, _core = board
         spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
@@ -449,44 +503,21 @@ class TestValuesAgainstNaive:
             GameSpec(GameKind.WAITER_CLIENT, h), h.n
         )
 
-
-def _relabel(mask: int, label) -> int:
-    return sum(1 << label[i] for i in range(len(label)) if mask >> i & 1)
-
-
-@st.composite
-def disjoint_unions(draw, max_n, min_edge=1):
-    """Two or three random boards on disjoint elements, labels shuffled so
-    the components interleave: each has one to three edges of at least
-    `min_edge` elements, on at most max_n // parts elements."""
-    parts = draw(st.integers(2, 3))
-    edges, n = [], 0
-    for _ in range(parts):
-        core = draw(st.integers(min_edge, max_n // parts))
-        edge = st.integers(1, (1 << core) - 1).filter(lambda e: e.bit_count() >= min_edge)
-        edges += [e << n for e in draw(st.lists(edge, min_size=1, max_size=3))]
-        n += core
-    label = draw(st.permutations(range(n)))
-    return hypergraph_from_masks(n, [_relabel(e, label) for e in edges])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(aux_specs("arcs"))
+    def test_directed_edge_game(self, spec):
+        # every arc set {tail, head, arc} has three elements, so a won game's
+        # size value is 3, reached at its round value
+        got = values(spec)
+        assert got.maker_wins == naive_decide(spec)
+        if got.maker_wins:
+            rounds = next(t for t in range(1, spec.n_elements + 1) if naive_decide(spec, t))
+            assert (got.min_rounds, got.min_size, got.frontier) == (rounds, 3, ((rounds, 3),))
 
 
 class TestComponentSplit:
-    """The Maker's split of the live sets into components (m = 1), checked
-    against plain engine-driven recursion on disjoint unions."""
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        disjoint_unions(8, min_edge=2),
-        st.integers(1, 3),
-        st.sampled_from((Player.MAKER, Player.BREAKER)),
-        round_budgets,
-        st.data(),
-    )
-    def test_claiming_game(self, h, b, first, t, data):
-        # no singleton edges: the Maker would finish one before any split
-        s = data.draw(st.one_of(st.none(), st.integers(1, 3)))
-        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=1, breaker_bias=b, first=first)
-        assert decide_mb(h, 1, b, first, Objective(t, s)) == naive_decide(spec, t, s)
+    """The Maker's split of the live sets into components (m = 1); the
+    oracle rows check it on disjoint unions."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(disjoint_unions(7, min_edge=2), st.integers(1, 2), round_budgets, st.data())
@@ -504,33 +535,6 @@ class TestComponentSplit:
             got = decide_mb(h, 1, b, first, Objective(t), restriction)
             assert got == naive_decide(spec, t, None)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        st.lists(st.integers(2, 3), min_size=2, max_size=2),
-        st.integers(1, 2),
-        round_budgets,
-        st.booleans(),
-        st.data(),
-    )
-    def test_directed_edge_game(self, sizes, b, t, premove, data):
-        arcs, nv = [], 0
-        for size in sizes:
-            vertex = st.integers(nv, nv + size - 1)
-            arc = st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1])
-            arcs += data.draw(st.lists(arc, min_size=1, max_size=2))
-            nv += size
-        label = data.draw(st.permutations(range(nv)))
-        digraph = digraph_new(nv, [(label[u], label[v]) for u, v in arcs], start=0)
-        seeds = data.draw(st.integers(0, (1 << nv) - 1))
-        spec = GameSpec(
-            GameKind.AUX_EDGE, digraph, breaker_bias=b,
-            preclaimed_maker=seeds, breaker_premove=premove,
-        )
-        got = solve_aux_game(
-            digraph, b, seeds, Objective(max_rounds=t), breaker_premove=premove
-        )
-        assert got == naive_decide(spec, t, None)
-
     def test_no_split_at_maker_bias_two(self):
         # at (2:1) the Maker opens in both triples and completes one next
         # round; either triple alone is lost, so a split would answer False
@@ -541,69 +545,9 @@ class TestComponentSplit:
         assert naive_decide(GameSpec(GameKind.MAKER_BREAKER, both, maker_bias=2, breaker_bias=1))
 
 
-@st.composite
-def cored_boards(draw, max_n):
-    """Up to five sets on at most max_n elements, all but at most one of them
-    holding a core of one or two elements.  The core's elements then lie in
-    most needs, so they dominate many other elements, and twins are
-    common."""
-    n = draw(st.integers(2, max_n))
-    core = sum(1 << i for i in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
-    extras = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
-    loose = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=1))
-    return hypergraph_from_masks(n, [core | e for e in extras] + loose)
-
-
 class TestDominatedElements:
-    """The Breaker and the one-element Maker skip dominated elements; checked
-    against plain engine-driven recursion on boards where most elements are
-    dominated."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        cored_boards(7),
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.sampled_from((Player.MAKER, Player.BREAKER)),
-        round_budgets,
-        st.data(),
-    )
-    def test_claiming_game(self, h, m, b, first, t, data):
-        s = data.draw(st.one_of(st.none(), st.integers(1, h.n)))
-        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
-        assert decide_mb(h, m, b, first, Objective(t, s)) == naive_decide(spec, t, s)
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.integers(2, 4), st.integers(1, 2), round_budgets, st.booleans(), st.data())
-    def test_directed_edge_game(self, nv, b, t, premove, data):
-        # arcs at one hub vertex: each arc's need lies inside its hub's needs
-        vertex = st.integers(0, nv - 1)
-        spoke = st.tuples(vertex, st.booleans()).filter(lambda a: a[0] != 0)
-        spokes = data.draw(st.lists(spoke, min_size=1, max_size=7 - nv, unique=True))
-        arcs = [(0, v) if out else (v, 0) for v, out in spokes]
-        digraph = digraph_new(nv, arcs, start=0)
-        seeds = data.draw(st.integers(0, (1 << nv) - 1))
-        spec = GameSpec(
-            GameKind.AUX_EDGE, digraph, breaker_bias=b,
-            preclaimed_maker=seeds, breaker_premove=premove,
-        )
-        got = solve_aux_game(digraph, b, seeds, Objective(max_rounds=t), breaker_premove=premove)
-        assert got == naive_decide(spec, t, None)
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(cored_boards(6), st.one_of(st.none(), st.integers(0, 3)), st.data())
-    def test_offer_game_lists_no_claims(self, h, t, data):
-        # the offer search has its own Waiter node and no Breaker node, so
-        # the claim menus (and the rule in them) are never asked for
-        s = data.draw(st.one_of(st.none(), st.integers(1, h.n)))
-
-        def refuse(*args):
-            raise AssertionError("the offer game listed claims")
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_Search, "_claims", refuse)
-            got = decide_wc(h, Objective(t, s))
-        assert got == naive_decide(GameSpec(GameKind.WAITER_CLIENT, h), t, s)
+    """The Breaker and the one-element Maker skip dominated elements; the
+    oracle rows check it on cored boards and hub digraphs."""
 
     def test_breaker_claims_every_undominated_element_when_they_fit(self):
         # (3:3), Breaker first: 0, 2 and 3 are twins, 4 dominates 1 and 5, so
@@ -622,65 +566,9 @@ class TestDominatedElements:
         assert _undominated([16, 8], [0b11000]) == [16]
 
 
-@st.composite
-def large_set_boards(draw, max_n, odd=False):
-    """One to five sets on n elements (n odd with `odd`), each of a size
-    drawn evenly from 1 to n.  Many sets then lie near the bound R * m of
-    the rounds that matter, and the useful elements, not the budget, bound
-    those rounds."""
-    n = draw(st.integers(1, (max_n - 1) // 2).map(lambda k: 2 * k + 1) if odd
-             else st.integers(2, max_n))
-    edge = st.integers(1, n).flatmap(
-        lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
-    )
-    edges = draw(st.lists(edge, min_size=1, max_size=5))
-    return hypergraph_from_masks(n, [sum(1 << i for i in e) for e in edges])
-
-
 class TestRoundsThatMatter:
     """The budget clamped to the Maker moves that can still gain a useful
-    element, checked against plain engine-driven recursion on boards whose
-    budgets exceed those rounds."""
-
-    long_budgets = st.one_of(st.none(), st.integers(1, 6))
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        large_set_boards(7),
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.sampled_from((Player.MAKER, Player.BREAKER)),
-        long_budgets,
-        st.data(),
-    )
-    def test_claiming_game(self, h, m, b, first, t, data):
-        s = data.draw(st.one_of(st.none(), st.integers(1, h.n)))
-        spec = GameSpec(GameKind.MAKER_BREAKER, h, maker_bias=m, breaker_bias=b, first=first)
-        assert decide_mb(h, m, b, first, Objective(t, s)) == naive_decide(spec, t, s)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(2, 4), st.integers(1, 2), long_budgets, st.booleans(), st.data())
-    def test_directed_edge_game(self, nv, b, t, premove, data):
-        vertex = st.integers(0, nv - 1)
-        arc = st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1])
-        arcs = data.draw(st.lists(arc, min_size=1, max_size=4, unique=True))
-        seeds = data.draw(st.integers(0, (1 << nv) - 1))
-        digraph = digraph_new(nv, arcs, start=0)
-        spec = GameSpec(
-            GameKind.AUX_EDGE, digraph, breaker_bias=b,
-            preclaimed_maker=seeds, breaker_premove=premove,
-        )
-        got = solve_aux_game(digraph, b, seeds, Objective(max_rounds=t), breaker_premove=premove)
-        assert got == naive_decide(spec, t, None)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(large_set_boards(7, odd=True), st.one_of(st.none(), st.integers(1, 4)), st.data())
-    def test_offer_game(self, h, t, data):
-        # with an odd count of useful elements the Waiter's last offer
-        # leaves one element over, which no round can use
-        s = data.draw(st.one_of(st.none(), st.integers(1, h.n)))
-        spec = GameSpec(GameKind.WAITER_CLIENT, h)
-        assert decide_wc(h, Objective(t, s)) == naive_decide(spec, t, s)
+    element; the oracle rows check it on large sets with long budgets."""
 
     def test_offer_of_a_pair_among_three_elements_is_lost_at_the_root(self):
         # two useful elements make one round, in which the Waiter gains only
